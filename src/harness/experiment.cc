@@ -7,7 +7,11 @@ namespace grit::harness {
 RunResult
 runWorkload(const SystemConfig &config, const workload::Workload &workload)
 {
-    Simulator simulator(config, workload);
+    // The simulator dies before this call returns, so a non-owning
+    // handle to the caller's workload is enough.
+    const workload::WorkloadHandle view(workload::WorkloadHandle{},
+                                        &workload);
+    Simulator simulator(config, workload::streamWorkload(view));
     return simulator.run();
 }
 
@@ -17,8 +21,7 @@ runApp(workload::AppId app, const SystemConfig &config,
 {
     workload::WorkloadParams p = params;
     p.numGpus = config.numGpus;
-    const workload::Workload w = workload::makeWorkload(app, p);
-    return runWorkload(config, w);
+    return runWorkload(config, workload::makeWorkload(app, p));
 }
 
 double

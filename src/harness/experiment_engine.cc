@@ -3,9 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -81,58 +79,46 @@ defaultJobs()
     return hw > 0 ? hw : 1;
 }
 
+namespace {
+
+/**
+ * The unsigned integer in environment variable @p name: 0 when unset,
+ * and 0 with a warning when it is not a number.
+ */
+std::uint64_t
+envCount(const char *name)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(env, &end, 10);
+    if (end != env && *end == '\0')
+        return v;
+    GRIT_LOG(sim::LogLevel::kWarn,
+             "ignoring invalid " << name << " value \"" << env << "\"");
+    return 0;
+}
+
+}  // namespace
+
+ExperimentEngine::ExperimentEngine(const Options &options)
+    : options_(options)
+{
+    cache_.setByteBudget(options_.traceCacheBytes != 0
+                             ? options_.traceCacheBytes
+                             : envCount("GRIT_TRACE_CACHE_BYTES"));
+    chunkAccesses_ = options_.traceChunkAccesses;
+    if (chunkAccesses_ == 0)
+        chunkAccesses_ = envCount("GRIT_TRACE_CHUNK");
+    if (chunkAccesses_ == 0)
+        chunkAccesses_ = workload::kDefaultChunkAccesses;
+}
+
 unsigned
 ExperimentEngine::jobs() const
 {
     return options_.jobs > 0 ? options_.jobs : defaultJobs();
-}
-
-void
-ExperimentEngine::applyCacheBudget()
-{
-    std::uint64_t budget = options_.traceCacheBytes;
-    if (budget == 0) {
-        if (const char *env = std::getenv("GRIT_TRACE_CACHE_BYTES")) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(env, &end, 10);
-            if (end != env && *end == '\0')
-                budget = v;
-            else
-                GRIT_LOG(sim::LogLevel::kWarn,
-                         "ignoring invalid GRIT_TRACE_CACHE_BYTES "
-                         "value \""
-                             << env << "\"");
-        }
-    }
-    cache_.setByteBudget(budget);
-}
-
-void
-ExperimentEngine::applyStreaming()
-{
-    // Streaming is the default for app-generated cells; the
-    // GRIT_STREAM_TRACES environment variable opts a process out
-    // ("0") and Options::streamTraces forces it back on regardless.
-    streamTraces_ = true;
-    if (const char *env = std::getenv("GRIT_STREAM_TRACES"))
-        streamTraces_ = std::string_view(env) != "0";
-    if (options_.streamTraces)
-        streamTraces_ = true;
-    chunkAccesses_ = options_.traceChunkAccesses;
-    if (chunkAccesses_ == 0) {
-        if (const char *env = std::getenv("GRIT_TRACE_CHUNK")) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(env, &end, 10);
-            if (end != env && *end == '\0' && v > 0)
-                chunkAccesses_ = v;
-            else
-                GRIT_LOG(sim::LogLevel::kWarn,
-                         "ignoring invalid GRIT_TRACE_CHUNK value \""
-                             << env << "\"");
-        }
-    }
-    if (chunkAccesses_ == 0)
-        chunkAccesses_ = 65536;
 }
 
 ResultMatrix
@@ -247,27 +233,14 @@ ExperimentEngine::runResilient(const RunPlan &plan,
             RunResult result;
             bool salvaged = false;
             try {
-                workload::WorkloadHandle w = cell.workload;
-                std::unique_ptr<Simulator> simulator;
-                if (!w && streamTraces_) {
-                    // Bounded-memory replay: chunks come from the shared
-                    // chunk LRU (same byte budget as whole traces) and
-                    // regenerate deterministically on eviction.
-                    simulator = std::make_unique<Simulator>(
-                        config, cache_.openWorkload(cell.app, cell.params,
-                                                    chunkAccesses_));
-                } else {
-                    if (!w) {
-                        w = options_.shareTraces
-                                ? cache_.get(cell.app, cell.params)
-                                : std::make_shared<
-                                      const workload::Workload>(
-                                      workload::makeWorkload(cell.app,
-                                                             cell.params));
-                    }
-                    simulator = std::make_unique<Simulator>(config, *w);
-                }
-                result = simulator->run(options.salvagePartial);
+                Simulator simulator(
+                    config,
+                    cell.workload
+                        ? workload::streamWorkload(cell.workload,
+                                                   chunkAccesses_)
+                        : cache_.openWorkload(cell.app, cell.params,
+                                              chunkAccesses_));
+                result = simulator.run(options.salvagePartial);
                 if (result.partial) {
                     error = result.error
                                 ? *result.error

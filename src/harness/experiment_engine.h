@@ -7,9 +7,10 @@
  * into the same ResultMatrix the serial harness produced. Each Simulator
  * is a self-contained deterministic island (own EventQueue, own stats),
  * so cells parallelize perfectly: results are bit-identical to a serial
- * run regardless of thread count. Identical traces are generated once
- * per sweep through a workload::TraceCache and shared read-only across
- * cells and threads.
+ * run regardless of thread count. Every cell replays TraceStreams:
+ * app-generated cells share one generation of each trace chunk through
+ * a workload::TraceCache, prebuilt cells stream their workload handle
+ * (workload::streamWorkload).
  *
  * Worker count: Options::jobs if nonzero, else the GRIT_JOBS
  * environment variable, else std::thread::hardware_concurrency().
@@ -155,8 +156,6 @@ class ExperimentEngine
     {
         /** Worker threads; 0 = auto (GRIT_JOBS env, else all cores). */
         unsigned jobs = 0;
-        /** Share identical traces across cells via the TraceCache. */
-        bool shareTraces = true;
         /**
          * Trace-cache byte budget; 0 = take it from the
          * GRIT_TRACE_CACHE_BYTES environment variable (absent or
@@ -164,34 +163,15 @@ class ExperimentEngine
          */
         std::uint64_t traceCacheBytes = 0;
         /**
-         * Replay app-generated cells from bounded-memory chunk streams
-         * (TraceCache::openWorkload) instead of materialized traces.
-         * Results are bit-identical; peak memory stops scaling with
-         * footprint (docs/PERFORMANCE.md, "Scaling footprints").
-         * Streaming is the DEFAULT: setting the GRIT_STREAM_TRACES
-         * environment variable to "0" opts a process back into
-         * materialized replay, and true here forces streaming even
-         * then. Cells carrying a prebuilt workload handle always run
-         * materialized.
-         */
-        bool streamTraces = false;
-        /**
-         * Accesses per streamed chunk; 0 = the GRIT_TRACE_CHUNK
-         * environment variable, else 65536.
+         * Accesses per trace chunk; 0 = the GRIT_TRACE_CHUNK
+         * environment variable, else workload::kDefaultChunkAccesses.
+         * Chunking is pure framing: results never depend on it.
          */
         std::uint64_t traceChunkAccesses = 0;
     };
 
-    ExperimentEngine()
-    {
-        applyCacheBudget();
-        applyStreaming();
-    }
-    explicit ExperimentEngine(const Options &options) : options_(options)
-    {
-        applyCacheBudget();
-        applyStreaming();
-    }
+    ExperimentEngine() : ExperimentEngine(Options{}) {}
+    explicit ExperimentEngine(const Options &options);
 
     /**
      * Execute every cell of @p plan and fold the results into a
@@ -224,15 +204,8 @@ class ExperimentEngine
     const workload::TraceCache &traceCache() const { return cache_; }
 
   private:
-    /** Resolve Options::traceCacheBytes (env fallback) into the cache. */
-    void applyCacheBudget();
-
-    /** Resolve the streaming options (env fallbacks) into members. */
-    void applyStreaming();
-
     Options options_;
     workload::TraceCache cache_;
-    bool streamTraces_ = false;
     std::uint64_t chunkAccesses_ = 0;
 };
 

@@ -60,30 +60,11 @@ RunResult::oversubscriptionRate() const
 }
 
 Simulator::Simulator(const SystemConfig &config,
-                     const workload::Workload &workload)
-    : config_(config), workload_(workload)
-{
-    init();
-}
-
-Simulator::Simulator(const SystemConfig &config,
                      workload::StreamedWorkload workload)
-    : config_(config),
-      streamed_(std::make_unique<workload::StreamedWorkload>(
-          std::move(workload))),
-      workload_(streamed_->meta)
-{
-    init();
-}
-
-void
-Simulator::init()
+    : config_(config), workload_(std::move(workload))
 {
     sim::throwIfInvalid(config_.validate(), "SystemConfig");
-    const unsigned workload_gpus =
-        streamed_ != nullptr
-            ? static_cast<unsigned>(streamed_->streams.size())
-            : workload_.numGpus();
+    const std::size_t workload_gpus = workload_.streams.size();
     if (workload_gpus != config_.numGpus) {
         throw sim::SimException(sim::SimError(
             sim::ErrorCode::kConfigInvalid,
@@ -91,7 +72,7 @@ Simulator::init()
                 std::to_string(workload_gpus) +
                 " GPUs but the config expects " +
                 std::to_string(config_.numGpus),
-            "workload " + workload_.name));
+            "workload " + workload_.meta.name));
     }
 
     // Byte addresses decode into (page, line) at the configured base
@@ -101,13 +82,8 @@ Simulator::init()
     cursors_.resize(config_.numGpus);
     for (unsigned g = 0; g < config_.numGpus; ++g) {
         GpuCursor &cur = cursors_[g];
-        if (streamed_ != nullptr) {
-            cur.stream = streamed_->streams[g].get();
-            cur.total = streamed_->accesses[g];
-        } else {
-            cur.trace = &workload_.traces[g];
-            cur.total = workload_.traces[g].size();
-        }
+        cur.stream = workload_.streams[g].get();
+        cur.total = workload_.accesses[g];
         totalAccesses_ += cur.total;
     }
 
@@ -116,7 +92,7 @@ Simulator::init()
     gpu::GpuConfig gpu_config = config_.gpu;
     if (config_.memoryFraction > 0.0) {
         const std::uint64_t footprint_pages =
-            (workload_.footprintBytes() + page_size - 1) / page_size;
+            (workload_.meta.footprintBytes() + page_size - 1) / page_size;
         const double per_gpu = config_.memoryFraction *
                                static_cast<double>(footprint_pages) /
                                config_.numGpus;
@@ -198,19 +174,13 @@ Simulator::nextAccess(unsigned g, LaneAccess &out)
     GpuCursor &cur = cursors_[g];
     if (cur.pos >= cur.total)
         return false;
-    workload::Access a;
-    if (cur.trace != nullptr) {
-        a = (*cur.trace)[static_cast<std::size_t>(cur.pos)];
-    } else {
-        if (cur.chunk == nullptr ||
-            cur.chunkPos >= cur.chunk->accesses.size()) {
-            cur.chunk = cur.stream->next();
-            cur.chunkPos = 0;
-            if (cur.chunk == nullptr)
-                return false;  // stream ended short of its count
-        }
-        a = cur.chunk->accesses[cur.chunkPos++];
+    if (cur.chunk == nullptr || cur.chunkPos >= cur.chunk->accesses.size()) {
+        cur.chunk = cur.stream->next();
+        cur.chunkPos = 0;
+        if (cur.chunk == nullptr)
+            return false;  // stream ended short of its count
     }
+    const workload::Access a = cur.chunk->accesses[cur.chunkPos++];
     ++cur.pos;
     const mem::PageGeometry &geo = config_.geometry;
     out.page = a.addr / geo.baseSize;
@@ -265,7 +235,7 @@ Simulator::runAudit()
     const std::vector<sim::SimError> found = auditor_->audit();
     for (const sim::SimError &err : found) {
         GRIT_LOG(sim::LogLevel::kError,
-                 "workload " << workload_.name << ": " << err.str());
+                 "workload " << workload_.meta.name << ": " << err.str());
         if (auditFindings_.size() < kMaxFindings)
             auditFindings_.push_back(err.str());
     }
@@ -561,7 +531,7 @@ Simulator::run(bool salvage_partial)
                           ") exhausted at cycle " +
                           std::to_string(queue_.now());
         }
-        err.context = "workload " + workload_.name;
+        err.context = "workload " + workload_.meta.name;
         if (!salvage_partial)
             throw sim::SimException(err);
         truncated = std::move(err);

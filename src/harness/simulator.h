@@ -98,8 +98,8 @@ struct RunResult
      * serialized as "accesses_batched" in the grit-results schema and
      * the run journal (v2): the value is a pure function of the cell
      * (config + workload), so it stays byte-identical across worker
-     * counts and streamed/materialized replay. Simulation results are
-     * bit-identical with batching on or off.
+     * counts and chunk sizes. Simulation results are bit-identical
+     * with batching on or off.
      */
     std::uint64_t accessesBatched = 0;
 
@@ -113,21 +113,15 @@ class Simulator
   public:
     /**
      * @param config   system configuration (Table I defaults).
-     * @param workload traces to replay (numGpus must match).
+     * @param workload what to replay, moved in: the metadata shell, one
+     *        TraceStream per GPU (numGpus must match), and the exact
+     *        per-GPU access counts. Generated workloads come from
+     *        TraceCache::openWorkload, prebuilt ones from
+     *        workload::streamWorkload; the simulator holds one chunk
+     *        per GPU at a time.
      * @throws sim::SimException (kConfigInvalid) when
      *         config.validate() reports violations or the workload was
      *         generated for a different GPU count.
-     */
-    Simulator(const SystemConfig &config,
-              const workload::Workload &workload);
-
-    /**
-     * Streaming variant: replay from bounded-memory chunk streams
-     * instead of materialized traces. @p workload (moved in) carries
-     * the metadata shell, one TraceStream per GPU, and the exact
-     * per-GPU access counts; the replayed access sequence — and thus
-     * every result — is bit-identical to the materialized constructor
-     * for the same (app, params).
      */
     Simulator(const SystemConfig &config,
               workload::StreamedWorkload workload);
@@ -166,22 +160,17 @@ class Simulator
     };
 
     /**
-     * Per-GPU access source: a cursor over either the materialized
-     * trace or a chunk stream, decoding (page, line) on the fly so the
-     * simulator never holds more than one chunk per GPU.
+     * Per-GPU access source: a cursor over the GPU's chunk stream,
+     * decoding (page, line) on the fly.
      */
     struct GpuCursor
     {
-        const workload::GpuTrace *trace = nullptr;  //!< materialized
-        workload::TraceStream *stream = nullptr;    //!< streaming
+        workload::TraceStream *stream = nullptr;
         workload::ChunkHandle chunk;   //!< chunk being consumed
         std::size_t chunkPos = 0;      //!< index into chunk->accesses
         std::uint64_t pos = 0;         //!< accesses consumed
         std::uint64_t total = 0;       //!< accesses this GPU will issue
     };
-
-    /** Wiring shared by both constructors (validate, build components). */
-    void init();
 
     /** Pop GPU @p g's next access into @p out; false once drained. */
     bool nextAccess(unsigned g, LaneAccess &out);
@@ -237,10 +226,7 @@ class Simulator
                             const LaneAccess &a);
 
     SystemConfig config_;
-    /** Owned streamed source; null on the materialized path. Declared
-        before workload_, which binds to streamed_->meta when set. */
-    std::unique_ptr<workload::StreamedWorkload> streamed_;
-    const workload::Workload &workload_;
+    workload::StreamedWorkload workload_;
 
     sim::EventQueue queue_;
     stats::StatSet stats_;

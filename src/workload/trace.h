@@ -48,17 +48,8 @@ struct Workload
     std::string pattern;  //!< "Random", "Adjacent", "Scatter-Gather"
     /** Paper memory footprint (Table II), for documentation. */
     unsigned paperFootprintMB = 0;
-    union
-    {
-        /** Scaled footprint actually generated, in kGenPageBytes units. */
-        std::uint64_t footprintGenPages = 0;
-        /**
-         * @deprecated Pre-geometry name for footprintGenPages (same
-         * storage); kept for one release — docs/PAGESIZE.md.
-         */
-        [[deprecated("use footprintGenPages")]] std::uint64_t
-            footprintPages4k;
-    };
+    /** Scaled footprint actually generated, in kGenPageBytes units. */
+    std::uint64_t footprintGenPages = 0;
     /** Per-GPU access streams. */
     std::vector<GpuTrace> traces;
 
@@ -98,19 +89,6 @@ inline sim::Address
 pageLineAddr(sim::PageId page, unsigned line, std::uint64_t page_size)
 {
     return page * page_size + static_cast<sim::Address>(line) * sim::kLineSize;
-}
-
-/**
- * @deprecated 4 KB-unit form; call the three-argument overload (the
- * generators pass kGenPageBytes). Kept for one release so out-of-tree
- * workload builders keep compiling — docs/PAGESIZE.md.
- */
-[[deprecated("pass a page size explicitly (kGenPageBytes for "
-             "generator layouts)")]]
-inline sim::Address
-pageLineAddr(sim::PageId page4k, unsigned line)
-{
-    return pageLineAddr(page4k, line, kGenPageBytes);
 }
 
 }  // namespace grit::workload

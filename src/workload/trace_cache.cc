@@ -17,15 +17,6 @@ mix(std::uint64_t h, std::uint64_t v)
 
 }  // namespace
 
-std::uint64_t
-workloadBytes(const Workload &workload)
-{
-    std::uint64_t bytes = sizeof(Workload);
-    for (const GpuTrace &trace : workload.traces)
-        bytes += trace.capacity() * sizeof(Access);
-    return bytes;
-}
-
 std::size_t
 TraceCache::KeyHash::operator()(const Key &key) const
 {
@@ -40,146 +31,79 @@ TraceCache::KeyHash::operator()(const Key &key) const
 std::size_t
 TraceCache::ChunkKeyHash::operator()(const ChunkKey &key) const
 {
-    std::uint64_t h = static_cast<std::uint64_t>(key.app);
-    h = mix(h, key.params.numGpus);
-    h = mix(h, key.params.footprintDivisor);
-    h = mix(h, key.params.seed);
-    h = mix(h, std::bit_cast<std::uint64_t>(key.params.intensity));
+    std::uint64_t h = KeyHash{}(key.workload);
     h = mix(h, key.gpu);
     h = mix(h, key.chunkAccesses);
     h = mix(h, key.chunk);
     return static_cast<std::size_t>(h);
 }
 
-WorkloadHandle
-TraceCache::get(AppId app, const WorkloadParams &params)
+ChunkHandle
+TraceCache::fetch(const ChunkKey &key,
+                  const std::function<ChunkHandle()> &generate)
 {
-    const Key key{app, params};
-    std::promise<WorkloadHandle> promise;
-    std::shared_future<WorkloadHandle> slot;
-    bool generate = false;
+    std::promise<ChunkHandle> promise;
+    std::shared_future<ChunkHandle> slot;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it == map_.end()) {
-            slot = promise.get_future().share();
-            Entry entry;
-            entry.slot = slot;
-            entry.lastUse = ++tick_;
-            map_.emplace(key, std::move(entry));
-            generate = true;
+        auto [it, claimed] = chunks_.try_emplace(key);
+        ChunkEntry &entry = it->second;
+        if (claimed) {
+            entry.slot = promise.get_future().share();
+            misses_.fetch_add(1);
         } else {
-            slot = it->second.slot;
-            it->second.lastUse = ++tick_;
+            if (entry.ready)
+                recency_.splice(recency_.end(), recency_, entry.recency);
+            slot = entry.slot;
+            hits_.fetch_add(1);
         }
     }
+    if (slot.valid())
+        return slot.get();  // waits out an in-flight generation
 
-    if (generate) {
-        misses_.fetch_add(1);
-        try {
-            auto handle = std::make_shared<const Workload>(
-                makeWorkload(app, params));
-            promise.set_value(handle);
+    // This consumer holds the slot. Only the claimer removes or fills
+    // an in-flight entry (eviction and clear() skip it), so the entry
+    // is still here when generation ends.
+    ChunkHandle chunk;
+    try {
+        chunk = generate();
+    } catch (...) {
+        {
             std::lock_guard<std::mutex> lock(mu_);
-            // The entry may already be gone (clear() raced us); only
-            // account for it while it is actually cached.
-            auto it = map_.find(key);
-            if (it != map_.end() && !it->second.ready) {
-                it->second.bytes = workloadBytes(*handle);
-                it->second.ready = true;
-                totalBytes_ += it->second.bytes;
-                evictLocked(&key, nullptr);
-            }
-        } catch (...) {
-            // Don't cache the failure: drop the slot so a later call can
-            // retry, and propagate to everyone waiting on this one.
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                map_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
+            chunks_.erase(key);  // don't cache the failure: retry later
         }
-    } else {
-        hits_.fetch_add(1);
+        promise.set_exception(std::current_exception());
+        throw;
     }
-    return slot.get();
-}
+    promise.set_value(chunk);
 
-void
-TraceCache::evictLocked(const Key *protect, const ChunkKey *protect_chunk)
-{
-    while (byteBudget_ != 0 && totalBytes_ > byteBudget_) {
-        auto victim = map_.end();
-        for (auto it = map_.begin(); it != map_.end(); ++it) {
-            if (!it->second.ready ||
-                (protect != nullptr && it->first == *protect))
-                continue;
-            if (victim == map_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        auto chunk_victim = chunks_.end();
-        for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
-            if (protect_chunk != nullptr && it->first == *protect_chunk)
-                continue;
-            if (chunk_victim == chunks_.end() ||
-                it->second.lastUse < chunk_victim->second.lastUse)
-                chunk_victim = it;
-        }
-        // One LRU clock across both pools: evict whichever candidate
-        // is globally least recently used.
-        const bool have_trace = victim != map_.end();
-        const bool have_chunk = chunk_victim != chunks_.end();
-        if (!have_trace && !have_chunk)
-            break;  // nothing evictable (in-flight or protected only)
-        if (have_trace &&
-            (!have_chunk ||
-             victim->second.lastUse < chunk_victim->second.lastUse)) {
-            totalBytes_ -= victim->second.bytes;
-            evictions_.fetch_add(1);
-            map_.erase(victim);
-        } else {
-            totalBytes_ -= chunk_victim->second.bytes;
-            evictions_.fetch_add(1);
-            chunks_.erase(chunk_victim);
-        }
-    }
-}
-
-ChunkHandle
-TraceCache::chunkLookup(const ChunkKey &key)
-{
     std::lock_guard<std::mutex> lock(mu_);
     auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-        misses_.fetch_add(1);
-        return nullptr;
-    }
-    it->second.lastUse = ++tick_;
-    hits_.fetch_add(1);
-    return it->second.chunk;
+    ChunkEntry &entry = it->second;
+    entry.bytes = chunk != nullptr ? chunkBytes(*chunk) : 0;
+    entry.ready = true;
+    entry.recency = recency_.insert(recency_.end(), &it->first);
+    totalBytes_ += entry.bytes;
+    evictLocked(&it->first);
+    return chunk;
 }
 
 void
-TraceCache::chunkInsert(const ChunkKey &key, const ChunkHandle &chunk)
+TraceCache::evictLocked(const ChunkKey *keep)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = chunks_.try_emplace(key);
-    if (!inserted) {
-        it->second.lastUse = ++tick_;  // raced another consumer
-        return;
+    while (byteBudget_ != 0 && totalBytes_ > byteBudget_ &&
+           !recency_.empty() && recency_.front() != keep) {
+        const auto victim = chunks_.find(*recency_.front());
+        totalBytes_ -= victim->second.bytes;
+        evictions_.fetch_add(1);
+        recency_.pop_front();
+        chunks_.erase(victim);
     }
-    it->second.chunk = chunk;
-    it->second.bytes = chunkBytes(*chunk);
-    it->second.lastUse = ++tick_;
-    totalBytes_ += it->second.bytes;
-    evictLocked(nullptr, &key);
 }
 
 std::vector<std::uint64_t>
-TraceCache::accessCounts(AppId app, const WorkloadParams &params)
+TraceCache::accessCounts(const Key &key)
 {
-    const Key key{app, params};
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = counts_.find(key);
@@ -188,62 +112,55 @@ TraceCache::accessCounts(AppId app, const WorkloadParams &params)
     }
     // Counting pass outside the lock: cheap (RNG + arithmetic, no
     // storage) and deterministic, so a racing duplicate is harmless.
-    CountingSink sink(params.numGpus);
-    generateTrace(app, params, sink);
+    CountingSink sink(key.params.numGpus);
+    generateTrace(key.app, key.params, sink);
     std::lock_guard<std::mutex> lock(mu_);
     return counts_.try_emplace(key, sink.counts()).first->second;
 }
 
 /**
- * The consumer-side stream handed out by openStream(): consult the
- * shared chunk LRU first; on a miss, align a private generator stream
- * to the requested boundary, pull the chunk, and publish it for other
- * consumers.
+ * The consumer-side stream handed out by openStream(): fetch each
+ * chunk through the shared cache; on a miss, align a private generator
+ * stream to the requested boundary and pull the chunk from it.
  */
 class TraceCache::CachedStream : public TraceStream
 {
   public:
-    CachedStream(TraceCache &cache, AppId app, WorkloadParams params,
-                 unsigned gpu, std::uint64_t chunk_accesses)
-        : cache_(cache),
-          app_(app),
-          params_(params),
-          gpu_(gpu),
-          chunkAccesses_(chunk_accesses)
+    CachedStream(TraceCache &cache, const ChunkKey &first)
+        : cache_(cache), key_(first)
     {
     }
 
     ChunkHandle
     next() override
     {
-        const ChunkKey key{app_, params_, gpu_, chunkAccesses_, pos_};
-        ChunkHandle chunk = cache_.chunkLookup(key);
-        if (chunk == nullptr) {
-            chunk = pullFromSource(pos_);
-            if (chunk == nullptr)
-                return nullptr;
-            cache_.chunkInsert(key, chunk);
-        }
-        ++pos_;
+        ChunkHandle chunk =
+            cache_.fetch(key_, [this] { return pullFromSource(); });
+        if (chunk != nullptr)
+            ++key_.chunk;
         return chunk;
     }
 
-    void seek(std::uint64_t chunk) override { pos_ = chunk; }
+    void seek(std::uint64_t chunk) override { key_.chunk = chunk; }
 
-    std::uint64_t chunkAccesses() const override { return chunkAccesses_; }
+    std::uint64_t chunkAccesses() const override
+    {
+        return key_.chunkAccesses;
+    }
 
   private:
+    /** Generate chunk key_.chunk from the private source. */
     ChunkHandle
-    pullFromSource(std::uint64_t chunk)
+    pullFromSource()
     {
+        const std::uint64_t chunk = key_.chunk;
         if (source_ == nullptr || sourcePos_ > chunk) {
-            const AppId app = app_;
-            const WorkloadParams params = params_;
+            const Key workload = key_.workload;
             source_ = std::make_unique<GeneratedTraceStream>(
-                [app, params](TraceSink &sink) {
-                    generateTrace(app, params, sink);
+                [workload](TraceSink &sink) {
+                    generateTrace(workload.app, workload.params, sink);
                 },
-                gpu_, chunkAccesses_, /*max_buffered=*/4,
+                key_.gpu, key_.chunkAccesses, /*max_buffered=*/4,
                 /*first_chunk=*/chunk);
             sourcePos_ = chunk;
         } else if (sourcePos_ < chunk) {
@@ -259,11 +176,7 @@ class TraceCache::CachedStream : public TraceStream
     }
 
     TraceCache &cache_;
-    AppId app_;
-    WorkloadParams params_;
-    unsigned gpu_;
-    std::uint64_t chunkAccesses_;
-    std::uint64_t pos_ = 0;        //!< next chunk to yield
+    ChunkKey key_;  //!< key of the next chunk to yield
     std::unique_ptr<GeneratedTraceStream> source_;
     std::uint64_t sourcePos_ = 0;  //!< source's next chunk
 };
@@ -272,8 +185,8 @@ std::unique_ptr<TraceStream>
 TraceCache::openStream(AppId app, const WorkloadParams &params,
                        unsigned gpu, std::uint64_t chunk_accesses)
 {
-    return std::make_unique<CachedStream>(*this, app, params, gpu,
-                                          chunk_accesses);
+    return std::make_unique<CachedStream>(
+        *this, ChunkKey{Key{app, params}, gpu, chunk_accesses, 0});
 }
 
 StreamedWorkload
@@ -282,7 +195,7 @@ TraceCache::openWorkload(AppId app, const WorkloadParams &params,
 {
     StreamedWorkload sw;
     sw.meta = workloadShell(app, params);
-    sw.accesses = accessCounts(app, params);
+    sw.accesses = accessCounts(Key{app, params});
     sw.streams.reserve(params.numGpus);
     for (unsigned g = 0; g < params.numGpus; ++g)
         sw.streams.push_back(openStream(app, params, g, chunk_accesses));
@@ -294,8 +207,7 @@ TraceCache::setByteBudget(std::uint64_t bytes)
 {
     std::lock_guard<std::mutex> lock(mu_);
     byteBudget_ = bytes;
-    if (byteBudget_ != 0 && totalBytes_ > byteBudget_)
-        evictLocked(nullptr, nullptr);  // shrink immediately, protect nothing
+    evictLocked(nullptr);  // shrink immediately, keep nothing
 }
 
 std::uint64_t
@@ -316,15 +228,15 @@ std::size_t
 TraceCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+    return recency_.size();
 }
 
 void
 TraceCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    chunks_.clear();
+    std::erase_if(chunks_, [](const auto &kv) { return kv.second.ready; });
+    recency_.clear();
     counts_.clear();
     totalBytes_ = 0;
 }

@@ -1,29 +1,27 @@
 /**
  * @file
- * Shared-ownership cache of generated workload traces.
+ * Shared, byte-budgeted LRU cache of generated trace chunks.
  *
- * An experiment sweep runs the same (app, params) trace under many
- * system configurations; generation is deterministic, so the trace can
- * be built once and shared read-only across every cell — and across
- * worker threads, since a Workload is immutable after generation. The
- * cache is thread-safe: concurrent requests for the same key block on a
- * single generation instead of racing to duplicate it.
+ * An experiment sweep replays the same (app, params) trace under many
+ * system configurations. Generation is deterministic, so each GPU's
+ * trace is generated once as fixed-size TraceChunks and shared
+ * read-only across every cell — and across worker threads, since a
+ * chunk is immutable once generated.
+ *
+ * Single flight: the first consumer to miss a chunk claims its slot and
+ * generates it; consumers that ask for the same chunk meanwhile wait
+ * for that one generation instead of duplicating it, so the hit and
+ * miss counts of a sweep do not depend on thread timing. A failed
+ * generation is dropped (a later request retries) and rethrown to every
+ * waiter.
  *
  * Memory is bounded: an optional byte budget (setByteBudget, or the
  * GRIT_TRACE_CACHE_BYTES environment variable via the experiment
- * engine) evicts least-recently-used entries once the resident trace
- * bytes exceed it. Eviction only drops the cache's reference —
- * outstanding WorkloadHandles keep their trace alive, so running
- * simulators never dangle; a later get() for an evicted key simply
- * regenerates it.
- *
- * Streaming mode (openWorkload/openStream) caches fixed-size
- * TraceChunks instead of whole traces: the unit of retention — and of
- * LRU eviction under the same shared byte budget — is one chunk, so a
- * sweep over million-page footprints keeps only the chunks its
- * consumers are actually near. Chunk misses are regenerated
- * deterministically (replay-from-boundary), so eviction can never
- * change results, only cost regeneration time.
+ * engine) evicts the least recently used chunks once resident bytes
+ * exceed it. Eviction only drops the cache's reference — outstanding
+ * ChunkHandles stay valid — and an evicted chunk that is needed again
+ * regenerates deterministically (replay-from-boundary), so eviction
+ * costs time, never results.
  */
 
 #ifndef GRIT_WORKLOAD_TRACE_CACHE_H_
@@ -31,7 +29,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -42,20 +42,9 @@
 
 namespace grit::workload {
 
-/** Handle to a cached, immutable workload trace. */
-using WorkloadHandle = std::shared_ptr<const Workload>;
-
-/** Approximate resident bytes of @p workload (traces dominate). */
-std::uint64_t workloadBytes(const Workload &workload);
-
 /**
- * Thread-safe, byte-budgeted LRU cache of makeWorkload results keyed
- * by (AppId, params).
- *
- * The first get() for a key generates the trace; concurrent get()s for
- * the same key wait for that generation and share the result. Handles
- * keep the trace alive after clear() or eviction, so callers never
- * dangle.
+ * Thread-safe, byte-budgeted LRU cache of generated TraceChunks keyed
+ * by (AppId, params, gpu, chunk size, chunk index).
  */
 class TraceCache
 {
@@ -64,16 +53,12 @@ class TraceCache
     TraceCache(const TraceCache &) = delete;
     TraceCache &operator=(const TraceCache &) = delete;
 
-    /** Fetch (generating on miss) the trace for @p app under @p params. */
-    WorkloadHandle get(AppId app, const WorkloadParams &params);
-
     /**
      * Open a chunk-cached stream of @p gpu's trace for (app, params).
-     * Sequentially consumed chunks are looked up in the shared chunk
-     * LRU first; misses are produced by a private GeneratedTraceStream
-     * and inserted for other consumers. Deterministic and byte-bounded
-     * like every other entry; safe to consume from any thread, but one
-     * stream object belongs to one consumer.
+     * Each chunk is looked up in the shared LRU first; a miss is
+     * produced by the stream's private GeneratedTraceStream and
+     * published for other consumers. Safe to consume from any thread,
+     * but one stream object belongs to one consumer.
      */
     std::unique_ptr<TraceStream> openStream(AppId app,
                                             const WorkloadParams &params,
@@ -81,42 +66,45 @@ class TraceCache
                                             std::uint64_t chunk_accesses);
 
     /**
-     * Streamed view of the whole workload: the metadata shell, one
-     * chunk-cached stream per GPU, and the exact per-GPU access counts
-     * (from a memoized counting pass) the simulator needs to seed
-     * lanes and derive event limits identically to the materialized
-     * path.
+     * The whole workload as the simulator replays it: the metadata
+     * shell, one chunk-cached stream per GPU, and the exact per-GPU
+     * access counts (from a memoized counting pass).
      */
     StreamedWorkload openWorkload(AppId app, const WorkloadParams &params,
                                   std::uint64_t chunk_accesses);
 
     /**
-     * Cap resident trace bytes; LRU entries are evicted beyond it.
-     * 0 (the default) disables the cap. The entry being inserted is
-     * never evicted by its own insertion, so a single oversized trace
-     * still caches (and is reclaimed by the next insertion).
+     * Cap resident chunk bytes; the least recently used chunks are
+     * evicted beyond it. 0 (the default) disables the cap. The chunk
+     * being inserted is never evicted by its own insertion, so a
+     * single oversized chunk still caches (and is reclaimed by the
+     * next insertion).
      */
     void setByteBudget(std::uint64_t bytes);
 
     /** Current byte budget (0 = unbounded). */
     std::uint64_t byteBudget() const;
 
-    /** Resident bytes of fully generated cached traces. */
+    /** Resident bytes of generated cached chunks. */
     std::uint64_t bytes() const;
 
-    /** Entries (whole traces or chunks) dropped by the byte budget. */
+    /** Chunks dropped by the byte budget. */
     std::uint64_t evictions() const { return evictions_.load(); }
 
-    /** Requests served from an already-generated (or in-flight) entry. */
+    /** Chunk requests served from a generated (or in-flight) entry. */
     std::uint64_t hits() const { return hits_.load(); }
 
-    /** Requests that triggered a (re)generation. */
+    /** Chunk requests that triggered a (re)generation. */
     std::uint64_t misses() const { return misses_.load(); }
 
-    /** Distinct traces currently cached. */
+    /** Entries currently cached (chunks and end-of-stream markers). */
     std::size_t size() const;
 
-    /** Drop all entries (outstanding handles stay valid). */
+    /**
+     * Drop every cached chunk and counting pass. Outstanding handles
+     * stay valid; a chunk still being generated is cached when its
+     * generation finishes.
+     */
     void clear();
 
   private:
@@ -132,18 +120,9 @@ class TraceCache
         std::size_t operator()(const Key &key) const;
     };
 
-    struct Entry
-    {
-        std::shared_future<WorkloadHandle> slot;
-        std::uint64_t bytes = 0;    //!< known once ready
-        std::uint64_t lastUse = 0;  //!< LRU tick
-        bool ready = false;         //!< generation finished
-    };
-
     struct ChunkKey
     {
-        AppId app;
-        WorkloadParams params;
+        Key workload;
         unsigned gpu = 0;
         std::uint64_t chunkAccesses = 0;
         std::uint64_t chunk = 0;
@@ -155,39 +134,45 @@ class TraceCache
         std::size_t operator()(const ChunkKey &key) const;
     };
 
+    /** Ready entries, least recently used first (keys live in chunks_). */
+    using Recency = std::list<const ChunkKey *>;
+
     struct ChunkEntry
     {
-        ChunkHandle chunk;
-        std::uint64_t bytes = 0;
-        std::uint64_t lastUse = 0;  //!< shared LRU tick with Entry
+        /** Resolves once the claiming consumer's generation finishes. */
+        std::shared_future<ChunkHandle> slot;
+        std::uint64_t bytes = 0;  //!< known once ready
+        bool ready = false;       //!< generated, counted in recency_
+        Recency::iterator recency;
     };
 
     class CachedStream;
 
     /**
-     * Evict LRU ready entries — whole traces and chunks share one
-     * budget and one LRU clock — until the budget holds; @p protect /
-     * @p protect_chunk (either may be null) survive.
+     * Chunk @p key, from the cache or — on a miss — from @p generate,
+     * which runs outside the lock and must not consult this cache:
+     * the claimer of a slot never waits on another slot, so waiting
+     * cannot deadlock. A nullptr from @p generate (past the stream's
+     * end) is cached like a chunk of no bytes.
      */
-    void evictLocked(const Key *protect, const ChunkKey *protect_chunk);
+    ChunkHandle fetch(const ChunkKey &key,
+                      const std::function<ChunkHandle()> &generate);
 
-    /** Cached chunk for @p key, or nullptr (bumps LRU + hit/miss). */
-    ChunkHandle chunkLookup(const ChunkKey &key);
-
-    /** Insert @p chunk under @p key (no-op if present), then evict. */
-    void chunkInsert(const ChunkKey &key, const ChunkHandle &chunk);
+    /**
+     * Evict least recently used chunks until the budget holds; @p keep
+     * (may be null) survives.
+     */
+    void evictLocked(const ChunkKey *keep);
 
     /** Memoized counting pass for (app, params). */
-    std::vector<std::uint64_t> accessCounts(AppId app,
-                                            const WorkloadParams &params);
+    std::vector<std::uint64_t> accessCounts(const Key &key);
 
     mutable std::mutex mu_;
-    std::unordered_map<Key, Entry, KeyHash> map_;
     std::unordered_map<ChunkKey, ChunkEntry, ChunkKeyHash> chunks_;
+    Recency recency_;
     std::unordered_map<Key, std::vector<std::uint64_t>, KeyHash> counts_;
     std::uint64_t byteBudget_ = 0;
     std::uint64_t totalBytes_ = 0;
-    std::uint64_t tick_ = 0;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};

@@ -13,8 +13,7 @@ chunkBytes(const TraceChunk &chunk)
 }
 
 MaterializedTraceStream::MaterializedTraceStream(
-    std::shared_ptr<const Workload> workload, unsigned gpu,
-    std::uint64_t chunk_accesses)
+    WorkloadHandle workload, unsigned gpu, std::uint64_t chunk_accesses)
     : workload_(std::move(workload)),
       trace_(&workload_->traces[gpu]),
       chunkAccesses_(chunk_accesses)
@@ -39,6 +38,24 @@ MaterializedTraceStream::next()
                                static_cast<std::ptrdiff_t>(first + count));
     ++nextChunk_;
     return chunk;
+}
+
+StreamedWorkload
+streamWorkload(WorkloadHandle workload, std::uint64_t chunk_accesses)
+{
+    StreamedWorkload sw;
+    sw.meta.name = workload->name;
+    sw.meta.fullName = workload->fullName;
+    sw.meta.suite = workload->suite;
+    sw.meta.pattern = workload->pattern;
+    sw.meta.paperFootprintMB = workload->paperFootprintMB;
+    sw.meta.footprintGenPages = workload->footprintGenPages;
+    for (unsigned g = 0; g < workload->numGpus(); ++g) {
+        sw.accesses.push_back(workload->traces[g].size());
+        sw.streams.push_back(std::make_unique<MaterializedTraceStream>(
+            workload, g, chunk_accesses));
+    }
+    return sw;
 }
 
 namespace {

@@ -142,23 +142,29 @@ class TraceStream
     virtual std::uint64_t chunkAccesses() const = 0;
 };
 
+/** Shared, immutable prebuilt workload (DNN models, custom traces). */
+using WorkloadHandle = std::shared_ptr<const Workload>;
+
+/** Accesses per chunk when neither caller nor GRIT_TRACE_CHUNK says. */
+inline constexpr std::uint64_t kDefaultChunkAccesses = 65536;
+
 /**
- * Chunked view over an already-materialized workload (tests, and the
- * bridge between cached whole traces and stream consumers). Holds a
- * shared_ptr so the trace outlives cache eviction.
+ * Chunked view over one GPU's trace of an already-materialized
+ * workload. Shares ownership of the workload, so the trace lives as
+ * long as the stream does.
  */
 class MaterializedTraceStream : public TraceStream
 {
   public:
-    MaterializedTraceStream(std::shared_ptr<const Workload> workload,
-                            unsigned gpu, std::uint64_t chunk_accesses);
+    MaterializedTraceStream(WorkloadHandle workload, unsigned gpu,
+                            std::uint64_t chunk_accesses);
 
     ChunkHandle next() override;
     void seek(std::uint64_t chunk) override { nextChunk_ = chunk; }
     std::uint64_t chunkAccesses() const override { return chunkAccesses_; }
 
   private:
-    std::shared_ptr<const Workload> workload_;
+    WorkloadHandle workload_;
     const GpuTrace *trace_;
     std::uint64_t chunkAccesses_;
     std::uint64_t nextChunk_ = 0;
@@ -215,11 +221,9 @@ class GeneratedTraceStream : public TraceStream
 };
 
 /**
- * A workload delivered as streams instead of materialized traces: the
- * metadata shell (traces empty), one TraceStream per GPU, and the
- * exact per-GPU access counts (from a counting pass) that the
- * simulator needs to seed lanes and derive event limits identically
- * to the materialized path.
+ * A workload as the simulator replays it: the metadata shell (traces
+ * empty), one TraceStream per GPU, and the exact per-GPU access counts
+ * the simulator needs up front to seed lanes and derive event limits.
  */
 struct StreamedWorkload
 {
@@ -236,6 +240,16 @@ struct StreamedWorkload
         return n;
     }
 };
+
+/**
+ * The way a prebuilt workload reaches the simulator: each GPU's trace
+ * behind a MaterializedTraceStream sharing @p workload, with the
+ * access counts read off the traces. Replays the exact access sequence
+ * a generated stream of the same workload yields.
+ */
+StreamedWorkload
+streamWorkload(WorkloadHandle workload,
+               std::uint64_t chunk_accesses = kDefaultChunkAccesses);
 
 }  // namespace grit::workload
 

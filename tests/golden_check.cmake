@@ -14,8 +14,8 @@ set(ENV{GRIT_FOOTPRINT_DIVISOR} 128)
 set(ENV{GRIT_INTENSITY} 0.2)
 
 # Optional extra NAME=VALUE environment settings (CMake list), used by
-# the streaming variants to prove GRIT_STREAM_TRACES=1 replays produce
-# byte-identical JSON.
+# the chunk5000 variants to prove that replay through many small trace
+# chunks produces byte-identical JSON.
 if(DEFINED EXTRA_ENV)
     foreach(kv IN LISTS EXTRA_ENV)
         string(FIND "${kv}" "=" eq)

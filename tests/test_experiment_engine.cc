@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
@@ -109,32 +109,23 @@ TEST(ExperimentEngine, RunMatchesResilientExecutor)
 
 TEST(ExperimentEngine, SharesTracesAcrossConfigs)
 {
-    // Streamed replay (the default): the unit of sharing is the chunk.
-    // Each cell opens one stream per GPU; the workload is small enough
-    // to fit one chunk, so the first config generates apps x gpus
-    // chunks and every other config's streams hit the chunk LRU.
+    // The unit of sharing is the chunk. Each cell opens one stream per
+    // GPU; the workload is small enough to fit one chunk, so the first
+    // config of each app generates gpus chunks and every other config's
+    // streams hit them — or wait for them while they are still being
+    // generated, so the counts are exact at any worker count.
     const auto [apps, configs] = smallSweep();
     const std::size_t gpus = configs.front().config.numGpus;
-    ExperimentEngine engine;
-    engine.run(RunPlan::matrix(apps, configs, fastParams()));
-    EXPECT_EQ(engine.traceCache().misses(), apps.size() * gpus);
-    EXPECT_EQ(engine.traceCache().hits(),
-              apps.size() * gpus * (configs.size() - 1));
-}
-
-TEST(ExperimentEngine, SharesMaterializedTracesAcrossConfigs)
-{
-    // GRIT_STREAM_TRACES=0 opts back into materialized replay, where
-    // the unit of sharing is the whole trace: one generation per app;
-    // the other config cells reuse it.
-    const auto [apps, configs] = smallSweep();
-    ::setenv("GRIT_STREAM_TRACES", "0", 1);
-    ExperimentEngine engine;
-    ::unsetenv("GRIT_STREAM_TRACES");
-    engine.run(RunPlan::matrix(apps, configs, fastParams()));
-    EXPECT_EQ(engine.traceCache().misses(), apps.size());
-    EXPECT_EQ(engine.traceCache().hits(),
-              apps.size() * (configs.size() - 1));
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ExperimentEngine::Options options;
+        options.jobs = jobs;
+        ExperimentEngine engine(options);
+        engine.run(RunPlan::matrix(apps, configs, fastParams()));
+        EXPECT_EQ(engine.traceCache().misses(), apps.size() * gpus);
+        EXPECT_EQ(engine.traceCache().hits(),
+                  apps.size() * gpus * (configs.size() - 1));
+    }
 }
 
 TEST(ExperimentEngine, JobsResolution)
@@ -174,23 +165,32 @@ TEST(RunPlan, MutateHookScalesParams)
     }
 }
 
+/** First chunk of GPU 0's trace of @p app, fetched through @p cache. */
+workload::ChunkHandle
+firstChunk(workload::TraceCache &cache, workload::AppId app,
+           const workload::WorkloadParams &params)
+{
+    return cache.openStream(app, params, 0, workload::kDefaultChunkAccesses)
+        ->next();
+}
+
 TEST(TraceCache, ReusesGeneratedTraces)
 {
     workload::TraceCache cache;
     const auto params = fastParams();
 
-    const auto a = cache.get(workload::AppId::kGemm, params);
-    const auto b = cache.get(workload::AppId::kGemm, params);
+    const auto a = firstChunk(cache, workload::AppId::kGemm, params);
+    const auto b = firstChunk(cache, workload::AppId::kGemm, params);
     ASSERT_TRUE(a);
     EXPECT_EQ(a.get(), b.get());  // same shared instance
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.size(), 1u);
 
-    // A different key generates its own trace.
+    // A different key generates its own chunk.
     workload::WorkloadParams other = params;
     other.seed = 99;
-    const auto c = cache.get(workload::AppId::kGemm, other);
+    const auto c = firstChunk(cache, workload::AppId::kGemm, other);
     EXPECT_NE(a.get(), c.get());
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 2u);
@@ -199,15 +199,22 @@ TEST(TraceCache, ReusesGeneratedTraces)
 TEST(TraceCache, ClearKeepsHandlesValid)
 {
     workload::TraceCache cache;
-    const auto handle = cache.get(workload::AppId::kBs, fastParams());
-    const std::uint64_t accesses = handle->totalAccesses();
+    const auto handle = firstChunk(cache, workload::AppId::kBs, fastParams());
+    ASSERT_TRUE(handle);
+    const std::size_t accesses = handle->accesses.size();
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(handle->totalAccesses(), accesses);  // still alive
-    // Next get regenerates (a fresh miss) and matches deterministically.
-    const auto again = cache.get(workload::AppId::kBs, fastParams());
+    EXPECT_EQ(handle->accesses.size(), accesses);  // still alive
+    // The next fetch regenerates (a fresh miss) and matches
+    // deterministically.
+    const auto again = firstChunk(cache, workload::AppId::kBs, fastParams());
     EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(again->totalAccesses(), accesses);
+    EXPECT_NE(again.get(), handle.get());
+    ASSERT_EQ(again->accesses.size(), accesses);
+    for (std::size_t i = 0; i < accesses; ++i) {
+        ASSERT_EQ(again->accesses[i].addr, handle->accesses[i].addr);
+        ASSERT_EQ(again->accesses[i].write, handle->accesses[i].write);
+    }
 }
 
 }  // namespace

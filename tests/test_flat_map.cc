@@ -168,8 +168,9 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomChurn)
             const int *v = map.find(key);
             const auto it = reference.find(key);
             ASSERT_EQ(v != nullptr, it != reference.end()) << key;
-            if (v != nullptr)
+            if (v != nullptr) {
                 EXPECT_EQ(*v, it->second);
+            }
         }
         }
         ASSERT_EQ(map.size(), reference.size());

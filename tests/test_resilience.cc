@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <optional>
 #include <string>
@@ -738,8 +739,9 @@ TEST(ResilientSweep, WallDeadlineTripsAsDeadlineError)
     // simulator surfaces it as a structured kDeadline, never an abort.
     SystemConfig config = makeConfig(PolicyKind::kOnTouch, 4);
     config.wallDeadlineSec = 1e-9;
-    Simulator sim(config, workload::makeWorkload(workload::AppId::kGemm,
-                                                 fastParams()));
+    const auto gemm = std::make_shared<const workload::Workload>(
+        workload::makeWorkload(workload::AppId::kGemm, fastParams()));
+    Simulator sim(config, workload::streamWorkload(gemm));
     try {
         sim.run();
         FAIL() << "expected SimException";
@@ -747,9 +749,7 @@ TEST(ResilientSweep, WallDeadlineTripsAsDeadlineError)
         EXPECT_EQ(e.code(), sim::ErrorCode::kDeadline);
     }
 
-    Simulator salvage(config,
-                      workload::makeWorkload(workload::AppId::kGemm,
-                                             fastParams()));
+    Simulator salvage(config, workload::streamWorkload(gemm));
     const RunResult partial = salvage.run(/*salvage_partial=*/true);
     EXPECT_TRUE(partial.partial);
     ASSERT_TRUE(partial.error.has_value());
@@ -799,54 +799,79 @@ TEST(ResilientSweep, InterruptedCellIsNeverJournaled)
 
 // ------------------------------------------------------------ trace cache
 
+/**
+ * Chunk @p index of GPU 0's GEMM trace in 100-access chunks, fetched
+ * through @p cache. The trace is far longer than the chunks these tests
+ * fetch, so each of them is full and they all hold the same bytes.
+ */
+workload::ChunkHandle
+fetchChunk(workload::TraceCache &cache, std::uint64_t index)
+{
+    auto stream =
+        cache.openStream(workload::AppId::kGemm, fastParams(), 0, 100);
+    stream->seek(index);
+    return stream->next();
+}
+
 TEST(TraceCacheBudget, EvictsLruBeyondByteBudget)
 {
     workload::TraceCache cache;
-    workload::WorkloadParams a = fastParams();
-    workload::WorkloadParams b = fastParams();
-    b.intensity = 0.5;  // distinct key, distinct trace
+    const auto c0 = fetchChunk(cache, 0);
+    ASSERT_NE(c0, nullptr);
+    const std::uint64_t chunk = workload::chunkBytes(*c0);
+    EXPECT_EQ(cache.bytes(), chunk);
 
-    const auto wa = cache.get(workload::AppId::kGemm, a);
-    const std::uint64_t bytesA = workload::workloadBytes(*wa);
-    ASSERT_GT(bytesA, 0u);
-    EXPECT_EQ(cache.bytes(), bytesA);
-
-    // Budget only fits one trace: inserting the second evicts the LRU
-    // first one, but the outstanding handle stays valid.
-    cache.setByteBudget(bytesA + 1);
-    EXPECT_EQ(cache.byteBudget(), bytesA + 1);
-    const auto wb = cache.get(workload::AppId::kGemm, b);
+    // The budget fits two chunks. Touching chunk 0 makes chunk 1 the
+    // least recently used, so inserting chunk 2 evicts chunk 1.
+    cache.setByteBudget(2 * chunk);
+    EXPECT_EQ(cache.byteBudget(), 2 * chunk);
+    const auto c1 = fetchChunk(cache, 1);
+    EXPECT_EQ(fetchChunk(cache, 0), c0);  // hit, now most recent
+    fetchChunk(cache, 2);
     EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.bytes(), workload::workloadBytes(*wb));
-    EXPECT_FALSE(wa->traces.empty());  // handle survives eviction
-
-    // Re-requesting the evicted trace regenerates it deterministically.
-    const auto wa2 = cache.get(workload::AppId::kGemm, a);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.bytes(), 2 * chunk);
     EXPECT_EQ(cache.misses(), 3u);
-    ASSERT_EQ(wa->traces.size(), wa2->traces.size());
-    for (std::size_t g = 0; g < wa->traces.size(); ++g)
-        EXPECT_EQ(wa->traces[g].size(), wa2->traces[g].size());
+    EXPECT_EQ(fetchChunk(cache, 0), c0);  // survived
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_FALSE(c1->accesses.empty());  // handle survives eviction
+
+    // Re-requesting the evicted chunk regenerates it deterministically.
+    const auto again = fetchChunk(cache, 1);
+    EXPECT_EQ(cache.misses(), 4u);
+    ASSERT_NE(again, c1);
+    ASSERT_EQ(again->accesses.size(), c1->accesses.size());
+    for (std::size_t i = 0; i < c1->accesses.size(); ++i) {
+        EXPECT_EQ(again->accesses[i].addr, c1->accesses[i].addr);
+        EXPECT_EQ(again->accesses[i].write, c1->accesses[i].write);
+    }
 }
 
 TEST(TraceCacheBudget, OversizedSingleTraceStillCaches)
 {
     workload::TraceCache cache;
-    cache.setByteBudget(1);  // smaller than any trace
-    const auto w = cache.get(workload::AppId::kSt, fastParams());
-    ASSERT_NE(w, nullptr);
-    // The being-inserted entry is protected from its own insertion...
+    cache.setByteBudget(1);  // smaller than any chunk
+    const auto c0 = fetchChunk(cache, 0);
+    ASSERT_NE(c0, nullptr);
+    // The being-inserted chunk is protected from its own insertion...
     EXPECT_EQ(cache.size(), 1u);
-    // ...and a hit still serves it.
-    cache.get(workload::AppId::kSt, fastParams());
+    // ...a hit still serves it...
+    EXPECT_EQ(fetchChunk(cache, 0), c0);
     EXPECT_EQ(cache.hits(), 1u);
+    // ...and the next insertion reclaims it.
+    fetchChunk(cache, 1);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.evictions(), 1u);
 }
 
 TEST(TraceCacheBudget, UnboundedByDefaultAndClearResets)
 {
     workload::TraceCache cache;
     EXPECT_EQ(cache.byteBudget(), 0u);
-    cache.get(workload::AppId::kGemm, fastParams());
+    for (std::uint64_t k = 0; k < 4; ++k)
+        fetchChunk(cache, k);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.size(), 4u);
     EXPECT_GT(cache.bytes(), 0u);
     cache.clear();
     EXPECT_EQ(cache.bytes(), 0u);

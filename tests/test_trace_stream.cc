@@ -1,13 +1,18 @@
 /** @file Tests for streaming trace generation (workload/trace_stream.h):
  *  chunked streams must reproduce materialized traces byte for byte at
  *  any chunk size, replay deterministically from any chunk boundary,
- *  stay bounded under the chunk LRU's byte budget, and drive the
+ *  stay bounded under the chunk LRU's byte budget, generate each
+ *  shared chunk once however many threads ask for it, and drive the
  *  simulator to bit-identical results — with access batching on or
  *  off. */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "harness/config.h"
@@ -87,8 +92,9 @@ TEST(GeneratedTraceStream, ChunksAreFramedAndIndexed)
     while (ChunkHandle chunk = stream.next()) {
         EXPECT_EQ(chunk->index, index);
         EXPECT_EQ(chunk->firstAccess, index * 100);
-        if (seen + chunk->accesses.size() < w.traces[0].size())
+        if (seen + chunk->accesses.size() < w.traces[0].size()) {
             EXPECT_EQ(chunk->accesses.size(), 100u);  // only last is short
+        }
         seen += chunk->accesses.size();
         ++index;
     }
@@ -211,6 +217,72 @@ TEST(TraceCacheStreaming, TinyBudgetEvictsWithoutChangingResults)
     expectSameTrace(drain(*sw.streams[0]), w.traces[0]);
 }
 
+TEST(TraceCacheStreaming, ConcurrentConsumersShareOneGeneration)
+{
+    // Two consumers per GPU drain their streams at once. Each chunk
+    // (and each end-of-stream marker) is generated once: the second
+    // consumer of a chunk either hits it or waits for the first one's
+    // generation, so hits equal misses exactly.
+    const WorkloadParams params = smallParams();
+    const Workload w = makeWorkload(AppId::kSt, params);
+    constexpr std::uint64_t kChunk = 300;
+    const unsigned consumers = 2 * params.numGpus;
+
+    TraceCache cache;
+    std::vector<GpuTrace> seen(consumers);
+    {
+        std::vector<std::jthread> pool;
+        for (unsigned t = 0; t < consumers; ++t) {
+            pool.emplace_back([&, t] {
+                auto stream = cache.openStream(AppId::kSt, params,
+                                               t % params.numGpus, kChunk);
+                seen[t] = drain(*stream);
+            });
+        }
+    }
+    std::uint64_t entries = 0;
+    for (unsigned g = 0; g < params.numGpus; ++g)
+        entries += (w.traces[g].size() + kChunk - 1) / kChunk + 1;
+    for (unsigned t = 0; t < consumers; ++t)
+        expectSameTrace(seen[t], w.traces[t % params.numGpus]);
+    EXPECT_EQ(cache.misses(), entries);
+    EXPECT_EQ(cache.hits(), entries);
+    EXPECT_EQ(cache.size(), entries);
+}
+
+TEST(TraceCacheStreaming, FailedGenerationIsDroppedAndRethrown)
+{
+    // A chunk too large to allocate makes its generation throw. Every
+    // consumer that asked for it sees the error, whether it generated
+    // the chunk or waited for another consumer's generation, and
+    // nothing stays cached, so a later request tries again.
+    const WorkloadParams params = smallParams();
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    TraceCache cache;
+    std::atomic<unsigned> failures{0};
+    {
+        std::vector<std::jthread> pool;
+        for (unsigned t = 0; t < 4; ++t) {
+            pool.emplace_back([&] {
+                auto stream = cache.openStream(AppId::kGemm, params, 0, huge);
+                try {
+                    stream->next();
+                } catch (const std::length_error &) {
+                    failures.fetch_add(1);
+                }
+            });
+        }
+    }
+    EXPECT_EQ(failures.load(), 4u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+
+    const std::uint64_t misses = cache.misses();
+    auto stream = cache.openStream(AppId::kGemm, params, 0, huge);
+    EXPECT_THROW(stream->next(), std::length_error);
+    EXPECT_EQ(cache.misses(), misses + 1);
+}
+
 // ------------------------------------------------ streamed simulation
 
 /** Fields that must agree for two runs to count as identical. */
@@ -235,11 +307,12 @@ expectSameResult(const harness::RunResult &a, const harness::RunResult &b)
 TEST(StreamedSimulator, BitIdenticalToMaterialized)
 {
     const WorkloadParams params = smallParams();
-    const Workload w = makeWorkload(AppId::kBfs, params);
+    const auto w = std::make_shared<const Workload>(
+        makeWorkload(AppId::kBfs, params));
     harness::SystemConfig config;
     config.numGpus = params.numGpus;
 
-    harness::Simulator materialized(config, w);
+    harness::Simulator materialized(config, streamWorkload(w));
     const harness::RunResult ref = materialized.run();
 
     TraceCache cache;
@@ -251,17 +324,18 @@ TEST(StreamedSimulator, BitIdenticalToMaterialized)
 TEST(StreamedSimulator, BatchingTogglesWithoutChangingResults)
 {
     const WorkloadParams params = smallParams();
-    const Workload w = makeWorkload(AppId::kGemm, params);
+    const auto w = std::make_shared<const Workload>(
+        makeWorkload(AppId::kGemm, params));
     harness::SystemConfig config;
     config.numGpus = params.numGpus;
 
     config.batchAccesses = false;
-    harness::Simulator plain(config, w);
+    harness::Simulator plain(config, streamWorkload(w));
     const harness::RunResult ref = plain.run();
     EXPECT_EQ(ref.accessesBatched, 0u);
 
     config.batchAccesses = true;
-    harness::Simulator batched(config, w);
+    harness::Simulator batched(config, streamWorkload(w));
     const harness::RunResult result = batched.run();
     expectSameResult(result, ref);
     // Batching must actually engage (the drain tail alone guarantees
