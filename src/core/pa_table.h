@@ -17,7 +17,7 @@
 
 #include <cstdint>
 
-#include "simcore/flat_map.h"
+#include "simcore/page_map.h"
 #include "simcore/types.h"
 
 namespace grit::core {
@@ -70,12 +70,12 @@ class PaTable
 
   private:
     /**
-     * Open-addressing flat map: the PA-Table sits on the fault path
+     * Page-indexed dense leaves: the PA-Table sits on the fault path
      * (one find per fault, one put/erase per scheme decision), so its
-     * insert-until-threshold-then-delete churn runs on recycled cells
-     * instead of per-node allocations.
+     * insert-until-threshold-then-delete churn flips presence bits in
+     * place instead of allocating per entry.
      */
-    sim::FlatMap<sim::PageId, PaEntry> entries_;
+    sim::PageMap<PaEntry> entries_;
     mutable std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "gpu/gpu.h"
 
 #include <cassert>
+#include <optional>
 #include <string>
 
 namespace grit::gpu {
@@ -111,8 +112,16 @@ Gpu::fillTlbs(unsigned lane, sim::PageId page)
 {
     assert(lane < config_.lanes);
     const sim::PageId key = translationKey(page);
-    l1Tlbs_[lane].insert(key);
-    l1Holders_[key] |= std::uint64_t{1} << (lane & 63);
+    const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
+    const std::optional<sim::PageId> displaced = l1Tlbs_[lane].insert(key);
+    if (displaced && exactHolders() && !l1Tlbs_[lane].holds(*displaced)) {
+        // This lane no longer holds the displaced key: clear its bit.
+        std::uint64_t *mask = l1Holders_.find(*displaced);
+        assert(mask != nullptr && (*mask & bit) != 0);
+        if (mask != nullptr && (*mask &= ~bit) == 0)
+            l1Holders_.erase(*displaced);
+    }
+    l1Holders_[key] |= bit;
     l2Tlb_.insert(key);
 }
 

@@ -153,6 +153,23 @@ class Gpu
     }
 
     /**
+     * The L1 shootdown filter: translation key -> bitmask of lanes
+     * (lane mod 64) whose L1 TLB holds it (audit use).
+     */
+    const sim::FlatMap<sim::PageId, std::uint64_t> &
+    l1Holders() const
+    {
+        return l1Holders_;
+    }
+
+    /**
+     * True when each lane owns its filter bit (lanes <= 64), so the
+     * filter is exact: a bit is set iff that lane's L1 TLB holds the
+     * key. Wider GPUs share bits and keep a conservative superset.
+     */
+    bool exactHolders() const { return config_.lanes <= 64; }
+
+    /**
      * Full pipeline drain + cache/TLB flush, as UVM performs on the
      * GPU that owns a migrating or collapsing page.
      * @param drain_cycles  CU drain time (reduced under ACUD).
@@ -226,13 +243,15 @@ class Gpu
 
     std::vector<mem::Tlb> l1Tlbs_;  //!< one per lane
     /**
-     * Conservative shootdown filter: page -> bitmask of lanes (mod 64)
-     * whose L1 TLB may hold it. Set on every fill, erased once the page
-     * is shot down, cleared on full flushes. A page absent from the
-     * index is provably in no L1 TLB, so invalidatePage() skips the
-     * per-lane set scans — the dominant cost of remote invalidations —
-     * without changing any TLB state transition. False positives only
-     * cost a scan; false negatives cannot happen.
+     * Shootdown filter: key -> bitmask of lanes (mod 64) whose L1 TLB
+     * holds it. Set on every fill, erased once the key is shot down,
+     * cleared on full flushes; with exactHolders() a lane's bit is also
+     * cleared when its L1 TLB displaces the key and holds no second
+     * copy, so the filter holds at most lanes x l1TlbEntries keys. A
+     * key absent from the index is provably in no L1 TLB, so
+     * invalidatePage() skips the per-lane set scans — the dominant cost
+     * of remote invalidations — without changing any TLB state
+     * transition. False negatives cannot happen.
      */
     sim::FlatMap<sim::PageId, std::uint64_t> l1Holders_;
     mem::Tlb l2Tlb_;

@@ -76,6 +76,9 @@ SystemConfig::validate() const
     if (gpu.gmmu.walkers == 0)
         bad("the GMMU needs at least one page-table walker",
             "gpu.gmmu.walkers");
+    if (gpu.gmmu.walkCacheEntries == 0)
+        bad("the page-walk cache needs at least one entry",
+            "gpu.gmmu.walkCacheEntries");
     if (gpu.counterThreshold == 0)
         bad("the access-counter threshold must be non-zero",
             "gpu.counterThreshold");

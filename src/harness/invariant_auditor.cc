@@ -1,6 +1,7 @@
 #include "harness/invariant_auditor.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 
@@ -27,6 +28,16 @@ pageStr(PageId page)
     std::ostringstream out;
     out << "page " << page;
     return out.str();
+}
+
+/** A TLB key: a base page, or a promoted region's huge key. */
+std::string
+keyStr(PageId key)
+{
+    if (mem::isHugeKey(key))
+        return "region " + std::to_string(mem::hugeKeyRegion(key)) +
+               " (huge)";
+    return pageStr(key);
 }
 
 /** The "ideal" baseline installs local PTEs without moving data; its
@@ -259,8 +270,9 @@ InvariantAuditor::auditTlbCoherence(std::vector<SimError> &out) const
     for (unsigned g = 0; g < driver_.numGpus(); ++g) {
         const gpu::Gpu &gpu = driver_.gpuAt(static_cast<GpuId>(g));
         const std::string who = "gpu" + std::to_string(g);
-        auto check = [&](const mem::Tlb &tlb) {
-            for (PageId page : tlb.livePages()) {
+        auto check = [&](const mem::Tlb &tlb,
+                         const std::vector<PageId> &live) {
+            for (PageId page : live) {
                 // Huge-key entries translate via the promoted-region
                 // overlay, not a per-page PTE: the region must still be
                 // promoted on this GPU.
@@ -282,9 +294,43 @@ InvariantAuditor::auditTlbCoherence(std::vector<SimError> &out) const
                 }
             }
         };
-        check(gpu.l2Tlb());
-        for (const mem::Tlb &l1 : gpu.l1Tlbs())
-            check(l1);
+        check(gpu.l2Tlb(), gpu.l2Tlb().livePages());
+
+        // The L1 shootdown filter may skip a lane only if that lane
+        // holds nothing to shoot down: every live L1 entry must carry
+        // its lane's bit. With one bit per lane the filter is exact as
+        // well: every set bit names a lane whose L1 holds the key.
+        const auto &holders = gpu.l1Holders();
+        const std::vector<mem::Tlb> &l1s = gpu.l1Tlbs();
+        for (std::size_t lane = 0; lane < l1s.size(); ++lane) {
+            const std::vector<PageId> live = l1s[lane].livePages();
+            check(l1s[lane], live);
+            const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
+            for (PageId key : live) {
+                const std::uint64_t *mask = holders.find(key);
+                if (mask == nullptr || (*mask & bit) == 0) {
+                    out.push_back(violation(
+                        "live " + l1s[lane].name() +
+                            " entry is missing from the shootdown filter",
+                        who + " " + keyStr(key)));
+                }
+            }
+        }
+        if (!gpu.exactHolders())
+            continue;
+        for (const auto &[key, mask] : holders) {
+            for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+                const auto lane =
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                if (lane >= l1s.size() || !l1s[lane].holds(key)) {
+                    out.push_back(violation(
+                        "shootdown filter names lane " +
+                            std::to_string(lane) +
+                            ", whose L1 TLB does not hold the key",
+                        who + " " + keyStr(key)));
+                }
+            }
+        }
     }
 }
 

@@ -12,7 +12,7 @@ DramManager::DramManager(std::uint64_t capacity_pages)
 void
 DramManager::configureRegions(std::uint64_t pages_per_region)
 {
-    assert(map_.empty() && "configure regions before any allocation");
+    assert(index_.empty() && "configure regions before any allocation");
     pagesPerRegion_ = pages_per_region > 1 ? pages_per_region : 1;
     regions_.clear();
 }
@@ -22,8 +22,8 @@ DramManager::ownedInRegion(sim::PageId region) const
 {
     if (pagesPerRegion_ <= 1)
         return 0;
-    const auto it = regions_.find(region);
-    return it != regions_.end() ? it->second.owned : 0;
+    const RegionState *state = regions_.find(region);
+    return state != nullptr ? state->owned : 0;
 }
 
 void
@@ -39,12 +39,12 @@ DramManager::unpinRegion(sim::PageId region)
 {
     if (pagesPerRegion_ <= 1)
         return;
-    const auto it = regions_.find(region);
-    if (it == regions_.end())
+    RegionState *state = regions_.find(region);
+    if (state == nullptr)
         return;
-    it->second.pinned = false;
-    if (it->second.owned == 0)
-        regions_.erase(it);
+    state->pinned = false;
+    if (state->owned == 0)
+        regions_.erase(region);
 }
 
 bool
@@ -52,8 +52,8 @@ DramManager::regionPinned(sim::PageId region) const
 {
     if (pagesPerRegion_ <= 1)
         return false;
-    const auto it = regions_.find(region);
-    return it != regions_.end() && it->second.pinned;
+    const RegionState *state = regions_.find(region);
+    return state != nullptr && state->pinned;
 }
 
 void
@@ -62,45 +62,58 @@ DramManager::accountOwned(sim::PageId page, std::int64_t delta)
     if (pagesPerRegion_ <= 1)
         return;
     const sim::PageId region = regionOf(page);
-    auto it = regions_.find(region);
-    if (it == regions_.end()) {
+    RegionState *state = regions_.find(region);
+    if (state == nullptr) {
         if (delta <= 0)
             return;
-        it = regions_.emplace(region, RegionState{}).first;
+        state = &regions_[region];
     }
     if (delta > 0) {
-        it->second.owned += static_cast<std::uint64_t>(delta);
+        state->owned += static_cast<std::uint64_t>(delta);
     } else {
         const auto dec = static_cast<std::uint64_t>(-delta);
-        assert(it->second.owned >= dec && "region owned-count underflow");
-        it->second.owned -= dec;
-        if (it->second.owned == 0 && !it->second.pinned)
-            regions_.erase(it);
+        assert(state->owned >= dec && "region owned-count underflow");
+        state->owned -= dec;
+        if (state->owned == 0 && !state->pinned)
+            regions_.erase(region);
     }
 }
 
-DramManager::Frame
-DramManager::popVictim()
+Eviction
+DramManager::release(std::uint32_t slot)
 {
-    assert(!lru_.empty());
+    const Eviction frame = frames_[slot];
+    order_.unlink(slot);
+    freeSlots_.push_back(slot);
+    index_.erase(frame.page);
+    if (frame.kind == FrameKind::kReplica)
+        --replicas_;
+    else
+        accountOwned(frame.page, -1);
+    return frame;
+}
+
+Eviction
+DramManager::evictVictim()
+{
+    std::uint32_t victim = order_.lru();
+    assert(victim != sim::RecencyList::kNil);
     if (pagesPerRegion_ > 1) {
-        // Scan from the LRU tail for the first frame outside a pinned
+        // Scan from the LRU end for the first frame outside a pinned
         // region. Pinned (promoted) frames are hot by construction, so
-        // they cluster near the MRU end and the scan stays short.
-        for (auto it = lru_.end(); it != lru_.begin();) {
-            --it;
-            if (!regionPinned(regionOf(it->page))) {
-                Frame victim = *it;
-                lru_.erase(it);
-                return victim;
+        // they cluster near the MRU end and the scan stays short. When
+        // every frame is pinned, capacity is a hard limit, so the true
+        // LRU goes anyway; the caller splinters its region.
+        for (std::uint32_t f = victim; f != sim::RecencyList::kNil;
+             f = order_.newer(f)) {
+            if (!regionPinned(regionOf(frames_[f].page))) {
+                victim = f;
+                break;
             }
         }
-        // Every frame is pinned: capacity is a hard limit, so the true
-        // LRU goes anyway; the caller splinters its region.
     }
-    Frame victim = lru_.back();
-    lru_.pop_back();
-    return victim;
+    ++evictions_;
+    return release(victim);
 }
 
 std::optional<Eviction>
@@ -109,19 +122,20 @@ DramManager::insert(sim::PageId page, FrameKind kind)
     assert(!resident(page) && "double allocation of a frame");
 
     std::optional<Eviction> victim;
-    if (capacity_ != 0 && map_.size() >= capacity_) {
-        const Frame lru = popVictim();
-        map_.erase(lru.page);
-        if (lru.kind == FrameKind::kReplica)
-            --replicas_;
-        else
-            accountOwned(lru.page, -1);
-        ++evictions_;
-        victim = Eviction{lru.page, lru.kind};
-    }
+    if (capacity_ != 0 && index_.size() >= capacity_)
+        victim = evictVictim();
 
-    lru_.push_front(Frame{page, kind});
-    map_[page] = lru_.begin();
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        frames_[slot] = Eviction{page, kind};
+    } else {
+        slot = order_.addSlot();
+        frames_.push_back(Eviction{page, kind});
+    }
+    order_.pushMru(slot);
+    index_[page] = slot;
     if (kind == FrameKind::kReplica)
         ++replicas_;
     else
@@ -132,88 +146,78 @@ DramManager::insert(sim::PageId page, FrameKind kind)
 void
 DramManager::touch(sim::PageId page)
 {
-    auto it = map_.find(page);
-    if (it == map_.end())
-        return;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    if (const std::uint32_t *slot = index_.find(page))
+        order_.touch(*slot);
 }
 
 bool
 DramManager::erase(sim::PageId page)
 {
-    auto it = map_.find(page);
-    if (it == map_.end())
+    const std::uint32_t *slot = index_.find(page);
+    if (slot == nullptr)
         return false;
-    if (it->second->kind == FrameKind::kReplica)
-        --replicas_;
-    else
-        accountOwned(page, -1);
-    lru_.erase(it->second);
-    map_.erase(it);
+    release(*slot);
     return true;
 }
 
 bool
 DramManager::resident(sim::PageId page) const
 {
-    return map_.count(page) != 0;
+    return index_.contains(page);
 }
 
 FrameKind
 DramManager::kindOf(sim::PageId page) const
 {
-    auto it = map_.find(page);
-    assert(it != map_.end());
-    return it->second->kind;
+    const std::uint32_t *slot = index_.find(page);
+    assert(slot != nullptr);
+    return frames_[*slot].kind;
 }
 
 void
 DramManager::setKind(sim::PageId page, FrameKind kind)
 {
-    auto it = map_.find(page);
-    assert(it != map_.end());
-    if (it->second->kind == kind)
+    const std::uint32_t *slot = index_.find(page);
+    assert(slot != nullptr);
+    Eviction &frame = frames_[*slot];
+    if (frame.kind == kind)
         return;
-    if (it->second->kind == FrameKind::kReplica) {
+    if (frame.kind == FrameKind::kReplica) {
         --replicas_;
         accountOwned(page, +1);
     } else {
         ++replicas_;
         accountOwned(page, -1);
     }
-    it->second->kind = kind;
+    frame.kind = kind;
 }
 
 std::optional<Eviction>
 DramManager::evictLru()
 {
-    if (lru_.empty())
+    if (index_.empty())
         return std::nullopt;
-    const Frame lru = popVictim();
-    map_.erase(lru.page);
-    if (lru.kind == FrameKind::kReplica)
-        --replicas_;
-    else
-        accountOwned(lru.page, -1);
-    ++evictions_;
-    return Eviction{lru.page, lru.kind};
+    return evictVictim();
 }
 
 std::vector<Eviction>
 DramManager::frames() const
 {
     std::vector<Eviction> out;
-    out.reserve(lru_.size());
-    for (const Frame &f : lru_)
-        out.push_back(Eviction{f.page, f.kind});
+    out.reserve(index_.size());
+    for (std::uint32_t f = order_.mru(); f != sim::RecencyList::kNil;
+         f = order_.older(f))
+        out.push_back(frames_[f]);
     return out;
 }
 
 void
 DramManager::clear()
 {
-    lru_.clear();
-    map_.clear();
+    frames_.clear();
+    freeSlots_.clear();
+    order_.clear();
+    index_.clear();
     evictions_ = 0;
     replicas_ = 0;
     regions_.clear();

@@ -15,11 +15,12 @@
 #define GRIT_MEM_DRAM_MANAGER_H_
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "simcore/flat_map.h"
+#include "simcore/page_map.h"
+#include "simcore/recency_list.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -98,7 +99,7 @@ class DramManager
     /** Snapshot of every resident frame, for cross-layer audits. */
     std::vector<Eviction> frames() const;
 
-    std::uint64_t size() const { return map_.size(); }
+    std::uint64_t size() const { return index_.size(); }
     std::uint64_t capacity() const { return capacity_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t replicaCount() const { return replicas_; }
@@ -106,14 +107,6 @@ class DramManager
     void clear();
 
   private:
-    struct Frame
-    {
-        sim::PageId page;
-        FrameKind kind;
-    };
-
-    using LruList = std::list<Frame>;
-
     struct RegionState
     {
         std::uint64_t owned = 0;
@@ -128,18 +121,25 @@ class DramManager
     /** Adjust the owned count of @p page's region by @p delta. */
     void accountOwned(sim::PageId page, std::int64_t delta);
 
-    /** Pop the eviction victim: LRU skipping pinned regions, falling
-     *  back to the true LRU when everything is pinned. */
-    Frame popVictim();
+    /** Free frame slot @p slot and settle its page's accounting. */
+    Eviction release(std::uint32_t slot);
+
+    /** Evict the victim: LRU skipping pinned regions, falling back to
+     *  the true LRU when everything is pinned. */
+    Eviction evictVictim();
 
     std::uint64_t capacity_;
-    LruList lru_;  // front = MRU, back = LRU
-    std::unordered_map<sim::PageId, LruList::iterator> map_;
+    /** Frame slots; freed ones are recycled through freeSlots_. */
+    std::vector<Eviction> frames_;
+    std::vector<std::uint32_t> freeSlots_;
+    sim::RecencyList order_;  //!< resident slots, MRU first
+    /** Resident page -> its frame slot. */
+    sim::PageMap<std::uint32_t> index_;
     std::uint64_t evictions_ = 0;
     std::uint64_t replicas_ = 0;
 
     std::uint64_t pagesPerRegion_ = 1;  //!< <= 1: regions disabled
-    std::unordered_map<sim::PageId, RegionState> regions_;
+    sim::FlatMap<sim::PageId, RegionState> regions_;
 };
 
 }  // namespace grit::mem

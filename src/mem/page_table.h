@@ -17,7 +17,7 @@
 #include <optional>
 
 #include "mem/pte.h"
-#include "simcore/flat_map.h"
+#include "simcore/page_map.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -99,8 +99,8 @@ class PageTable
     /** Number of entries (valid or annotation-only). */
     std::size_t size() const { return entries_.size(); }
 
-    /** Entry storage: open-addressing flat map, deterministic order. */
-    using EntryMap = sim::FlatMap<sim::PageId, PteRecord>;
+    /** Entry storage: page-indexed dense leaves, deterministic order. */
+    using EntryMap = sim::PageMap<PteRecord>;
 
     /**
      * All records (valid or annotation-only), for cross-layer audits.

@@ -4,7 +4,7 @@
 
 namespace grit::mem {
 
-PageWalkCache::PageWalkCache(unsigned entries) : entries_(entries)
+PageWalkCache::PageWalkCache(unsigned entries) : capacity_(entries)
 {
     assert(entries > 0);
 }
@@ -18,22 +18,13 @@ PageWalkCache::key(sim::PageId page, unsigned level)
     return (page >> (9 * level)) | (static_cast<std::uint64_t>(level) << 60);
 }
 
-bool
-PageWalkCache::contains(std::uint64_t key) const
-{
-    for (const Entry &e : entries_)
-        if (e.valid && e.key == key)
-            return true;
-    return false;
-}
-
 unsigned
 PageWalkCache::walkAccesses(sim::PageId page) const
 {
     // Walk from the deepest (cheapest) cached prefix: if the 2 MB-level
     // entry is cached only the leaf access remains, and so on upward.
     for (unsigned level = 1; level < kLevels; ++level) {
-        if (contains(key(page, level)))
+        if (index_.contains(key(page, level)))
             return level;
     }
     return kLevels;
@@ -42,23 +33,23 @@ PageWalkCache::walkAccesses(sim::PageId page) const
 void
 PageWalkCache::touch(std::uint64_t key)
 {
-    ++tick_;
-    Entry *victim = &entries_.front();
-    for (Entry &e : entries_) {
-        if (e.valid && e.key == key) {
-            e.lastUse = tick_;
-            return;
-        }
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
+    if (const std::uint32_t *slot = index_.find(key)) {
+        order_.touch(*slot);
+        return;
     }
-    victim->key = key;
-    victim->lastUse = tick_;
-    victim->valid = true;
+    std::uint32_t slot;
+    if (keys_.size() < capacity_) {
+        slot = order_.addSlot();
+        keys_.push_back(key);
+    } else {
+        // Full: the least recently touched entry makes room.
+        slot = order_.lru();
+        order_.unlink(slot);
+        index_.erase(keys_[slot]);
+        keys_[slot] = key;
+    }
+    index_[key] = slot;
+    order_.pushMru(slot);
 }
 
 void
@@ -71,8 +62,10 @@ PageWalkCache::fill(sim::PageId page)
 void
 PageWalkCache::flushAll()
 {
-    for (Entry &e : entries_)
-        e.valid = false;
+    for (const std::uint64_t key : keys_)
+        index_.erase(key);
+    keys_.clear();
+    order_.clear();
 }
 
 void

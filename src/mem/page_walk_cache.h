@@ -15,11 +15,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "simcore/flat_map.h"
+#include "simcore/recency_list.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
 
-/** Cache of non-leaf page-table prefixes; fully associative, LRU. */
+/**
+ * Cache of non-leaf page-table prefixes; fully associative, exact LRU.
+ *
+ * A key -> slot index answers membership in one probe, and the slots
+ * form an intrusive recency list, so a fill costs O(1) per level
+ * instead of a scan over every entry.
+ */
 class PageWalkCache
 {
   public:
@@ -48,24 +56,20 @@ class PageWalkCache
     void recordWalk(unsigned accesses);
 
   private:
-    struct Entry
-    {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
     /**
      * Prefix key for non-leaf level @p level (1-based from the leaf:
      * level 1 covers 2 MB, level 2 covers 1 GB, level 3 covers 512 GB).
      */
     static std::uint64_t key(sim::PageId page, unsigned level);
 
-    bool contains(std::uint64_t key) const;
+    /** Make @p key the MRU entry, evicting the LRU one when full. */
     void touch(std::uint64_t key);
 
-    std::vector<Entry> entries_;
-    mutable std::uint64_t tick_ = 0;
+    unsigned capacity_;
+    /** Cached keys by slot; grows to capacity_, emptied by flushAll(). */
+    std::vector<std::uint64_t> keys_;
+    sim::RecencyList order_;                            //!< slot recency
+    sim::FlatMap<std::uint64_t, std::uint32_t> index_;  //!< key -> slot
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

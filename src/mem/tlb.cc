@@ -60,7 +60,7 @@ Tlb::lookup(sim::PageId page)
     return false;
 }
 
-void
+std::optional<sim::PageId>
 Tlb::insert(sim::PageId page)
 {
     ++tick_;
@@ -74,14 +74,28 @@ Tlb::insert(sim::PageId page)
         }
         if (pages_[i] == page) {
             lastUse_[i] = tick_;  // already present
-            return;
+            return std::nullopt;
         }
         if (lastUse_[i] < lastUse_[victim])
             victim = i;
     }
+    std::optional<sim::PageId> displaced;
+    if (live(victim))
+        displaced = pages_[victim];
     pages_[victim] = page;
     lastUse_[victim] = tick_;
     genOf_[victim] = gen_;
+    return displaced;
+}
+
+bool
+Tlb::holds(sim::PageId page) const
+{
+    const std::size_t base = std::size_t{setIndex(page)} * ways_;
+    for (std::size_t i = base; i < base + ways_; ++i)
+        if (pages_[i] == page && live(i))
+            return true;
+    return false;
 }
 
 void

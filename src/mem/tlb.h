@@ -18,6 +18,7 @@
 #define GRIT_MEM_TLB_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,17 @@ class Tlb
     /** Lookup @p page; updates LRU on hit. */
     bool lookup(sim::PageId page);
 
-    /** Insert @p page, evicting the set's LRU victim if needed. */
-    void insert(sim::PageId page);
+    /**
+     * Insert @p page, evicting the set's LRU victim if needed.
+     * @return the live page the insert displaced, if any (a refill of
+     *         an invalid or flushed slot displaces nothing). The page
+     *         may still be held: an insert that finds an invalid slot
+     *         before a live copy of its page fills a second copy.
+     */
+    std::optional<sim::PageId> insert(sim::PageId page);
+
+    /** True when a live entry for @p page exists; touches no state. */
+    bool holds(sim::PageId page) const;
 
     /** Invalidate one page (single-entry shootdown). */
     void invalidate(sim::PageId page);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Open-addressing flat hash map shared by the simulator's hottest
- * tables (mem::PageTable, core::PaTable, uvm::ReplicaDirectory).
+ * Open-addressing flat hash map for the simulator's small hot-path
+ * indexes: sim::PageMap's leaf index, the page-walk cache, the TLB
+ * holder filter, and the huge-page region sets and counters.
  *
  * Design goals, in order:
  *
@@ -19,8 +20,9 @@
  *
  * Erased entries leave a tombstone in the slot index (reclaimed on
  * rehash) and push their dense cell onto a free list for reuse, so
- * heavy churn (the PA-Table's insert-until-threshold-then-delete
- * lifecycle) does not grow memory without bound.
+ * heavy churn (the walk-cache index, the TLB holder filter) does not
+ * grow memory without bound: the index doubles only when live entries
+ * need the room, and otherwise rebuilds in place to drop tombstones.
  */
 
 #ifndef GRIT_SIMCORE_FLAT_MAP_H_
@@ -152,6 +154,9 @@ class FlatMap
         cells_ = 0;
     }
 
+    /** Slot-index capacity (live entries, tombstones and free slots). */
+    std::size_t slotCount() const { return slots_.size(); }
+
     /** Pre-size the slot index for @p expected entries. */
     void
     reserve(std::size_t expected)
@@ -267,10 +272,14 @@ class FlatMap
             }
             h = (h + 1) & mask_;
         }
-        // Not present: grow first if the index is getting crowded, then
-        // re-derive the insertion point (the rehash moved everything).
+        // Not present: rebuild first if the index is getting crowded,
+        // then re-derive the insertion point (the rehash moved
+        // everything). Double only when live entries need the room;
+        // under insert/erase churn the crowding is mostly tombstones,
+        // and rebuilding at the current size clears them.
         if ((size_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
-            rehash(slots_.size() * 2);
+            const bool live_crowded = (size_ + 1) * 2 > slots_.size();
+            rehash(live_crowded ? slots_.size() * 2 : slots_.size());
             h = Hash{}(key)&mask_;
             while (slots_[h] != kEmpty)
                 h = (h + 1) & mask_;

@@ -6,15 +6,15 @@ sim::Cycle
 FaultCoalescer::inflight(sim::GpuId gpu, sim::PageId page, sim::Cycle now)
 {
     const std::uint64_t k = key(gpu, page);
-    auto it = inflight_.find(k);
-    if (it == inflight_.end())
+    const sim::Cycle *completion = inflight_.find(k);
+    if (completion == nullptr)
         return sim::kCycleMax;
-    if (it->second <= now) {
-        inflight_.erase(it);  // episode finished; next fault is fresh
+    if (*completion <= now) {
+        inflight_.erase(k);  // episode finished; next fault is fresh
         return sim::kCycleMax;
     }
     ++coalesced_;
-    return it->second;
+    return *completion;
 }
 
 void

@@ -13,9 +13,10 @@
 #ifndef GRIT_UVM_FAULT_H_
 #define GRIT_UVM_FAULT_H_
 
+#include <cassert>
 #include <cstdint>
-#include <unordered_map>
 
+#include "simcore/page_map.h"
 #include "simcore/types.h"
 
 namespace grit::uvm {
@@ -45,13 +46,21 @@ class FaultCoalescer
     void reset();
 
   private:
+    static constexpr unsigned kGpuShift = 52;
+
+    /**
+     * GPU-major key, so each GPU's faulting pages stay as dense in the
+     * page map as the pages themselves.
+     */
     static std::uint64_t
     key(sim::GpuId gpu, sim::PageId page)
     {
-        return (page << 8) | static_cast<std::uint64_t>(gpu & 0xFF);
+        assert(gpu >= 0 && page >> kGpuShift == 0);
+        return (static_cast<std::uint64_t>(gpu) << kGpuShift) | page;
     }
 
-    std::unordered_map<std::uint64_t, sim::Cycle> inflight_;
+    /** Completion time of each (gpu, page) episode seen last. */
+    sim::PageMap<sim::Cycle> inflight_;
     std::uint64_t coalesced_ = 0;
 };
 

@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "simcore/flat_map.h"
+#include "simcore/page_map.h"
 #include "simcore/types.h"
 
 namespace grit::sim {
@@ -89,15 +89,15 @@ class ReplicaDirectory
 
     std::size_t size() const { return pages_.size(); }
 
-    /** Page-record storage: open-addressing flat map. */
-    using PageMap = sim::FlatMap<sim::PageId, PageInfo>;
+    /** Page-record storage: page-indexed dense leaves. */
+    using PageRecords = sim::PageMap<PageInfo>;
 
     /**
      * All page records, for cross-layer audits (read-only). Iteration
      * order is deterministic (a pure function of the operation
      * sequence), so audit findings are reproducible run-to-run.
      */
-    const PageMap &pages() const { return pages_; }
+    const PageRecords &pages() const { return pages_; }
 
     void clear()
     {
@@ -106,7 +106,7 @@ class ReplicaDirectory
     }
 
   private:
-    PageMap pages_;
+    PageRecords pages_;
     std::uint64_t totalReplicas_ = 0;
     sim::TraceRecorder *trace_ = nullptr;
 };

@@ -182,6 +182,29 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomChurn)
     }
 }
 
+TEST(FlatMap, ChurnKeepsTheSlotIndexBounded)
+{
+    // A fixed live set under insert/erase churn (the walk-cache index,
+    // the TLB holder filter): tombstones alone must not keep doubling
+    // the slot index. 2048 live keys need at most 8192 slots at a live
+    // load of one half; doubling on tombstones reached 2^20.
+    constexpr std::uint64_t kLive = 2048;
+    FlatMap<std::uint64_t, std::uint64_t> map;
+    for (std::uint64_t k = 0; k < kLive; ++k)
+        map[k] = k;
+    for (std::uint64_t k = kLive; k < kLive + 2'000'000; ++k) {
+        map[k] = k;
+        ASSERT_TRUE(map.erase(k - kLive));
+    }
+    EXPECT_EQ(map.size(), kLive);
+    EXPECT_LE(map.slotCount(), 4 * kLive);
+    for (std::uint64_t k = 2'000'000; k < 2'000'000 + kLive; ++k) {
+        const std::uint64_t *v = map.find(k);
+        ASSERT_NE(v, nullptr) << k;
+        EXPECT_EQ(*v, k);
+    }
+}
+
 TEST(FlatMap, ClearReleasesEverything)
 {
     FlatMap<std::uint64_t, int> map;

@@ -126,6 +126,77 @@ TEST(Gpu, FlushForInvalidationWipesTlbsAndCosts)
     EXPECT_GT(out.walkCycles, 0u);
 }
 
+/** True when lane @p lane's L1 TLB holds a live entry for @p key. */
+bool
+l1Holds(const Gpu &gpu, unsigned lane, sim::PageId key)
+{
+    return gpu.l1Tlbs()[lane].holds(key);
+}
+
+TEST(Gpu, HolderFilterIsExactAndBoundedUpTo64Lanes)
+{
+    // With one filter bit per lane, a displaced key loses its lane's
+    // bit, so the filter never outgrows what the L1 TLBs hold.
+    GpuConfig config;
+    config.lanes = 4;
+    Gpu gpu(0, config, testGeometry());
+    ASSERT_TRUE(gpu.exactHolders());
+    for (sim::PageId page = 0; page < 4000; ++page)
+        gpu.fillTlbs(static_cast<unsigned>(page % 4), page);
+    EXPECT_LE(gpu.l1Holders().size(),
+              std::size_t{config.lanes} * config.l1TlbEntries);
+    for (const auto &[key, mask] : gpu.l1Holders()) {
+        ASSERT_NE(mask, 0u);
+        for (unsigned lane = 0; lane < config.lanes; ++lane)
+            EXPECT_EQ(((mask >> lane) & 1) != 0, l1Holds(gpu, lane, key))
+                << "key " << key << " lane " << lane;
+    }
+}
+
+TEST(Gpu, HolderFilterKeepsTheBitWhileASecondCopyLives)
+{
+    // Lane 0 refills key 7 into a dead slot ahead of its live copy,
+    // then displaces the older copy: the lane still holds 7, so the
+    // shootdown must still reach it.
+    Gpu gpu(0, smallConfig(), testGeometry());
+    const unsigned entries = smallConfig().l1TlbEntries;
+    gpu.fillTlbs(0, 1);
+    gpu.fillTlbs(0, 7);
+    gpu.invalidatePage(1);
+    gpu.fillTlbs(0, 7);  // second copy, in the dead slot
+    for (sim::PageId page = 100; page < 100 + entries - 1; ++page)
+        gpu.fillTlbs(0, page);  // the last fill displaces the older copy
+    ASSERT_TRUE(l1Holds(gpu, 0, 7));
+    const std::uint64_t *mask = gpu.l1Holders().find(7);
+    ASSERT_NE(mask, nullptr);
+    EXPECT_EQ(*mask, 1u);
+
+    gpu.invalidatePage(7);
+    EXPECT_FALSE(l1Holds(gpu, 0, 7));
+}
+
+TEST(Gpu, InvalidateReachesEveryLaneWhenFilterBitsAlias)
+{
+    // 96 lanes share 64 bits: lanes 5 and 69 alias. Lane 5 displacing
+    // the page must not hide lane 69's copy from the shootdown.
+    GpuConfig config;
+    config.lanes = 96;
+    Gpu gpu(0, config, testGeometry());
+    ASSERT_FALSE(gpu.exactHolders());
+    constexpr sim::PageId kPage = 1000;
+    gpu.fillTlbs(69, kPage);
+    gpu.fillTlbs(5, kPage);
+    for (sim::PageId page = 0; page < config.l1TlbEntries; ++page)
+        gpu.fillTlbs(5, page);  // pushes kPage out of lane 5
+    ASSERT_FALSE(l1Holds(gpu, 5, kPage));
+    ASSERT_TRUE(l1Holds(gpu, 69, kPage));
+
+    gpu.invalidatePage(kPage);
+    for (unsigned lane = 0; lane < config.lanes; ++lane)
+        EXPECT_FALSE(l1Holds(gpu, lane, kPage)) << "lane " << lane;
+    EXPECT_EQ(gpu.l1Holders().find(kPage), nullptr);
+}
+
 TEST(Gpu, DramAccessAddsLatency)
 {
     Gpu gpu(0, smallConfig(), testGeometry());

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/access_counter.h"
 #include "mem/data_cache.h"
 #include "mem/dram_manager.h"
 #include "mem/page_table.h"
 #include "mem/page_walk_cache.h"
 #include "mem/tlb.h"
+#include "simcore/rng.h"
 
 namespace grit::mem {
 namespace {
@@ -152,6 +158,35 @@ TEST(Tlb, DoubleInsertDoesNotDuplicate)
     EXPECT_EQ(tlb.occupancy(), 1u);
 }
 
+TEST(Tlb, InsertReportsTheLivePageItDisplaces)
+{
+    Tlb tlb("t", 2, 2, 1);  // one set, two ways
+    EXPECT_EQ(tlb.insert(1), std::nullopt);
+    EXPECT_EQ(tlb.insert(2), std::nullopt);
+    EXPECT_EQ(tlb.insert(3), std::optional<sim::PageId>(1));  // the LRU
+    EXPECT_FALSE(tlb.holds(1));
+    tlb.invalidate(2);
+    EXPECT_EQ(tlb.insert(4), std::nullopt);  // refills the dead slot
+    EXPECT_EQ(tlb.insert(4), std::nullopt);  // already present
+}
+
+TEST(Tlb, RefillBeforeALiveCopyHoldsTwoCopies)
+{
+    // An insert stops at the first invalid slot, so a page live further
+    // along the set gets a second copy; displacing one copy leaves the
+    // page held. (The shootdown filter depends on holds() here.)
+    Tlb tlb("t", 3, 3, 1);
+    tlb.insert(1);
+    tlb.insert(7);
+    tlb.invalidate(1);
+    EXPECT_EQ(tlb.insert(7), std::nullopt);  // second copy, in slot 0
+    EXPECT_EQ(tlb.occupancy(), 2u);
+    EXPECT_EQ(tlb.insert(8), std::nullopt);  // last free slot
+    EXPECT_EQ(tlb.insert(9), std::optional<sim::PageId>(7));  // older copy
+    EXPECT_TRUE(tlb.holds(7));
+    EXPECT_TRUE(tlb.lookup(7));
+}
+
 /** Property sweep over Table I TLB geometries. */
 class TlbGeometry
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -219,6 +254,132 @@ TEST(PageWalkCache, RecordsHitsAndMisses)
     EXPECT_EQ(pwc.hits(), 1u);
     EXPECT_EQ(pwc.misses(), 1u);
 }
+
+/**
+ * The walk cache as a linear-scan LRU over valid/lastUse entries: the
+ * layout PageWalkCache replaced, kept as the reference its indexed,
+ * intrusive-list version must match walk for walk.
+ */
+class ScanWalkCache
+{
+  public:
+    explicit ScanWalkCache(unsigned entries) : entries_(entries) {}
+
+    unsigned
+    walkAccesses(sim::PageId page) const
+    {
+        for (unsigned level = 1; level < PageWalkCache::kLevels; ++level)
+            if (contains(key(page, level)))
+                return level;
+        return PageWalkCache::kLevels;
+    }
+
+    void
+    fill(sim::PageId page)
+    {
+        for (unsigned level = 1; level < PageWalkCache::kLevels; ++level)
+            touch(key(page, level));
+    }
+
+    void
+    flushAll()
+    {
+        for (Entry &e : entries_)
+            e.valid = false;
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t key = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    static std::uint64_t
+    key(sim::PageId page, unsigned level)
+    {
+        return (page >> (9 * level)) |
+               (static_cast<std::uint64_t>(level) << 60);
+    }
+
+    bool
+    contains(std::uint64_t key) const
+    {
+        for (const Entry &e : entries_)
+            if (e.valid && e.key == key)
+                return true;
+        return false;
+    }
+
+    void
+    touch(std::uint64_t key)
+    {
+        ++tick_;
+        Entry *victim = &entries_.front();
+        for (Entry &e : entries_) {
+            if (e.valid && e.key == key) {
+                e.lastUse = tick_;
+                return;
+            }
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        victim->key = key;
+        victim->lastUse = tick_;
+        victim->valid = true;
+    }
+
+    std::vector<Entry> entries_;
+    std::uint64_t tick_ = 0;
+};
+
+class WalkCacheEquivalence : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(WalkCacheEquivalence, MatchesTheLinearScanLru)
+{
+    // A seeded walk stream over hot and cold 2 MB / 1 GB / 512 GB
+    // prefixes, with occasional full flushes: every walk must cost the
+    // same number of accesses as under the scanned LRU.
+    const unsigned capacity = GetParam();
+    PageWalkCache pwc(capacity);
+    ScanWalkCache reference(capacity);
+    sim::Rng rng(capacity);
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t shortened = 0;  // walks the cache made cheaper
+    for (int i = 0; i < 40000; ++i) {
+        if (rng.below(400) == 0) {
+            pwc.flushAll();
+            reference.flushAll();
+        }
+        const std::uint64_t prefixes = rng.chance(0.5) ? 4 : 256;
+        const sim::PageId page = (rng.below(3) << 27) +
+                                 (rng.below(4) << 18) +
+                                 (rng.below(prefixes) << 9) +
+                                 rng.below(512);
+        const unsigned accesses = pwc.walkAccesses(page);
+        ASSERT_EQ(accesses, reference.walkAccesses(page)) << "walk " << i;
+        pwc.recordWalk(accesses);
+        (accesses <= 1 ? hits : misses) += 1;
+        shortened += accesses < PageWalkCache::kLevels;
+        pwc.fill(page);
+        reference.fill(page);
+    }
+    EXPECT_EQ(pwc.hits(), hits);
+    EXPECT_EQ(pwc.misses(), misses);
+    EXPECT_GT(shortened, 0u);
+    EXPECT_GT(misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, WalkCacheEquivalence,
+                         ::testing::Values(1u, 3u, 128u));
 
 // ------------------------------------------------------------------ DataCache
 
@@ -327,6 +488,218 @@ TEST(DramManager, KindOfResidentPage)
     dram.insert(9, FrameKind::kReplica);
     EXPECT_EQ(dram.kindOf(9), FrameKind::kReplica);
 }
+
+/**
+ * DramManager as std::list + std::unordered_map: the layout the
+ * index-linked frame LRU replaced, kept as the reference it must match
+ * victim for victim.
+ */
+class ListDramManager
+{
+  public:
+    ListDramManager(std::uint64_t capacity, std::uint64_t pages_per_region)
+        : capacity_(capacity), pagesPerRegion_(pages_per_region)
+    {
+    }
+
+    std::optional<Eviction>
+    insert(sim::PageId page, FrameKind kind)
+    {
+        std::optional<Eviction> victim;
+        if (capacity_ != 0 && map_.size() >= capacity_)
+            victim = evict();
+        lru_.push_front(Eviction{page, kind});
+        map_[page] = lru_.begin();
+        if (kind == FrameKind::kOwned)
+            ++regions_[page / pagesPerRegion_].owned;
+        return victim;
+    }
+
+    void
+    touch(sim::PageId page)
+    {
+        const auto it = map_.find(page);
+        if (it != map_.end())
+            lru_.splice(lru_.begin(), lru_, it->second);
+    }
+
+    bool
+    erase(sim::PageId page)
+    {
+        const auto it = map_.find(page);
+        if (it == map_.end())
+            return false;
+        if (it->second->kind == FrameKind::kOwned)
+            --regions_[page / pagesPerRegion_].owned;
+        lru_.erase(it->second);
+        map_.erase(it);
+        return true;
+    }
+
+    void
+    setKind(sim::PageId page, FrameKind kind)
+    {
+        Eviction &frame = *map_.at(page);
+        if (frame.kind != kind)
+            regions_[page / pagesPerRegion_].owned +=
+                kind == FrameKind::kOwned ? 1 : -1;
+        frame.kind = kind;
+    }
+
+    std::optional<Eviction>
+    evictLru()
+    {
+        if (lru_.empty())
+            return std::nullopt;
+        return evict();
+    }
+
+    void pin(sim::PageId region, bool on) { regions_[region].pinned = on; }
+
+    std::uint64_t
+    ownedInRegion(sim::PageId region) const
+    {
+        const auto it = regions_.find(region);
+        return it != regions_.end() ? it->second.owned : 0;
+    }
+
+    std::vector<Eviction> frames() const { return {lru_.begin(), lru_.end()}; }
+    std::uint64_t evictions() const { return evictions_; }
+
+  private:
+    struct Region
+    {
+        std::uint64_t owned = 0;
+        bool pinned = false;
+    };
+
+    bool
+    pinned(sim::PageId page) const
+    {
+        const auto it = regions_.find(page / pagesPerRegion_);
+        return pagesPerRegion_ > 1 && it != regions_.end() &&
+               it->second.pinned;
+    }
+
+    Eviction
+    evict()
+    {
+        auto victim = std::prev(lru_.end());
+        for (auto it = lru_.end(); it != lru_.begin();) {
+            --it;
+            if (!pinned(it->page)) {
+                victim = it;
+                break;
+            }
+        }
+        const Eviction out = *victim;
+        if (out.kind == FrameKind::kOwned)
+            --regions_[out.page / pagesPerRegion_].owned;
+        map_.erase(out.page);
+        lru_.erase(victim);
+        ++evictions_;
+        return out;
+    }
+
+    std::uint64_t capacity_;
+    std::uint64_t pagesPerRegion_;
+    std::list<Eviction> lru_;  // front = MRU
+    std::unordered_map<sim::PageId, std::list<Eviction>::iterator> map_;
+    std::unordered_map<sim::PageId, Region> regions_;
+    std::uint64_t evictions_ = 0;
+};
+
+void
+expectSameVictim(const std::optional<Eviction> &got,
+                 const std::optional<Eviction> &want, int step)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (got) {
+        EXPECT_EQ(got->page, want->page) << "step " << step;
+        EXPECT_EQ(got->kind, want->kind) << "step " << step;
+    }
+}
+
+void
+expectSameFrames(const DramManager &dram, const ListDramManager &reference,
+                 int step)
+{
+    const std::vector<Eviction> got = dram.frames();
+    const std::vector<Eviction> want = reference.frames();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].page, want[i].page) << "step " << step;
+        ASSERT_EQ(got[i].kind, want[i].kind) << "step " << step;
+    }
+}
+
+class DramEquivalence
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(DramEquivalence, MatchesTheListLru)
+{
+    // A seeded stream of allocations, touches, frees, kind flips,
+    // forced evictions and region pins: the same victims in the same
+    // order, and the same recency order in frames() throughout.
+    const auto [capacity, pages_per_region] = GetParam();
+    DramManager dram(capacity);
+    dram.configureRegions(pages_per_region);
+    ListDramManager reference(capacity, pages_per_region);
+    sim::Rng rng(capacity * 31 + pages_per_region);
+    constexpr sim::PageId kPages = 160;
+    for (int step = 0; step < 20000; ++step) {
+        const sim::PageId page = rng.below(kPages);
+        const std::uint64_t op = rng.below(100);
+        if (op < 4) {
+            expectSameVictim(dram.evictLru(), reference.evictLru(), step);
+        } else if (op < 10 && pages_per_region > 1) {
+            const sim::PageId region = page / pages_per_region;
+            const bool pin = rng.chance(0.5);
+            if (pin)
+                dram.pinRegion(region);
+            else
+                dram.unpinRegion(region);
+            reference.pin(region, pin);
+        } else if (!dram.resident(page)) {
+            const FrameKind kind = rng.chance(0.3) ? FrameKind::kReplica
+                                                   : FrameKind::kOwned;
+            expectSameVictim(dram.insert(page, kind),
+                             reference.insert(page, kind), step);
+        } else if (op < 50) {
+            dram.touch(page);
+            reference.touch(page);
+        } else if (op < 75) {
+            EXPECT_TRUE(dram.erase(page));
+            EXPECT_TRUE(reference.erase(page));
+        } else {
+            const FrameKind kind = dram.kindOf(page) == FrameKind::kOwned
+                                       ? FrameKind::kReplica
+                                       : FrameKind::kOwned;
+            dram.setKind(page, kind);
+            reference.setKind(page, kind);
+        }
+        if (pages_per_region > 1) {
+            const sim::PageId region = page / pages_per_region;
+            ASSERT_EQ(dram.ownedInRegion(region),
+                      reference.ownedInRegion(region))
+                << "step " << step;
+        }
+        if (step % 97 == 0)
+            expectSameFrames(dram, reference, step);
+    }
+    expectSameFrames(dram, reference, -1);
+    EXPECT_EQ(dram.evictions(), reference.evictions());
+    if (capacity > 0) {
+        EXPECT_GT(dram.evictions(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CapacitiesAndRegions, DramEquivalence,
+    ::testing::Combine(::testing::Values(0u, 1u, 3u, 128u),
+                       ::testing::Values(1u, 8u)));
 
 // --------------------------------------------------------- AccessCounterTable
 

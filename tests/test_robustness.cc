@@ -181,6 +181,10 @@ TEST(ConfigValidate, CatchesEachBrokenKnob)
     expectBad(c, "gpu.l2Tlb");
 
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
+    c.gpu.gmmu.walkCacheEntries = 0;
+    expectBad(c, "gpu.gmmu.walkCacheEntries");
+
+    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.fabric.nvlinkGBs = 0.0;
     expectBad(c, "fabric.nvlinkGBs");
     c.fabric.nvlinkGBs = -1.0;
@@ -341,7 +345,7 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
                 sys.driver->directory().find(page);
             const sim::GpuId owner =
                 info != nullptr ? info->owner : sim::kHostId;
-            switch (rng.below(6)) {
+            switch (rng.below(7)) {
               case 0:
                 sys.driver->migratePage(
                     page, gpu, now, stats::LatencyKind::kPageMigration);
@@ -366,6 +370,14 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
                 // Protection-fault path: write collapse of replicas.
                 if (info != nullptr && info->touched)
                     sys.driver->handleFault(gpu, page, true, true, now);
+                break;
+              case 5:
+                // Lane accesses fill the TLBs, so the audits also check
+                // TLB coherence and the L1 shootdown filter.
+                for (int i = 0; i < 16; ++i)
+                    sys.gpu(static_cast<unsigned>(gpu))
+                        .translate(static_cast<unsigned>(rng.below(4)),
+                                   rng.below(64), false, now);
                 break;
               default:
                 sys.driver->injectCapacityPressure(gpu, 2, now);
@@ -423,6 +435,27 @@ TEST(InvariantAuditor, DetectsPageTableResidencyDrift)
     const auto violations = auditor.audit();
     ASSERT_FALSE(violations.empty());
     EXPECT_EQ(violations.front().code, sim::ErrorCode::kInvariant);
+}
+
+TEST(InvariantAuditor, ShootdownFilterAuditHoldsAcrossDisplacement)
+{
+    // Lane 0 touches twice as many mapped pages as its L1 TLB holds, so
+    // half its fills displace a live entry. The filter must drop those
+    // and the audit, which checks it both ways, must stay clean.
+    MiniSystem sys(2);
+    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    gpu::Gpu &g = sys.gpu(0);
+    const unsigned entries = g.config().l1TlbEntries;
+    sim::Cycle now = 1000;
+    for (sim::PageId page = 0; page < 2 * entries; ++page, now += 500)
+        sys.driver->handleFault(0, page, false, false, now);
+    for (sim::PageId page = 0; page < 2 * entries; ++page)
+        ASSERT_FALSE(g.translate(0, page, false, now).fault) << page;
+
+    sim::InvariantAuditor auditor(*sys.driver);
+    for (const sim::SimError &v : auditor.audit())
+        ADD_FAILURE() << v.str();
+    EXPECT_EQ(g.l1Holders().size(), entries);
 }
 
 // ------------------------------------------------------ chaos end to end
