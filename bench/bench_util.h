@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -38,6 +39,7 @@
 #include "harness/config.h"
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
+#include "harness/record_log.h"
 #include "harness/results_io.h"
 #include "harness/run_journal.h"
 #include "harness/table.h"
@@ -272,17 +274,20 @@ runPlanResilient(harness::ExperimentEngine &engine,
     options.eventBudget = args.eventBudget;
     options.retries = args.retries;
     options.cancelFlag = &cancelFlag();
-    harness::RunJournal journal;
+    harness::RecordLog journal;
     if (!args.journalPath.empty()) {
-        // A binary that sweeps several plans (fig22_24 runs one per
-        // GPU count) shares one journal; re-opens within the process
-        // must append, not truncate away the earlier sweeps.
+        // A fresh sweep starts a new journal. A binary that sweeps
+        // several plans (fig22_24 runs one per GPU count) shares one,
+        // so re-opens within the process keep the earlier sweeps.
         static std::vector<std::string> opened;
         const bool reopened =
             std::find(opened.begin(), opened.end(), args.journalPath) !=
             opened.end();
-        journal.open(args.journalPath, args.cli.program(),
-                     args.resume || reopened);
+        if (!args.resume && !reopened)
+            std::remove(args.journalPath.c_str());
+        journal.open(args.journalPath,
+                     {harness::kJournalSchema, harness::kJournalVersion,
+                      args.cli.program()});
         if (!reopened)
             opened.push_back(args.journalPath);
         options.journal = &journal;

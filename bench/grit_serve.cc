@@ -35,6 +35,7 @@
 
 #include "bench_util.h"
 #include "harness/record_frame.h"
+#include "harness/record_log.h"
 #include "service/server.h"
 #include "simcore/fault_injector.h"
 #include "stats/result_sink.h"
@@ -118,8 +119,10 @@ main(int argc, char **argv)
                     "--compact and --corrupt are mutually exclusive",
                     "grit_serve");
             if (compact) {
-                service::ResultStore store;
-                store.open(storePath);
+                harness::RecordLog store;
+                store.open(storePath, {service::Server::kStoreSchema,
+                                       service::Server::kStoreVersion,
+                                       {}});
                 const harness::ScrubStats scrub = store.scrubStats();
                 const auto stats = store.compact();
                 std::cout << "scanned " << scrub.scanned

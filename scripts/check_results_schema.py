@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a "grit-results" JSON document (schema version 1 or 2).
+"""Validate a "grit-results" JSON document (schema version 2).
 
 Usage: check_results_schema.py FILE [FILE ...]
        some_binary --json - | check_results_schema.py -
@@ -8,9 +8,8 @@ The schema is documented in docs/METRICS.md. This checker is
 intentionally stdlib-only so it runs anywhere CI runs. It validates the
 envelope, the per-run metric keys and types, the latency-breakdown and
 scheme-accesses sub-objects, optional timelines, the tables section,
-and the version-2 additions (per-run partial/error, the failure
-manifest, and the sweep-stats section). Version 2 is purely additive,
-so version-1 documents keep validating unchanged.
+per-run partial/error, the failure manifest, the sweep-stats section
+and the service-counters section.
 Exit status is 0 when every input validates, 1 otherwise.
 """
 
@@ -18,7 +17,7 @@ import json
 import sys
 
 SCHEMA_NAME = "grit-results"
-SCHEMA_VERSIONS = (1, 2)
+SCHEMA_VERSION = 2
 
 ERROR_CODES = [
     "config-invalid",
@@ -254,8 +253,8 @@ def check_document(doc, where):
     expect(doc.get("schema") == SCHEMA_NAME, where,
            f"schema must be {SCHEMA_NAME!r}, got {doc.get('schema')!r}")
     version = doc.get("version")
-    expect(version in SCHEMA_VERSIONS, where,
-           f"version must be one of {SCHEMA_VERSIONS}, got {version!r}")
+    expect(version == SCHEMA_VERSION, where,
+           f"version must be {SCHEMA_VERSION}, got {version!r}")
     expect_type(doc.get("generator"), str, f"{where}.generator")
     expect_type(doc.get("title"), str, f"{where}.title")
     params = doc.get("params")
@@ -271,16 +270,14 @@ def check_document(doc, where):
         check_run(run, f"{where}.runs[{i}]")
     for i, table in enumerate(doc.get("tables", [])):
         check_table(table, f"{where}.tables[{i}]")
+    for i, failure in enumerate(doc.get("failures", [])):
+        check_failure(failure, f"{where}.failures[{i}]")
+    if "sweep" in doc:
+        check_sweep(doc["sweep"], f"{where}.sweep")
+    if "service" in doc:
+        check_service(doc["service"], f"{where}.service")
     known = {"schema", "version", "generator", "title", "params", "runs",
-             "tables"}
-    if version >= 2:
-        known |= {"failures", "sweep", "service"}
-        for i, failure in enumerate(doc.get("failures", [])):
-            check_failure(failure, f"{where}.failures[{i}]")
-        if "sweep" in doc:
-            check_sweep(doc["sweep"], f"{where}.sweep")
-        if "service" in doc:
-            check_service(doc["service"], f"{where}.service")
+             "tables", "failures", "sweep", "service"}
     extra = set(doc) - known
     expect(not extra, where, f"unknown top-level keys: {sorted(extra)}")
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "harness/record_log.h"
 #include "harness/run_journal.h"
 #include "harness/simulator.h"
 #include "simcore/log.h"
@@ -153,7 +154,7 @@ struct CellOutcome
 
 /** Journal I/O must never take down the sweep that feeds it. */
 void
-tryAppend(RunJournal *journal, const JournalEntry &entry)
+tryAppend(RecordLog *journal, const JournalEntry &entry)
 {
     if (journal == nullptr)
         return;

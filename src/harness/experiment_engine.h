@@ -31,7 +31,7 @@
 
 namespace grit::harness {
 
-class RunJournal;
+class RecordLog;
 
 /** One experiment cell: a workload run under one configuration. */
 struct RunCell
@@ -96,7 +96,7 @@ struct ResilientOptions
      * Journal completed cells here and skip cells the journal already
      * holds; nullptr disables journaling. Non-owning; must be open.
      */
-    RunJournal *journal = nullptr;
+    RecordLog *journal = nullptr;
     /** Per-run wall-clock deadline (seconds); 0 keeps each config's. */
     double wallDeadlineSec = 0.0;
     /** Per-run executed-event budget; 0 keeps each config's. */

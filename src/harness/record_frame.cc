@@ -130,14 +130,7 @@ unframeRecord(std::string_view line)
 {
     UnframedRecord record;
     if (line.substr(0, kFrameMagic.size()) != kFrameMagic) {
-        // Not a frame. Legacy records are bare JSON object lines; a
-        // line that is neither is damage (e.g. a bitflip in the magic).
-        if (!line.empty() && line.front() == '{') {
-            record.kind = RecordKind::kLegacy;
-            record.payload = line;
-        } else {
-            record.reason = "neither a frame nor a JSON record";
-        }
+        record.reason = "not a frame";
         return record;
     }
     // "GF1 " + 8 hex + ' ' + 8 hex + ' ' = 22 bytes of header.

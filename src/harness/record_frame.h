@@ -1,23 +1,22 @@
 /**
  * @file
- * Integrity-checked record framing shared by every append-only JSONL
- * surface (the run journal and the service result store).
+ * Integrity-checked record framing of the append-only record files
+ * (harness/record_log.h: the run journal and the service result store).
  *
  * Each appended record is wrapped in a one-line frame carrying a
  * length prefix and a CRC32C of the payload:
  *
  *   GF1 <len:8 hex> <crc:8 hex> <payload>\n
  *
- * The frame is pure ASCII, so framed files remain greppable JSONL and
- * legacy (unframed) records — plain JSON objects starting with '{' —
- * are still readable: unframeRecord() classifies every line as framed,
- * legacy, or corrupt. A flipped bit anywhere in a framed record fails
- * the CRC (or breaks the magic) instead of being parsed as a valid
- * outcome, which is what lets the loaders *scrub*: skip-and-quarantine
- * the damaged record and keep everything after it, rather than
- * truncating the file at the first bad byte.
+ * The frame is pure ASCII, so framed files remain greppable JSONL.
+ * unframeRecord() classifies every line as framed or corrupt: a flipped
+ * bit anywhere in a framed record fails the CRC (or breaks the magic)
+ * instead of being parsed as a valid outcome, which is what lets the
+ * loader *scrub*: skip-and-quarantine the damaged record and keep
+ * everything after it, rather than truncating the file at the first
+ * bad byte.
  *
- * Also here: the shared scan/quarantine helpers the loaders use
+ * Also here: the scan/quarantine helpers the loader uses
  * (RecordReader, QuarantineSidecar, ScrubStats) and the seeded
  * corruption injector behind the `store-bitflip` chaos clause.
  */
@@ -48,25 +47,26 @@ std::string frameRecord(std::string_view payload);
 /** What unframeRecord() decided a line is. */
 enum class RecordKind {
     kFramed,  //!< valid frame; payload verified by CRC
-    kLegacy,  //!< pre-framing record (a bare JSON object line)
-    kCorrupt, //!< broken frame or CRC mismatch — quarantine it
+    kCorrupt, //!< anything else — quarantine it
 };
 
 /** One classified line. payload views into the input line. */
 struct UnframedRecord
 {
     RecordKind kind = RecordKind::kCorrupt;
-    /** The record payload (kFramed / kLegacy only). */
+    /** The record payload (kFramed only). */
     std::string_view payload;
     /** Why the line was rejected (kCorrupt only). */
     std::string reason;
 };
 
 /**
- * Classify one line: a CRC-verified frame, a legacy unframed record
- * (starts with '{'; the caller still JSON-validates it), or corrupt.
+ * Classify one line as a CRC-verified frame or corrupt. The result's
+ * payload views @p line, which must outlive it.
  */
 UnframedRecord unframeRecord(std::string_view line);
+/** A temporary line would leave the payload dangling. */
+UnframedRecord unframeRecord(std::string &&line) = delete;
 
 /** Startup-scrub counters (the service's store_* counters). */
 struct ScrubStats

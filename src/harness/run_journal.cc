@@ -3,9 +3,6 @@
 #include <bit>
 #include <sstream>
 
-#include <unistd.h>
-
-#include "simcore/log.h"
 #include "stats/timeline.h"
 #include "workload/apps.h"
 
@@ -409,165 +406,6 @@ journalEntryFromLine(const std::string &line)
             throw;
         journalFail(std::string("malformed journal line: ") + e.what());
     }
-}
-
-void
-RunJournal::open(const std::string &path, const std::string &generator,
-                 bool resume)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    path_ = path;
-    entries_.clear();
-    index_.clear();
-    scrub_ = {};
-    if (resume)
-        loadExisting(generator);
-
-    // The writing stream is ALWAYS append-mode: O_APPEND places every
-    // physical write at end-of-file, so two handles on the same path
-    // (a resumed sweep racing a straggler worker) interleave at line
-    // granularity instead of overwriting each other through stale
-    // stream positions. A fresh (non-resume) open truncates first,
-    // through a throwaway stream.
-    const bool fresh = !resume || entries_.empty();
-    if (fresh)
-        std::ofstream(path, std::ios::out | std::ios::trunc);
-    out_.open(path, std::ios::out | std::ios::app);
-    if (!out_)
-        journalFail("cannot open journal for writing", path);
-    if (fresh) {
-        std::ostringstream os;
-        stats::JsonWriter w(os);
-        w.beginObject();
-        w.key("schema").value(kSchemaName);
-        w.key("version").value(std::uint64_t{kSchemaVersion});
-        w.key("generator").value(generator);
-        w.endObject();
-        out_ << os.str() << '\n';
-        out_.flush();
-    }
-}
-
-void
-RunJournal::loadExisting(const std::string &generator)
-{
-    RecordReader reader(path_);
-    if (!reader.isOpen())
-        return;  // nothing to resume from; open() writes a fresh file
-    std::string line;
-    if (!reader.next(line) || line.empty())
-        return;  // empty or headerless file: treat as fresh
-    try {
-        const stats::JsonValue header = stats::JsonValue::parse(line);
-        if (header.at("schema").asString() != kSchemaName)
-            journalFail("not a run journal (schema mismatch)", path_);
-        if (header.at("version").asUint64() != kSchemaVersion)
-            journalFail("unsupported journal version " +
-                            std::to_string(
-                                header.at("version").asUint64()),
-                        path_);
-        if (header.at("generator").asString() != generator)
-            journalFail("journal belongs to generator '" +
-                            header.at("generator").asString() +
-                            "', not '" + generator + "'",
-                        path_);
-    } catch (const std::runtime_error &e) {
-        if (dynamic_cast<const sim::SimException *>(&e))
-            throw;
-        journalFail(std::string("malformed journal header: ") + e.what(),
-                    path_);
-    }
-
-    QuarantineSidecar quarantine(path_);
-    while (reader.next(line)) {
-        if (line.empty())
-            continue;
-        ++scrub_.scanned;
-        // Scrub: a corrupt record (failed frame/CRC, or unparseable
-        // legacy JSON) is quarantined and *skipped* — every intact
-        // record after it is still replayed. Only the unterminated
-        // tail below is truncated.
-        const UnframedRecord record = unframeRecord(line);
-        std::string reason = record.reason;
-        bool ok = false;
-        JournalEntry entry;
-        if (record.kind != RecordKind::kCorrupt) {
-            try {
-                entry = journalEntryFromLine(
-                    std::string(record.payload));
-                ok = true;
-            } catch (const sim::SimException &e) {
-                reason = e.error().message;
-            }
-        }
-        if (!ok) {
-            ++scrub_.quarantined;
-            quarantine.add(line);
-            GRIT_LOG(sim::LogLevel::kWarn,
-                     "journal " + path_ + ": quarantined record " +
-                         std::to_string(scrub_.scanned) + " (" + reason +
-                         ") -> " + quarantine.path());
-            continue;
-        }
-        ++scrub_.valid;
-        auto owned = std::make_unique<JournalEntry>(std::move(entry));
-        index_[owned->fingerprint] = owned.get();
-        entries_.push_back(std::move(owned));
-    }
-
-    // Truncate an unterminated torn tail (crash mid-append) before
-    // open() reattaches the append stream — otherwise the next append
-    // would concatenate onto the torn bytes and corrupt itself too.
-    if (reader.tornTail() && !entries_.empty()) {
-        ++scrub_.truncated;
-        GRIT_LOG(sim::LogLevel::kWarn,
-                 "journal " + path_ + ": truncating torn tail at byte " +
-                     std::to_string(reader.terminatedBytes()));
-        if (::truncate(path_.c_str(),
-                       static_cast<off_t>(reader.terminatedBytes())) !=
-            0)
-            journalFail("cannot truncate torn journal tail", path_);
-    }
-}
-
-std::size_t
-RunJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-ScrubStats
-RunJournal::scrubStats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scrub_;
-}
-
-const JournalEntry *
-RunJournal::find(const std::string &fingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(fingerprint);
-    return it == index_.end() ? nullptr : it->second;
-}
-
-void
-RunJournal::append(const JournalEntry &entry)
-{
-    std::string line = frameRecord(journalLine(entry));
-    line.push_back('\n');
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!out_.is_open())
-        journalFail("append to a journal that was never opened", path_);
-    // One write + flush per record: under the append-mode stream the
-    // whole line lands at end-of-file in a single physical append, so
-    // concurrent writers interleave records, never bytes.
-    out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-    out_.flush();
-    auto owned = std::make_unique<JournalEntry>(entry);
-    index_[owned->fingerprint] = owned.get();
-    entries_.push_back(std::move(owned));
 }
 
 }  // namespace grit::harness

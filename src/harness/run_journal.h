@@ -1,51 +1,40 @@
 /**
  * @file
- * Append-only run journal: the crash-safe checkpoint behind resumable
- * sweeps (`--journal` / `--resume`).
+ * What the run journal (`--journal` / `--resume`) and the simulation
+ * service's result store record: cell fingerprints and the lossless
+ * JSON of each cell's outcome.
  *
- * Every completed cell of a RunPlan is appended as one self-contained
- * JSONL record keyed by a deterministic fingerprint of the cell
- * (config digest + workload + scheme label + seed) and flushed before
- * the engine moves on, so a killed sweep loses at most the runs that
- * were still in flight. On resume, journaled cells are skipped and
- * their results replayed from the journal; because every RunResult
- * field is an integer or a string, the round trip is lossless and the
- * merged output is byte-identical to an uninterrupted sweep.
- *
- * File layout: a plain-JSON header line
- *   {"schema":"grit-run-journal","version":2,"generator":"<binary>"}
- * followed by one integrity-framed entry per line (length prefix +
- * CRC32C, harness/record_frame.h). Resume runs a scrub: a corrupt
- * record (flipped bit, torn middle) is skipped and preserved in the
- * `<path>.quarantine` sidecar while every intact record before and
- * after it is replayed; an unterminated final line — the signature of
- * a crash mid-append — is truncated away before appending resumes, so
- * new records never concatenate onto torn bytes. Legacy journals with
- * unframed (bare JSON) entry lines load transparently. Version 2 added
- * the "accesses_batched" run field; version-1 journals are rejected on
- * resume (re-running the sweep is cheaper than replaying a record that
- * silently zeroes a now-exported metric).
+ * Every completed cell of a RunPlan is recorded as one self-contained
+ * JournalEntry keyed by a deterministic fingerprint of the cell
+ * (config digest + workload + scheme label + seed). On resume,
+ * journaled cells are skipped and their results replayed; because
+ * every RunResult field is an integer or a string, the round trip is
+ * lossless and the merged output is byte-identical to an uninterrupted
+ * sweep. The file itself is a harness::RecordLog (record_log.h).
  */
 
 #ifndef GRIT_HARNESS_RUN_JOURNAL_H_
 #define GRIT_HARNESS_RUN_JOURNAL_H_
 
 #include <cstdint>
-#include <fstream>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "harness/experiment_engine.h"
-#include "harness/record_frame.h"
 #include "harness/simulator.h"
 #include "stats/json_value.h"
 #include "stats/json_writer.h"
 
 namespace grit::harness {
+
+/**
+ * Header identity of a sweep journal, whose generator is the sweeping
+ * binary. Version 2 added the "accesses_batched" run field; version-1
+ * journals are refused on resume (re-running the sweep is cheaper than
+ * replaying a record that silently zeroes a now-exported metric).
+ */
+inline constexpr const char *kJournalSchema = "grit-run-journal";
+inline constexpr unsigned kJournalVersion = 2;
 
 /**
  * Order-independent digest of the SystemConfig knobs a sweep varies
@@ -102,54 +91,6 @@ JournalEntry journalEntryFromJson(const stats::JsonValue &v);
 std::string journalLine(const JournalEntry &entry);
 /** Parse one journal line. @throws SimException (kJournal). */
 JournalEntry journalEntryFromLine(const std::string &line);
-
-/**
- * The append-only journal file. Thread-safe: engine workers append
- * concurrently; each append writes one line and flushes it.
- */
-class RunJournal
-{
-  public:
-    static constexpr const char *kSchemaName = "grit-run-journal";
-    static constexpr unsigned kSchemaVersion = 2;
-
-    /**
-     * Open @p path for appending. With @p resume, an existing file is
-     * loaded first (header validated, entries indexed) and appended
-     * to; without it the file is truncated and a fresh header written.
-     * @throws sim::SimException (kJournal) when the file cannot be
-     *         opened or an existing header names a different schema,
-     *         version, or generator.
-     */
-    void open(const std::string &path, const std::string &generator,
-              bool resume);
-
-    bool isOpen() const { return out_.is_open(); }
-    const std::string &path() const { return path_; }
-
-    /** Entries loaded or appended so far. */
-    std::size_t size() const;
-
-    /** Scrub tally of the most recent resume-open (zeros if fresh). */
-    ScrubStats scrubStats() const;
-
-    /** Journaled outcome for @p fingerprint; nullptr when absent. */
-    const JournalEntry *find(const std::string &fingerprint) const;
-
-    /** Append @p entry and flush the line. Thread-safe. */
-    void append(const JournalEntry &entry);
-
-  private:
-    void loadExisting(const std::string &generator);
-
-    mutable std::mutex mutex_;
-    std::ofstream out_;
-    std::string path_;
-    ScrubStats scrub_;
-    /** unique_ptr keeps addresses stable for index_ across growth. */
-    std::vector<std::unique_ptr<JournalEntry>> entries_;
-    std::unordered_map<std::string, const JournalEntry *> index_;
-};
 
 }  // namespace grit::harness
 

@@ -25,7 +25,7 @@ void
 Server::start()
 {
     if (!options_.storePath.empty())
-        store_.open(options_.storePath);
+        store_.open(options_.storePath, {kStoreSchema, kStoreVersion, {}});
     for (unsigned i = 0; i < std::max(1u, options_.workers); ++i)
         workers_.emplace_back([this] { workerLoop(); });
     if (!options_.socketPath.empty()) {
@@ -132,7 +132,8 @@ Server::handle(const Request &request)
                 "no result store configured (--store); nothing to "
                 "compact",
                 "grit-service"));
-        const ResultStore::CompactionStats stats = store_.compact();
+        const harness::RecordLog::CompactionStats stats =
+            store_.compact();
         GRIT_LOG(sim::LogLevel::kInfo,
                  "store compacted: kept " << stats.kept << " of "
                                           << stats.recordsIn
@@ -335,15 +336,16 @@ Server::execute(Job &job)
         failures_.fetch_add(1, std::memory_order_relaxed);
 
     // Persist before acknowledging: a client that saw "ok" must find
-    // the result cached across any later crash. Failures are never
-    // stored — a transient fault must not poison the cache. A failed
-    // append (e.g. disk full) must not be papered over either: the
-    // client still gets its result, but with persisted:false so it
-    // knows the durability guarantee does not cover this cell.
+    // the result cached across any later crash. Only complete results
+    // are stored — a failure or a salvaged partial must not poison the
+    // cache. A failed append (e.g. disk full) must not be papered over
+    // either: the client still gets its result, but with
+    // persisted:false so it knows the durability guarantee does not
+    // cover this cell.
     bool persisted = false;
-    if (entry.status == "ok" && store_.isOpen()) {
+    if (entry.status == "ok" && !entry.result.partial && store_.isOpen()) {
         try {
-            store_.put(entry);
+            store_.append(entry);
             persisted = true;
         } catch (const std::exception &e) {
             GRIT_LOG(sim::LogLevel::kError,

@@ -1,7 +1,7 @@
 /**
  * @file
  * The simulation-service daemon core: accepts grit-service requests,
- * serves completed cells from the content-addressed ResultStore,
+ * serves completed cells from the content-addressed result store,
  * deduplicates identical in-flight cells onto a single execution, and
  * schedules misses onto ExperimentEngine workers through a bounded
  * fair-share admission queue.
@@ -44,9 +44,9 @@
 #include <vector>
 
 #include "harness/experiment_engine.h"
+#include "harness/record_log.h"
 #include "service/protocol.h"
 #include "service/request_queue.h"
-#include "service/result_store.h"
 
 namespace grit::service {
 
@@ -56,6 +56,10 @@ class Server
   public:
     /** Daemon software identity, reported by the "ping" op. */
     static constexpr const char *kVersion = "grit_serve/2";
+
+    /** Header identity of the result-store file (no generator). */
+    static constexpr const char *kStoreSchema = "grit-result-store";
+    static constexpr unsigned kStoreVersion = 1;
 
     struct Options
     {
@@ -119,7 +123,7 @@ class Server
     /** Snapshot of the service.* counters. */
     ServiceCounters counters() const;
 
-    const ResultStore &store() const { return store_; }
+    const harness::RecordLog &store() const { return store_; }
     const std::string &socketPath() const { return options_.socketPath; }
 
   private:
@@ -157,7 +161,7 @@ class Server
     void reapConnections();
 
     Options options_;
-    ResultStore store_;
+    harness::RecordLog store_;
     FairShareQueue queue_;
     harness::ExperimentEngine engine_;
     std::atomic<bool> draining_{false};

@@ -40,8 +40,12 @@ shell(AppId app, const WorkloadParams &params)
     w.suite = meta.suite;
     w.pattern = meta.pattern;
     w.paperFootprintMB = meta.paperFootprintMB;
-    w.footprintGenPages = static_cast<std::uint64_t>(
-        meta.paperFootprintMB) * 256 / params.footprintDivisor;
+    // The floor gives every per-GPU region slice at least one page at
+    // any divisor; it cannot bind at the default divisor.
+    w.footprintGenPages = std::max<std::uint64_t>(
+        std::uint64_t{meta.paperFootprintMB} * 256 /
+            params.footprintDivisor,
+        std::uint64_t{8} * params.numGpus);
     return w;
 }
 

@@ -58,7 +58,8 @@ struct WorkloadParams
     unsigned numGpus = 4;
     /**
      * Footprint scale: generated 4 KB pages =
-     * paperFootprintMB * 256 / footprintDivisor.
+     * paperFootprintMB * 256 / footprintDivisor, but at least
+     * 8 * numGpus.
      */
     unsigned footprintDivisor = 16;
     /** Deterministic RNG seed. */

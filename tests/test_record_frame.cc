@@ -1,10 +1,9 @@
 /** @file Record-framing suite: CRC32C correctness, frame/unframe round
- *  trips, legacy/corrupt classification, torn-tail scanning, the
+ *  trips, corrupt-line classification, torn-tail scanning, the
  *  quarantine sidecar, and the seeded store-bitflip injector. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,30 +12,12 @@
 
 #include "harness/record_frame.h"
 #include "simcore/sim_error.h"
+#include "temp_path.h"
 
 namespace grit::harness {
 namespace {
 
-/** Self-deleting temp file path. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    ~TempPath()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::TempPath;
 
 std::string
 slurp(const std::string &path)
@@ -109,8 +90,8 @@ TEST(RecordFrame, RoundTripsEmptyAndLargePayloads)
          {std::size_t{0}, std::size_t{1}, std::size_t{4096},
           std::size_t{1} << 16}) {
         const std::string payload(n, 'x');
-        const UnframedRecord record =
-            unframeRecord(frameRecord(payload));
+        const std::string line = frameRecord(payload);
+        const UnframedRecord record = unframeRecord(line);
         EXPECT_EQ(record.kind, RecordKind::kFramed);
         EXPECT_EQ(record.payload, payload);
     }
@@ -118,9 +99,13 @@ TEST(RecordFrame, RoundTripsEmptyAndLargePayloads)
 
 TEST(RecordFrame, ClassifiesLegacyJsonLines)
 {
-    const UnframedRecord record = unframeRecord("{\"legacy\":true}");
-    EXPECT_EQ(record.kind, RecordKind::kLegacy);
-    EXPECT_EQ(record.payload, "{\"legacy\":true}");
+    // A bare JSON record line (the pre-framing format) carries no CRC,
+    // so nothing vouches for it: it is damage like any other.
+    const std::string_view line = "{\"legacy\":true}";
+    const UnframedRecord record = unframeRecord(line);
+    EXPECT_EQ(record.kind, RecordKind::kCorrupt);
+    EXPECT_TRUE(record.payload.empty());
+    EXPECT_FALSE(record.reason.empty());
 }
 
 TEST(RecordFrame, ClassifiesGarbageAsCorrupt)
@@ -318,11 +303,9 @@ TEST(InjectBitflips, DamagedFrameFailsValidation)
         const UnframedRecord record = unframeRecord(line);
         // A flip inside the frame must never verify as the original
         // payload; almost always it is plain corrupt.
-        if (record.kind == RecordKind::kFramed)
+        if (record.kind == RecordKind::kFramed) {
             EXPECT_EQ(record.payload, payload) << "seed " << seed;
-        else
-            EXPECT_NE(record.kind, RecordKind::kLegacy)
-                << "seed " << seed;
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-/** @file Resilient-sweep suite: run-journal round trips, crash-safe
+/** @file Resilient-sweep suite: journal-entry round trips, crash-safe
  *  resume bit-identity, watchdog deadlines and event budgets, hung-cell
  *  quarantine with partial-result salvage, cooperative cancellation,
  *  and the byte-budgeted LRU trace cache. */
@@ -7,23 +7,21 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdio>
-#include <fstream>
-#include <iomanip>
 #include <memory>
 #include <sstream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
+#include "harness/record_log.h"
 #include "harness/run_journal.h"
 #include "harness/simulator.h"
 #include "simcore/sim_error.h"
 #include "stats/json_value.h"
 #include "stats/json_writer.h"
+#include "temp_path.h"
 #include "workload/apps.h"
 #include "workload/trace_cache.h"
 
@@ -102,26 +100,11 @@ expectSameMatrix(const ResultMatrix &a, const ResultMatrix &b)
     }
 }
 
-/** RAII temp file path deleted at scope exit. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    ~TempPath()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    const std::string &str() const { return path_; }
+/** Sweep-journal identity of this suite's journals. */
+const RecordLogHeader kJournal{kJournalSchema, kJournalVersion,
+                               "test_resilience"};
 
-  private:
-    std::string path_;
-};
+using test::TempPath;
 
 // ----------------------------------------------------------- fingerprints
 
@@ -250,302 +233,6 @@ TEST(RunJournalFormat, RejectsMalformedLines)
     }
 }
 
-// ----------------------------------------------------------- journal file
-
-TEST(RunJournalFile, AppendReopenResumeAndTornTail)
-{
-    TempPath path("grit_journal_test.jsonl");
-    JournalEntry entry;
-    entry.fingerprint = "0123456789abcdef";
-    entry.row = "ST";
-    entry.label = "on-touch";
-    entry.status = "ok";
-    entry.hasResult = true;
-    entry.result.cycles = 1234;
-
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
-        ASSERT_TRUE(journal.isOpen());
-        EXPECT_EQ(journal.size(), 0u);
-        journal.append(entry);
-        EXPECT_EQ(journal.size(), 1u);
-        ASSERT_NE(journal.find(entry.fingerprint), nullptr);
-        EXPECT_EQ(journal.find("ffffffffffffffff"), nullptr);
-    }
-
-    // Simulate a crash mid-append: a torn final line must be ignored.
-    {
-        std::ofstream torn(path.str(), std::ios::app);
-        torn << "{\"fingerprint\":\"fedcba98";
-    }
-
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/true);
-        EXPECT_EQ(journal.size(), 1u);
-        const JournalEntry *found = journal.find(entry.fingerprint);
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(found->result.cycles, 1234u);
-    }
-
-    // A different generator must be rejected: fingerprints are only
-    // comparable within one binary's plan.
-    RunJournal wrong;
-    EXPECT_THROW(wrong.open(path.str(), "other_bench", /*resume=*/true),
-                 sim::SimException);
-
-    // Opening without resume truncates.
-    RunJournal fresh;
-    fresh.open(path.str(), "test_resilience", /*resume=*/false);
-    EXPECT_EQ(fresh.size(), 0u);
-}
-
-TEST(RunJournalFile, ConcurrentAppendsFromManyThreads)
-{
-    // Parallel sweep workers journal through one shared RunJournal;
-    // every line must land intact (no interleaved bytes) and every
-    // record must survive a resume.
-    TempPath path("grit_journal_threads.jsonl");
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kPerThread = 50;
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
-        std::vector<std::thread> writers;
-        for (unsigned t = 0; t < kThreads; ++t)
-            writers.emplace_back([&journal, t] {
-                for (unsigned i = 0; i < kPerThread; ++i) {
-                    JournalEntry entry;
-                    std::ostringstream fp;
-                    fp << std::hex << std::setw(8) << std::setfill('0')
-                       << t << std::setw(8) << i;
-                    entry.fingerprint = fp.str();
-                    entry.row = "GEMM";
-                    entry.label = "w" + std::to_string(t);
-                    entry.status = "ok";
-                    entry.hasResult = true;
-                    entry.result.cycles = t * 1000ull + i;
-                    journal.append(entry);
-                }
-            });
-        for (std::thread &w : writers)
-            w.join();
-        EXPECT_EQ(journal.size(), kThreads * kPerThread);
-    }
-
-    RunJournal reloaded;
-    reloaded.open(path.str(), "test_resilience", /*resume=*/true);
-    ASSERT_EQ(reloaded.size(), kThreads * kPerThread);
-    for (unsigned t = 0; t < kThreads; ++t)
-        for (unsigned i = 0; i < kPerThread; ++i) {
-            std::ostringstream fp;
-            fp << std::hex << std::setw(8) << std::setfill('0') << t
-               << std::setw(8) << i;
-            const JournalEntry *found = reloaded.find(fp.str());
-            ASSERT_NE(found, nullptr) << fp.str();
-            EXPECT_EQ(found->result.cycles, t * 1000ull + i);
-        }
-}
-
-TEST(RunJournalFile, TwoWritersOnePathInterleaveAtLineGranularity)
-{
-    // Two journal handles on the same file — the multi-process analogue
-    // of a resumed sweep racing a straggler. Appends go through
-    // append-mode streams, so lines interleave whole, never torn, and
-    // a torn tail left by a third (crashed) writer is still tolerated.
-    TempPath path("grit_journal_two_writers.jsonl");
-    RunJournal first;
-    first.open(path.str(), "test_resilience", /*resume=*/false);
-    RunJournal second;
-    second.open(path.str(), "test_resilience", /*resume=*/true);
-
-    constexpr unsigned kPerWriter = 100;
-    auto writeVia = [](RunJournal &journal, const std::string &prefix) {
-        for (unsigned i = 0; i < kPerWriter; ++i) {
-            JournalEntry entry;
-            std::ostringstream fp;
-            fp << prefix << std::hex << std::setw(8)
-               << std::setfill('0') << i;
-            entry.fingerprint = fp.str();
-            entry.row = "BFS";
-            entry.label = prefix;
-            entry.status = "ok";
-            entry.hasResult = true;
-            entry.result.cycles = i + 1;
-            journal.append(entry);
-        }
-    };
-    std::thread a([&] { writeVia(first, "aaaaaaaa"); });
-    std::thread b([&] { writeVia(second, "bbbbbbbb"); });
-    a.join();
-    b.join();
-
-    {
-        std::ofstream torn(path.str(), std::ios::app);
-        torn << "{\"fingerprint\":\"cccccccc";
-    }
-
-    RunJournal reloaded;
-    reloaded.open(path.str(), "test_resilience", /*resume=*/true);
-    EXPECT_EQ(reloaded.size(), 2 * kPerWriter);
-    for (unsigned i = 0; i < kPerWriter; ++i) {
-        std::ostringstream a_fp, b_fp;
-        a_fp << "aaaaaaaa" << std::hex << std::setw(8)
-             << std::setfill('0') << i;
-        b_fp << "bbbbbbbb" << std::hex << std::setw(8)
-             << std::setfill('0') << i;
-        ASSERT_NE(reloaded.find(a_fp.str()), nullptr) << a_fp.str();
-        ASSERT_NE(reloaded.find(b_fp.str()), nullptr) << b_fp.str();
-    }
-}
-
-TEST(RunJournalFile, ResumesMixedLegacyAndFramedFiles)
-{
-    // A journal written partly before record framing existed (bare
-    // JSON entry lines) and partly after must resume transparently.
-    TempPath path("grit_journal_mixed.jsonl");
-    JournalEntry legacy;
-    legacy.fingerprint = "1111111111111111";
-    legacy.row = "GEMM";
-    legacy.label = "grit";
-    legacy.status = "ok";
-    legacy.hasResult = true;
-    legacy.result.cycles = 11;
-    JournalEntry framed = legacy;
-    framed.fingerprint = "2222222222222222";
-    framed.result.cycles = 22;
-    {
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "{\"schema\":\"grit-run-journal\",\"version\":2,"
-               "\"generator\":\"test_resilience\"}\n"
-            << journalLine(legacy) << "\n"
-            << frameRecord(journalLine(framed)) << "\n";
-    }
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/true);
-        ASSERT_EQ(journal.size(), 2u);
-        EXPECT_EQ(journal.scrubStats().valid, 2u);
-        EXPECT_EQ(journal.scrubStats().quarantined, 0u);
-        EXPECT_EQ(journal.find("1111111111111111")->result.cycles, 11u);
-        EXPECT_EQ(journal.find("2222222222222222")->result.cycles, 22u);
-        // New appends land framed behind the legacy records.
-        JournalEntry fresh = legacy;
-        fresh.fingerprint = "3333333333333333";
-        fresh.result.cycles = 33;
-        journal.append(fresh);
-    }
-    RunJournal reloaded;
-    reloaded.open(path.str(), "test_resilience", /*resume=*/true);
-    EXPECT_EQ(reloaded.size(), 3u);
-    EXPECT_EQ(reloaded.find("3333333333333333")->result.cycles, 33u);
-}
-
-TEST(RunJournalFile, MidFileCorruptionIsQuarantinedNotTruncated)
-{
-    TempPath path("grit_journal_corrupt.jsonl");
-    auto makeEntry = [](const std::string &fp, std::uint64_t cycles) {
-        JournalEntry entry;
-        entry.fingerprint = fp;
-        entry.row = "ST";
-        entry.label = "grit";
-        entry.status = "ok";
-        entry.hasResult = true;
-        entry.result.cycles = cycles;
-        return entry;
-    };
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
-        journal.append(makeEntry("aaaaaaaaaaaaaaaa", 1));
-        journal.append(makeEntry("bbbbbbbbbbbbbbbb", 2));
-        journal.append(makeEntry("cccccccccccccccc", 3));
-    }
-    // Flip one byte inside the SECOND entry's frame (file line 3).
-    {
-        std::ifstream in(path.str(), std::ios::binary);
-        std::vector<std::string> lines;
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-        in.close();
-        ASSERT_EQ(lines.size(), 4u);
-        lines[2][40] = static_cast<char>(lines[2][40] ^ 0x80);
-        std::ofstream out(path.str(),
-                          std::ios::binary | std::ios::trunc);
-        for (const std::string &l : lines)
-            out << l << "\n";
-    }
-    RunJournal journal;
-    journal.open(path.str(), "test_resilience", /*resume=*/true);
-    // The damaged record is skipped; the record AFTER it survives —
-    // scrub-and-quarantine, not truncate-at-first-bad-byte.
-    EXPECT_EQ(journal.size(), 2u);
-    EXPECT_NE(journal.find("aaaaaaaaaaaaaaaa"), nullptr);
-    EXPECT_EQ(journal.find("bbbbbbbbbbbbbbbb"), nullptr);
-    EXPECT_NE(journal.find("cccccccccccccccc"), nullptr);
-    EXPECT_EQ(journal.scrubStats().scanned, 3u);
-    EXPECT_EQ(journal.scrubStats().valid, 2u);
-    EXPECT_EQ(journal.scrubStats().quarantined, 1u);
-
-    // The raw damaged line is preserved for post-mortems.
-    std::ifstream sidecar(path.str() + ".quarantine");
-    ASSERT_TRUE(sidecar.is_open());
-    std::string preserved;
-    EXPECT_TRUE(std::getline(sidecar, preserved));
-}
-
-TEST(RunJournalFile, TornTailIsTruncatedBeforeAppendsResume)
-{
-    TempPath path("grit_journal_torn_append.jsonl");
-    JournalEntry entry;
-    entry.fingerprint = "aaaaaaaaaaaaaaaa";
-    entry.row = "BFS";
-    entry.label = "grit";
-    entry.status = "ok";
-    entry.hasResult = true;
-    entry.result.cycles = 7;
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
-        journal.append(entry);
-    }
-    std::uintmax_t intactBytes = 0;
-    {
-        std::ifstream in(path.str(), std::ios::ate | std::ios::binary);
-        intactBytes = static_cast<std::uintmax_t>(in.tellg());
-    }
-    {
-        std::ofstream torn(path.str(), std::ios::app | std::ios::binary);
-        torn << "GF1 00000040 0000";  // crash mid-frame-header
-    }
-    {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/true);
-        EXPECT_EQ(journal.size(), 1u);
-        EXPECT_EQ(journal.scrubStats().truncated, 1u);
-        // The torn bytes are gone from disk BEFORE the append stream
-        // attaches, so this append starts on a clean line boundary.
-        JournalEntry second = entry;
-        second.fingerprint = "bbbbbbbbbbbbbbbb";
-        journal.append(second);
-    }
-    std::uintmax_t finalBytes = 0;
-    {
-        std::ifstream in(path.str(), std::ios::ate | std::ios::binary);
-        finalBytes = static_cast<std::uintmax_t>(in.tellg());
-    }
-    EXPECT_GT(finalBytes, intactBytes);
-
-    RunJournal reloaded;
-    reloaded.open(path.str(), "test_resilience", /*resume=*/true);
-    EXPECT_EQ(reloaded.size(), 2u);
-    EXPECT_EQ(reloaded.scrubStats().quarantined, 0u);
-    EXPECT_EQ(reloaded.scrubStats().truncated, 0u);
-    EXPECT_NE(reloaded.find("bbbbbbbbbbbbbbbb"), nullptr);
-}
-
 // --------------------------------------------------------- resume merges
 
 TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
@@ -555,8 +242,8 @@ TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
     const ResultMatrix expected = reference.run(plan);
 
     TempPath path("grit_resume_full.jsonl");
-    RunJournal journal;
-    journal.open(path.str(), "test_resilience", /*resume=*/false);
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
     ResilientOptions options;
     options.journal = &journal;
 
@@ -569,8 +256,8 @@ TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
 
     // A second engine resuming from the journal re-simulates nothing
     // and still merges to the bit-identical matrix.
-    RunJournal resumed;
-    resumed.open(path.str(), "test_resilience", /*resume=*/true);
+    RecordLog resumed;
+    resumed.open(path.str(), kJournal);
     ResilientOptions resumeOptions;
     resumeOptions.journal = &resumed;
     ExperimentEngine second;
@@ -596,16 +283,16 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCells)
             half.addCell(cell.row, cell.label, cell.config, cell.app,
                          cell.params);
         }
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
+        RecordLog journal;
+        journal.open(path.str(), kJournal);
         ResilientOptions options;
         options.journal = &journal;
         ExperimentEngine engine;
         ASSERT_TRUE(engine.runResilient(half, options).complete());
     }
 
-    RunJournal journal;
-    journal.open(path.str(), "test_resilience", /*resume=*/true);
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
     ResilientOptions options;
     options.journal = &journal;
     ExperimentEngine engine;
@@ -710,8 +397,8 @@ TEST(ResilientSweep, QuarantinedCellIsReusedAsFailureOnResume)
     ResilientOptions options;
     options.eventBudget = 50000;
     {
-        RunJournal journal;
-        journal.open(path.str(), "test_resilience", /*resume=*/false);
+        RecordLog journal;
+        journal.open(path.str(), kJournal);
         options.journal = &journal;
         ExperimentEngine engine;
         ASSERT_EQ(engine.runResilient(plan, options).failures.size(), 1u);
@@ -719,8 +406,8 @@ TEST(ResilientSweep, QuarantinedCellIsReusedAsFailureOnResume)
 
     // Resume: the quarantined cell is replayed from the journal — same
     // diagnostic, same salvaged counters, no re-simulation.
-    RunJournal journal;
-    journal.open(path.str(), "test_resilience", /*resume=*/true);
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
     options.journal = &journal;
     ExperimentEngine engine;
     const SweepResult sweep = engine.runResilient(plan, options);
@@ -784,8 +471,8 @@ TEST(ResilientSweep, InterruptedCellIsNeverJournaled)
                  workload::AppId::kGemm, fastParams());
 
     TempPath path("grit_cancel.jsonl");
-    RunJournal journal;
-    journal.open(path.str(), "test_resilience", /*resume=*/false);
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
     ResilientOptions options;
     options.journal = &journal;
     options.cancelFlag = &flag;

@@ -1,15 +1,13 @@
-/** @file Simulation-service suite: result-store crash safety and
- *  content addressing, fair-share admission, wire-protocol round
- *  trips, deterministic retry backoff, and the daemon core —
- *  execute/cache/dedupe, overload shedding, drain semantics,
- *  deadline salvage, and worker-count invariance. */
+/** @file Simulation-service suite: fair-share admission, wire-protocol
+ *  round trips, deterministic retry backoff, and the daemon core —
+ *  execute/cache/dedupe, overload shedding, drain semantics, deadline
+ *  salvage, store compaction, and worker-count invariance. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -20,42 +18,23 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "harness/record_frame.h"
+#include "harness/record_log.h"
 #include "harness/run_journal.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/request_queue.h"
-#include "service/result_store.h"
 #include "service/server.h"
 #include "service/socket.h"
 #include "simcore/sim_error.h"
+#include "temp_path.h"
 
 namespace grit::service {
 namespace {
 
-/** RAII temp file path deleted at scope exit. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    ~TempPath()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".quarantine").c_str());
-    }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::TempPath;
 
 /** A complete "ok" journal entry, distinct per @p fingerprint. */
 harness::JournalEntry
@@ -126,348 +105,6 @@ struct Gate
         cv.notify_all();
     }
 };
-
-// ------------------------------------------------------------ ResultStore
-
-TEST(ResultStore, RoundTripsAndSurvivesReopen)
-{
-    TempPath path("store_roundtrip.jsonl");
-    const harness::JournalEntry a = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry b = okEntry("bbbb000011112222", 200);
-    {
-        ResultStore store;
-        store.open(path.str());
-        EXPECT_EQ(store.size(), 0u);
-        EXPECT_EQ(store.find(a.fingerprint), nullptr);
-        store.put(a);
-        store.put(b);
-        store.put(a);  // duplicate fingerprint: first record wins
-        EXPECT_EQ(store.size(), 2u);
-        store.close();
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 2u);
-    const harness::JournalEntry *hitA = store.find(a.fingerprint);
-    const harness::JournalEntry *hitB = store.find(b.fingerprint);
-    ASSERT_NE(hitA, nullptr);
-    ASSERT_NE(hitB, nullptr);
-    // Byte-identical round trip through the journal serialization.
-    EXPECT_EQ(harness::journalLine(*hitA), harness::journalLine(a));
-    EXPECT_EQ(harness::journalLine(*hitB), harness::journalLine(b));
-}
-
-TEST(ResultStore, TornTailIsDroppedAndTruncated)
-{
-    TempPath path("store_torn.jsonl");
-    {
-        ResultStore store;
-        store.open(path.str());
-        store.put(okEntry("aaaa000011112222", 100));
-        store.put(okEntry("bbbb000011112222", 200));
-    }
-    std::uintmax_t intactBytes = 0;
-    {
-        std::ifstream in(path.str(), std::ios::ate | std::ios::binary);
-        intactBytes = static_cast<std::uintmax_t>(in.tellg());
-    }
-    // A kill -9 mid-append leaves an unterminated record fragment.
-    {
-        std::ofstream out(path.str(),
-                          std::ios::app | std::ios::binary);
-        out << "{\"fingerprint\":\"cccc0000";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.find("cccc000011112222"), nullptr);
-    // The torn bytes are gone from disk, so a future append can never
-    // concatenate onto them.
-    std::ifstream in(path.str(), std::ios::ate | std::ios::binary);
-    EXPECT_EQ(static_cast<std::uintmax_t>(in.tellg()), intactBytes);
-    store.put(okEntry("dddd000011112222", 400));
-    ResultStore reopened;
-    reopened.open(path.str());
-    EXPECT_EQ(reopened.size(), 3u);
-}
-
-TEST(ResultStore, RejectsFailuresAndPartials)
-{
-    TempPath path("store_reject.jsonl");
-    ResultStore store;
-    store.open(path.str());
-
-    harness::JournalEntry failed = okEntry("aaaa000011112222", 100);
-    failed.status = "failed";
-    failed.error.emplace(sim::ErrorCode::kDeadline, "budget", "ctx");
-    EXPECT_THROW(store.put(failed), sim::SimException);
-
-    harness::JournalEntry partial = okEntry("bbbb000011112222", 200);
-    partial.result.partial = true;
-    EXPECT_THROW(store.put(partial), sim::SimException);
-
-    EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(ResultStore, RefusesForeignFile)
-{
-    TempPath path("store_foreign.jsonl");
-    {
-        std::ofstream out(path.str());
-        out << "{\"schema\":\"something-else\",\"version\":1}\n";
-    }
-    ResultStore store;
-    EXPECT_THROW(store.open(path.str()), sim::SimException);
-}
-
-TEST(ResultStore, CorruptHeaderFailsWithStoreCorrupt)
-{
-    TempPath path("store_bad_header.jsonl");
-    {
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "not json at all\n";
-        out << harness::frameRecord(
-                   harness::journalLine(okEntry("aaaa000011112222", 1)))
-            << "\n";
-    }
-    ResultStore store;
-    try {
-        store.open(path.str());
-        FAIL() << "opened a store with a damaged header";
-    } catch (const sim::SimException &e) {
-        EXPECT_EQ(e.code(), sim::ErrorCode::kStoreCorrupt);
-    }
-}
-
-TEST(ResultStore, ScrubQuarantinesCorruptRecordAndKeepsTheRest)
-{
-    TempPath path("store_scrub.jsonl");
-    const harness::JournalEntry a = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry b = okEntry("bbbb000011112222", 200);
-    const harness::JournalEntry c = okEntry("cccc000011112222", 300);
-    {
-        ResultStore store;
-        store.open(path.str());
-        store.put(a);
-        store.put(b);
-        store.put(c);
-    }
-    // Flip one payload byte of the SECOND record (file line 3): the
-    // CRC must catch it, and — unlike truncate-at-first-bad-byte —
-    // record c behind it must survive.
-    {
-        std::ifstream in(path.str(), std::ios::binary);
-        std::vector<std::string> lines;
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-        in.close();
-        ASSERT_EQ(lines.size(), 4u);
-        lines[2][30] = static_cast<char>(lines[2][30] ^ 0x80);
-        std::ofstream out(path.str(),
-                          std::ios::binary | std::ios::trunc);
-        for (const std::string &l : lines)
-            out << l << "\n";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_NE(store.find(a.fingerprint), nullptr);
-    EXPECT_EQ(store.find(b.fingerprint), nullptr);
-    EXPECT_NE(store.find(c.fingerprint), nullptr);
-
-    const harness::ScrubStats scrub = store.scrubStats();
-    EXPECT_EQ(scrub.scanned, 3u);
-    EXPECT_EQ(scrub.valid, 2u);
-    EXPECT_EQ(scrub.quarantined, 1u);
-    EXPECT_EQ(scrub.truncated, 0u);
-
-    // The damaged raw line is preserved in the sidecar, not destroyed.
-    std::ifstream sidecar(path.str() + ".quarantine");
-    ASSERT_TRUE(sidecar.is_open());
-    std::string preserved;
-    ASSERT_TRUE(std::getline(sidecar, preserved));
-    EXPECT_EQ(preserved.substr(0, 4), "GF1 ");
-
-    // The quarantined fingerprint can be stored again.
-    store.put(b);
-    EXPECT_EQ(store.size(), 3u);
-}
-
-TEST(ResultStore, SeededBitflipsQuarantineExactlyTheDamage)
-{
-    TempPath path("store_bitflip.jsonl");
-    {
-        ResultStore store;
-        store.open(path.str());
-        for (unsigned i = 0; i < 8; ++i)
-            store.put(okEntry("f0000000000000f" + std::to_string(i),
-                              100 + i));
-    }
-    const harness::CorruptionReport report =
-        harness::injectBitflips(path.str(), 20260809, 6);
-    ASSERT_FALSE(report.damagedLines.empty());
-
-    ResultStore store;
-    store.open(path.str());
-    const harness::ScrubStats scrub = store.scrubStats();
-    EXPECT_EQ(scrub.scanned, 8u);
-    EXPECT_EQ(scrub.quarantined, report.damagedLines.size());
-    EXPECT_EQ(scrub.valid, 8u - report.damagedLines.size());
-    EXPECT_EQ(store.size(), 8u - report.damagedLines.size());
-}
-
-TEST(ResultStore, LoadIsLaterWinsPutIsFirstWins)
-{
-    TempPath path("store_dup.jsonl");
-    const harness::JournalEntry first = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry second =
-        okEntry("aaaa000011112222", 999);
-    {
-        ResultStore store;
-        store.open(path.str());
-        store.put(first);
-        // put() is first-wins: the duplicate is not even appended.
-        store.put(second);
-        EXPECT_EQ(store.size(), 1u);
-        EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 100u);
-    }
-    // Force a duplicate ONTO DISK (e.g. two daemons once raced on the
-    // same store file) and reload: load-time indexing is later-wins,
-    // the documented recovery semantics.
-    {
-        std::ofstream out(path.str(),
-                          std::ios::binary | std::ios::app);
-        out << harness::frameRecord(harness::journalLine(second))
-            << "\n";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.scrubStats().valid, 2u);
-    ASSERT_NE(store.find(first.fingerprint), nullptr);
-    EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 999u);
-}
-
-TEST(ResultStore, ReadsLegacyUnframedFiles)
-{
-    TempPath path("store_legacy.jsonl");
-    const harness::JournalEntry a = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry b = okEntry("bbbb000011112222", 200);
-    {
-        // A store written before record framing existed: plain JSONL.
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "{\"schema\":\"grit-result-store\",\"version\":1}\n"
-            << harness::journalLine(a) << "\n"
-            << harness::journalLine(b) << "\n";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.scrubStats().valid, 2u);
-    EXPECT_EQ(store.scrubStats().quarantined, 0u);
-    EXPECT_EQ(harness::journalLine(*store.find(a.fingerprint)),
-              harness::journalLine(a));
-
-    // Compaction upgrades legacy records to framed ones.
-    const ResultStore::CompactionStats stats = store.compact();
-    EXPECT_EQ(stats.recordsIn, 2u);
-    EXPECT_EQ(stats.kept, 2u);
-    std::ifstream in(path.str(), std::ios::binary);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));  // header stays plain JSON
-    EXPECT_EQ(line.front(), '{');
-    while (std::getline(in, line))
-        EXPECT_EQ(line.substr(0, 4), "GF1 ");
-}
-
-TEST(ResultStore, CompactShedsDuplicatesAndQuarantinedRecords)
-{
-    TempPath path("store_compact.jsonl");
-    const harness::JournalEntry a = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry aDup = okEntry("aaaa000011112222", 999);
-    const harness::JournalEntry b = okEntry("bbbb000011112222", 200);
-    {
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "{\"schema\":\"grit-result-store\",\"version\":1}\n"
-            << harness::frameRecord(harness::journalLine(a)) << "\n"
-            << "GF1 garbage that will not verify\n"
-            << harness::frameRecord(harness::journalLine(aDup)) << "\n"
-            << harness::frameRecord(harness::journalLine(b)) << "\n";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.scrubStats().quarantined, 1u);
-
-    const ResultStore::CompactionStats stats = store.compact();
-    EXPECT_EQ(stats.recordsIn, 3u);
-    EXPECT_EQ(stats.kept, 2u);
-    EXPECT_EQ(stats.duplicatesDropped, 1u);
-    // Compaction is first-wins over the append order.
-    EXPECT_EQ(store.find(a.fingerprint)->result.cycles, 100u);
-    EXPECT_NE(store.find(b.fingerprint), nullptr);
-
-    // A reopened compacted store scrubs perfectly clean.
-    ResultStore reopened;
-    reopened.open(path.str());
-    EXPECT_EQ(reopened.size(), 2u);
-    const harness::ScrubStats scrub = reopened.scrubStats();
-    EXPECT_EQ(scrub.scanned, 2u);
-    EXPECT_EQ(scrub.valid, 2u);
-    EXPECT_EQ(scrub.quarantined, 0u);
-    EXPECT_EQ(scrub.truncated, 0u);
-
-    // The store stays appendable after the fd swap under the rename.
-    reopened.put(okEntry("cccc000011112222", 300));
-    ResultStore again;
-    again.open(path.str());
-    EXPECT_EQ(again.size(), 3u);
-}
-
-TEST(ResultStore, FailedCompactionLeavesTheLiveStoreIntact)
-{
-    // `compact` is reachable from the wire in a long-lived daemon, so
-    // a failed rewrite (ENOSPC, EPERM, ...) must throw without
-    // touching the in-memory state: find/put/size and a retried
-    // compact all keep working afterwards.
-    TempPath path("store_compact_fail.jsonl");
-    const harness::JournalEntry a = okEntry("aaaa000011112222", 100);
-    const harness::JournalEntry aDup = okEntry("aaaa000011112222", 999);
-    const harness::JournalEntry b = okEntry("bbbb000011112222", 200);
-    {
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "{\"schema\":\"grit-result-store\",\"version\":1}\n"
-            << harness::frameRecord(harness::journalLine(a)) << "\n"
-            << harness::frameRecord(harness::journalLine(aDup)) << "\n"
-            << harness::frameRecord(harness::journalLine(b)) << "\n";
-    }
-    ResultStore store;
-    store.open(path.str());
-    EXPECT_EQ(store.size(), 2u);
-
-    // Squat on the temp path with a directory: the rewrite cannot even
-    // create its temp file and must fail before any cutover.
-    const std::string tempPath = path.str() + ".compact";
-    ASSERT_EQ(::mkdir(tempPath.c_str(), 0755), 0);
-    EXPECT_THROW(store.compact(), sim::SimException);
-    ASSERT_EQ(::rmdir(tempPath.c_str()), 0);
-
-    // Everything still works: lookups, appends, and a retried compact.
-    EXPECT_EQ(store.size(), 2u);
-    ASSERT_NE(store.find(a.fingerprint), nullptr);
-    EXPECT_EQ(store.find(a.fingerprint)->result.cycles, 999u);
-    store.put(okEntry("cccc000011112222", 300));
-    const ResultStore::CompactionStats stats = store.compact();
-    EXPECT_EQ(stats.recordsIn, 4u);
-    EXPECT_EQ(stats.kept, 3u);
-    EXPECT_EQ(stats.duplicatesDropped, 1u);
-    EXPECT_EQ(store.find(a.fingerprint)->result.cycles, 100u);
-
-    ResultStore reopened;
-    reopened.open(path.str());
-    EXPECT_EQ(reopened.size(), 3u);
-    EXPECT_EQ(reopened.scrubStats().quarantined, 0u);
-}
 
 // --------------------------------------------------------- FairShareQueue
 
@@ -1091,8 +728,9 @@ TEST(ServiceServer, CompactVerbRewritesTheStore)
     server.stop();
 
     // On disk: header + exactly the one valid record, scrubbing clean.
-    ResultStore reopened;
-    reopened.open(store.str());
+    harness::RecordLog reopened;
+    reopened.open(store.str(),
+                  {Server::kStoreSchema, Server::kStoreVersion, {}});
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_EQ(reopened.scrubStats().scanned, 1u);
     EXPECT_EQ(reopened.scrubStats().quarantined, 0u);
