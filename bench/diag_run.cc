@@ -52,7 +52,6 @@ run(const grit::bench::BenchArgs &args, const std::string &appName,
 
     const auto params = grit::bench::benchParams();
     harness::SystemConfig config = harness::makeConfig(*kind, 4);
-    config.timeline = true;
     config.timelineIntervalCycles = stats::kDefaultTimelineIntervalCycles;
     grit::bench::applyOverrides(args, config);
     const auto trace = grit::bench::makeTrace(args);

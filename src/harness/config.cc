@@ -143,20 +143,12 @@ SystemConfig::validate() const
                 "grit.paCache");
     }
 
-    if (timeline && timelineIntervalCycles == 0)
-        bad("the timeline is enabled but its interval is 0",
-            "timelineIntervalCycles");
     if (!audit && auditIntervalCycles != 0)
         bad("auditIntervalCycles is set but audit is disabled", "audit");
 
     if (wallDeadlineSec < 0.0 || wallDeadlineSec != wallDeadlineSec)
         bad("the wall-clock deadline cannot be negative or NaN",
             "wallDeadlineSec");
-    if (eventBudget != 0 && maxEvents != 0 && eventBudget > maxEvents)
-        bad("the per-run event budget (" + std::to_string(eventBudget) +
-                ") exceeds the global event limit (" +
-                std::to_string(maxEvents) + ")",
-            "eventBudget");
 
     return out;
 }

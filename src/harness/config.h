@@ -87,9 +87,6 @@ struct SystemConfig
     bool prefetch = false;
     baselines::PrefetcherConfig prefetcher{};
 
-    /** Safety valve on total simulation events (0 = derived). */
-    std::uint64_t maxEvents = 0;
-
     /**
      * Run a lane's next access inline inside its predecessor's event
      * whenever no other pending event could interleave (strictly
@@ -107,12 +104,9 @@ struct SystemConfig
      */
     sim::TraceRecorder *trace = nullptr;
 
-    /** Sample the per-run event timeline ("timeline" in the JSON). */
-    bool timeline = false;
-
     /**
-     * Window width of the event timeline. Must be non-zero when
-     * timeline is enabled (validate() rejects the combination).
+     * Window width of the per-run event timeline ("timeline" in the
+     * JSON); 0 samples no timeline.
      */
     sim::Cycle timelineIntervalCycles = 0;
 
@@ -148,13 +142,6 @@ struct SystemConfig
      * meaningful with audit = true.
      */
     sim::Cycle auditIntervalCycles = 0;
-
-    /**
-     * Liveness watchdog: abort the run with a structured kNoProgress
-     * diagnostic after this many events execute without simulated time
-     * advancing. 0 disables.
-     */
-    std::uint64_t watchdogSameCycleEvents = 2'000'000;
 
     /**
      * Per-run wall-clock deadline in seconds; 0 disables. Polled as a

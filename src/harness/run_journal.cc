@@ -100,12 +100,9 @@ configDigest(const SystemConfig &config)
     d.word(config.memoryFraction);
     d.text(policyKindName(config.policy));
     d.word(config.prefetch);
-    d.word(config.maxEvents);
-    d.word(config.timeline);
     d.word(config.timelineIntervalCycles);
     d.word(config.audit);
     d.word(config.auditIntervalCycles);
-    d.word(config.watchdogSameCycleEvents);
 
     const gpu::GpuConfig &g = config.gpu;
     d.word(std::uint64_t{g.lanes});

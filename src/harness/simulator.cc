@@ -23,6 +23,13 @@ namespace {
  */
 constexpr unsigned kMaxInlineBurst = 64;
 
+/** Event-limit safety valve (kEventLimit): 16 × (accesses + 1024). */
+constexpr std::uint64_t kEventsPerAccessLimit = 16;
+constexpr std::uint64_t kEventLimitSlack = 1024;
+
+/** Liveness watchdog (kNoProgress): events at one simulated cycle. */
+constexpr std::uint64_t kWatchdogSameCycleEvents = 2'000'000;
+
 std::unique_ptr<policy::PlacementPolicy>
 makePolicy(const SystemConfig &config)
 {
@@ -477,10 +484,8 @@ Simulator::run(bool salvage_partial)
                         [this] { runAudit(); }, "audit");
     }
 
-    std::uint64_t limit = config_.maxEvents;
-    if (limit == 0) {
-        limit = 16 * (totalAccesses_ + 1024);
-    }
+    std::uint64_t limit =
+        kEventsPerAccessLimit * (totalAccesses_ + kEventLimitSlack);
     bool budget_binding = false;
     if (config_.eventBudget != 0 && config_.eventBudget < limit) {
         limit = config_.eventBudget;
@@ -517,7 +522,7 @@ Simulator::run(bool salvage_partial)
                 return std::nullopt;
             });
     }
-    queue_.setWatchdog(config_.watchdogSameCycleEvents);
+    queue_.setWatchdog(kWatchdogSameCycleEvents);
     const std::uint64_t events_executed = queue_.run(limit);
     std::optional<sim::SimError> truncated;
     if (queue_.diagnostic()) {

@@ -84,9 +84,9 @@ struct RunResult
 
     /**
      * Discrete events the queue executed during the run. A host-side
-     * throughput metric (events/sec in bench/perf_hotpath.cc), not a
-     * simulated quantity: deliberately NOT serialized into the
-     * grit-results schema or the run journal.
+     * cost metric (perfbench's simcore.events), not a simulated
+     * quantity: deliberately NOT serialized into the grit-results
+     * schema or the run journal.
      */
     std::uint64_t eventsExecuted = 0;
 

@@ -125,8 +125,8 @@ class TraceBuilder
 };
 
 /**
- * Production-scale synthetic workload for the million-page
- * `perf_hotpath` cell (docs/WORKLOADS.md): per-GPU private slices are
+ * Production-scale synthetic workload for perfbench's million-page
+ * `scale_1m` workload (docs/WORKLOADS.md): per-GPU private slices are
  * swept sequentially (every page becomes resident, stressing the
  * flat_map page tables at full footprint) and re-touched uniformly at
  * random (calendar-queue churn), while a small shared region adds

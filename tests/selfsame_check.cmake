@@ -1,34 +1,27 @@
-# Self-consistency determinism check: run one bench binary twice with
-# different engine arguments (e.g. --jobs 1 vs --jobs 4) and require the
-# two --json documents to be byte-identical. Unlike golden_check.cmake
-# this needs no committed reference, so it covers sweeps whose output is
-# expected to evolve (new benches) while still proving worker-count
-# independence. Usage:
-#   cmake -DBIN=<binary> -DARGS="<shared args>"
-#         -DVARIANT_A="<args>" -DVARIANT_B="<args>" -DOUT=<stem>
+# Self-consistency check: run one bench binary twice with the same
+# arguments and require the two --json documents to be byte-identical.
+# Unlike golden_check.cmake this needs no committed reference: it
+# proves that a repeated run (e.g. one sharing a journal path with the
+# first) produces the same document. Usage:
+#   cmake -DBIN=<binary> -DARGS="<args>" -DOUT=<stem>
 #         -P selfsame_check.cmake
-if(NOT DEFINED BIN OR NOT DEFINED VARIANT_A OR NOT DEFINED VARIANT_B
-   OR NOT DEFINED OUT)
-    message(FATAL_ERROR
-            "selfsame_check.cmake needs -DBIN, -DVARIANT_A, -DVARIANT_B, "
-            "-DOUT")
+if(NOT DEFINED BIN OR NOT DEFINED OUT)
+    message(FATAL_ERROR "selfsame_check.cmake needs -DBIN, -DOUT")
 endif()
 
 # Keep runtimes test-sized, same pins as golden_check.cmake.
 set(ENV{GRIT_FOOTPRINT_DIVISOR} 128)
 set(ENV{GRIT_INTENSITY} 0.2)
 
-separate_arguments(shared_list UNIX_COMMAND "${ARGS}")
-foreach(variant A B)
-    separate_arguments(variant_list UNIX_COMMAND "${VARIANT_${variant}}")
-    execute_process(COMMAND ${BIN} ${shared_list} ${variant_list}
-                            --json ${OUT}.${variant}.json
+separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
+foreach(run A B)
+    execute_process(COMMAND ${BIN} ${arg_list} --json ${OUT}.${run}.json
                     RESULT_VARIABLE code
                     OUTPUT_QUIET
                     ERROR_VARIABLE err)
     if(NOT code EQUAL 0)
         message(FATAL_ERROR
-                "exit ${code} from: ${BIN} ${ARGS} ${VARIANT_${variant}}\n"
+                "exit ${code} from run ${run}: ${BIN} ${ARGS}\n"
                 "stderr:\n${err}")
     endif()
 endforeach()
@@ -38,8 +31,6 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                 RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
     message(FATAL_ERROR
-            "the two variants produced different JSON documents:\n"
-            "  A (${VARIANT_A}): ${OUT}.A.json\n"
-            "  B (${VARIANT_B}): ${OUT}.B.json\n"
-            "Sweep results must be bit-identical at any worker count.")
+            "the two runs produced different JSON documents:\n"
+            "  ${OUT}.A.json\n  ${OUT}.B.json")
 endif()

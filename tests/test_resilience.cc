@@ -158,7 +158,6 @@ TEST(RunJournalFormat, RunResultRoundTripsLosslessly)
 {
     // A real run with timeline enabled exercises every serialized field.
     SystemConfig config = makeConfig(PolicyKind::kGrit, 4);
-    config.timeline = true;
     config.timelineIntervalCycles = 512;
     RunPlan plan;
     plan.addCell("GEMM", "grit", config, workload::AppId::kGemm,

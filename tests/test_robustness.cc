@@ -207,11 +207,6 @@ TEST(ConfigValidate, CatchesEachBrokenKnob)
     expectBad(c, "grit.paCache");
 
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.timeline = true;
-    c.timelineIntervalCycles = 0;
-    expectBad(c, "timelineIntervalCycles");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.auditIntervalCycles = 1000;  // audit itself left off
     expectBad(c, "audit");
 }
