@@ -53,11 +53,8 @@ writeServiceJson(const std::string &path,
                      params.seed);
     sink.beginRuns();
     sink.endRuns();
-    sink.writeServiceStats(c.requests, c.hits, c.misses, c.deduped,
-                           c.executed, c.rejectedOverload,
-                           c.rejectedDraining, c.badRequests, c.failures,
-                           c.storeEntries, c.storeScanned, c.storeValid,
-                           c.storeQuarantined, c.storeTruncated);
+    sink.json().key("service");
+    grit::service::writeServiceCounters(sink.json(), c);
     sink.end();
     os << '\n';
     if (file)

@@ -131,24 +131,10 @@ run(int argc, char **argv)
                                     "stats request refused",
                                     socketPath);
         const service::ServiceCounters &c = *response.service;
-        std::cout << "service.requests " << c.requests << "\n"
-                  << "service.hits " << c.hits << "\n"
-                  << "service.misses " << c.misses << "\n"
-                  << "service.deduped " << c.deduped << "\n"
-                  << "service.executed " << c.executed << "\n"
-                  << "service.rejected_overload " << c.rejectedOverload
-                  << "\n"
-                  << "service.rejected_draining " << c.rejectedDraining
-                  << "\n"
-                  << "service.bad_requests " << c.badRequests << "\n"
-                  << "service.failures " << c.failures << "\n"
-                  << "service.store_entries " << c.storeEntries << "\n"
-                  << "service.store_scanned " << c.storeScanned << "\n"
-                  << "service.store_valid " << c.storeValid << "\n"
-                  << "service.store_quarantined " << c.storeQuarantined
-                  << "\n"
-                  << "service.store_truncated " << c.storeTruncated
-                  << "\n";
+        for (const service::ServiceCounterField &field :
+             service::kServiceCounterFields)
+            std::cout << "service." << field.name << " " << c.*field.member
+                      << "\n";
         return grit::bench::kExitFull;
     }
 

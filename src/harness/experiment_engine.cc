@@ -143,13 +143,14 @@ namespace {
 /** What one cell of a resilient sweep turned into. */
 struct CellOutcome
 {
-    bool reused = false;       //!< replayed from the journal
-    bool executed = false;     //!< simulated (possibly quarantined)
-    bool notStarted = false;   //!< cancel flag was up before launch
-    bool interrupted = false;  //!< stopped mid-run by the cancel flag
-    bool hasResult = false;
-    RunResult result;
-    std::optional<FailureRecord> failure;
+    enum class Kind
+    {
+        kSkipped,   //!< never started, or interrupted, by the cancel flag
+        kReused,    //!< replayed from the journal
+        kExecuted,  //!< simulated (possibly quarantined)
+    };
+    Kind kind = Kind::kSkipped;
+    JournalEntry entry;  //!< the journaled outcome (not kSkipped)
 };
 
 /** Journal I/O must never take down the sweep that feeds it. */
@@ -168,7 +169,81 @@ tryAppend(RecordLog *journal, const JournalEntry &entry)
     }
 }
 
+bool
+cancelRequested(const ResilientOptions &options)
+{
+    return options.cancelFlag != nullptr &&
+           options.cancelFlag->load(std::memory_order_relaxed) != 0;
+}
+
 }  // namespace
+
+std::optional<JournalEntry>
+ExperimentEngine::runCell(const RunCell &cell,
+                          const std::string &fingerprint,
+                          const ResilientOptions &options)
+{
+    SystemConfig config = cell.config;
+    if (options.wallDeadlineSec > 0.0)
+        config.wallDeadlineSec = options.wallDeadlineSec;
+    if (options.eventBudget != 0)
+        config.eventBudget = options.eventBudget;
+    if (options.cancelFlag != nullptr)
+        config.cancelFlag = options.cancelFlag;
+
+    JournalEntry entry;
+    entry.fingerprint = fingerprint;
+    entry.row = cell.row;
+    entry.label = cell.label;
+    for (entry.attempts = 1;; ++entry.attempts) {
+        std::optional<sim::SimError> error;
+        RunResult result;
+        try {
+            Simulator simulator(
+                config,
+                cell.workload
+                    ? workload::streamWorkload(cell.workload,
+                                               chunkAccesses_)
+                    : cache_.openWorkload(cell.app, cell.params,
+                                          chunkAccesses_));
+            result = simulator.run(options.salvagePartial);
+            if (result.partial)
+                error = result.error
+                            ? *result.error
+                            : sim::SimError(sim::ErrorCode::kInternal,
+                                            "partial result carries no "
+                                            "diagnostic");
+        } catch (const sim::SimException &e) {
+            error = e.error();
+        } catch (const std::exception &e) {
+            error = sim::SimError(sim::ErrorCode::kInternal, e.what(),
+                                  cell.row + "/" + cell.label);
+        }
+
+        if (!error) {
+            entry.status = "ok";
+            entry.hasResult = true;
+            entry.result = std::move(result);
+            return entry;
+        }
+        // Deliberately neither journaled nor quarantined: the cell never
+        // finished on its own terms, so a resumed sweep re-executes it.
+        if (error->code == sim::ErrorCode::kInterrupted)
+            return std::nullopt;
+        const bool transient = error->code == sim::ErrorCode::kDeadline;
+        if (transient && entry.attempts <= options.retries &&
+            !cancelRequested(options))
+            continue;
+
+        entry.status = "failed";
+        entry.error = std::move(*error);
+        // Only a salvaging run returns partial counters.
+        entry.hasResult = result.partial;
+        if (entry.hasResult)
+            entry.result = std::move(result);
+        return entry;
+    }
+}
 
 SweepResult
 ExperimentEngine::runResilient(const RunPlan &plan,
@@ -177,151 +252,33 @@ ExperimentEngine::runResilient(const RunPlan &plan,
     const std::vector<RunCell> &cells = plan.cells();
     std::vector<CellOutcome> outcomes(cells.size());
 
-    auto cancelRequested = [&options] {
-        return options.cancelFlag != nullptr &&
-               options.cancelFlag->load(std::memory_order_relaxed) != 0;
-    };
-
-    auto runCell = [&](std::size_t i) {
+    auto runPlanCell = [&](std::size_t i) {
         CellOutcome &out = outcomes[i];
-        const RunCell &cell = cells[i];
-        const std::string fingerprint = runFingerprint(cell);
-
+        const std::string fingerprint = runFingerprint(cells[i]);
         if (options.journal != nullptr) {
             if (const JournalEntry *e =
                     options.journal->find(fingerprint)) {
-                out.reused = true;
-                if (e->hasResult) {
-                    out.hasResult = true;
-                    out.result = e->result;
-                }
-                if (e->status == "failed") {
-                    FailureRecord f;
-                    f.cellIndex = i;
-                    f.row = cell.row;
-                    f.label = cell.label;
-                    f.fingerprint = fingerprint;
-                    f.error = e->error
-                                  ? *e->error
-                                  : sim::SimError(
-                                        sim::ErrorCode::kInternal,
-                                        "journaled failure carries no "
-                                        "diagnostic");
-                    f.attempts = e->attempts;
-                    f.salvaged = e->hasResult;
-                    out.failure = std::move(f);
-                }
+                out.kind = CellOutcome::Kind::kReused;
+                out.entry = *e;
                 return;
             }
         }
-        if (cancelRequested()) {
-            out.notStarted = true;
+        if (cancelRequested(options))
             return;
-        }
-
-        SystemConfig config = cell.config;
-        if (options.wallDeadlineSec > 0.0)
-            config.wallDeadlineSec = options.wallDeadlineSec;
-        if (options.eventBudget != 0)
-            config.eventBudget = options.eventBudget;
-        if (options.cancelFlag != nullptr)
-            config.cancelFlag = options.cancelFlag;
-
-        unsigned attempts = 0;
-        while (true) {
-            ++attempts;
-            std::optional<sim::SimError> error;
-            RunResult result;
-            bool salvaged = false;
-            try {
-                Simulator simulator(
-                    config,
-                    cell.workload
-                        ? workload::streamWorkload(cell.workload,
-                                                   chunkAccesses_)
-                        : cache_.openWorkload(cell.app, cell.params,
-                                              chunkAccesses_));
-                result = simulator.run(options.salvagePartial);
-                if (result.partial) {
-                    error = result.error
-                                ? *result.error
-                                : sim::SimError(
-                                      sim::ErrorCode::kInternal,
-                                      "partial result carries no "
-                                      "diagnostic");
-                    salvaged = true;
-                }
-            } catch (const sim::SimException &e) {
-                error = e.error();
-            } catch (const std::exception &e) {
-                error = sim::SimError(sim::ErrorCode::kInternal,
-                                      e.what(),
-                                      cell.row + "/" + cell.label);
-            }
-
-            if (!error) {
-                out.executed = true;
-                out.hasResult = true;
-                out.result = std::move(result);
-                JournalEntry entry;
-                entry.fingerprint = fingerprint;
-                entry.row = cell.row;
-                entry.label = cell.label;
-                entry.status = "ok";
-                entry.attempts = attempts;
-                entry.hasResult = true;
-                entry.result = out.result;
-                tryAppend(options.journal, entry);
-                return;
-            }
-            if (error->code == sim::ErrorCode::kInterrupted) {
-                // Deliberately not journaled and not quarantined: the
-                // cell never finished on its own terms, so a resumed
-                // sweep must re-execute it.
-                out.interrupted = true;
-                return;
-            }
-            const bool transient =
-                error->code == sim::ErrorCode::kDeadline;
-            if (transient && attempts <= options.retries &&
-                !cancelRequested())
-                continue;
-
-            out.executed = true;
-            FailureRecord f;
-            f.cellIndex = i;
-            f.row = cell.row;
-            f.label = cell.label;
-            f.fingerprint = fingerprint;
-            f.error = *error;
-            f.attempts = attempts;
-            f.salvaged = salvaged && options.salvagePartial;
-            if (f.salvaged) {
-                out.hasResult = true;
-                out.result = result;
-            }
-            JournalEntry entry;
-            entry.fingerprint = fingerprint;
-            entry.row = cell.row;
-            entry.label = cell.label;
-            entry.status = "failed";
-            entry.attempts = attempts;
-            entry.error = *error;
-            if (f.salvaged) {
-                entry.hasResult = true;
-                entry.result = result;
-            }
-            out.failure = std::move(f);
-            tryAppend(options.journal, entry);
+        std::optional<JournalEntry> entry =
+            runCell(cells[i], fingerprint, options);
+        if (!entry)
             return;
-        }
+        tryAppend(options.journal, *entry);
+        out.kind = CellOutcome::Kind::kExecuted;
+        out.entry = std::move(*entry);
     };
 
     const std::size_t workers = std::min<std::size_t>(
         jobs(), std::max<std::size_t>(cells.size(), 1));
     if (workers <= 1) {
         for (std::size_t i = 0; i < cells.size(); ++i)
-            runCell(i);
+            runPlanCell(i);
     } else {
         std::atomic<std::size_t> next{0};
         {
@@ -331,7 +288,7 @@ ExperimentEngine::runResilient(const RunPlan &plan,
                 pool.emplace_back([&] {
                     for (std::size_t i = next.fetch_add(1);
                          i < cells.size(); i = next.fetch_add(1))
-                        runCell(i);
+                        runPlanCell(i);
                 });
             }
         }  // jthread joins here
@@ -342,22 +299,37 @@ ExperimentEngine::runResilient(const RunPlan &plan,
     SweepResult sweep;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         CellOutcome &o = outcomes[i];
-        if (o.notStarted || o.interrupted) {
+        const RunCell &cell = cells[i];
+        switch (o.kind) {
+          case CellOutcome::Kind::kSkipped:
             ++sweep.skipped;
             sweep.cancelled = true;
             continue;
-        }
-        if (o.reused)
+          case CellOutcome::Kind::kReused:
             ++sweep.reused;
-        else if (o.executed)
+            break;
+          case CellOutcome::Kind::kExecuted:
             ++sweep.executed;
-        if (o.hasResult)
-            sweep.matrix[cells[i].row][cells[i].label] =
-                std::move(o.result);
-        if (o.failure)
-            sweep.failures.push_back(std::move(*o.failure));
+            break;
+        }
+        JournalEntry &e = o.entry;
+        if (e.status == "failed") {
+            FailureRecord f;
+            f.row = cell.row;
+            f.label = cell.label;
+            f.fingerprint = e.fingerprint;
+            f.error = e.error ? *e.error
+                              : sim::SimError(sim::ErrorCode::kInternal,
+                                              "journaled failure carries "
+                                              "no diagnostic");
+            f.attempts = e.attempts;
+            f.salvaged = e.hasResult;
+            sweep.failures.push_back(std::move(f));
+        }
+        if (e.hasResult)
+            sweep.matrix[cell.row][cell.label] = std::move(e.result);
     }
-    if (cancelRequested())
+    if (cancelRequested(options))
         sweep.cancelled = true;
     return sweep;
 }

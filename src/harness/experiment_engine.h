@@ -23,10 +23,12 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.h"
+#include "harness/run_journal.h"
 #include "workload/trace_cache.h"
 
 namespace grit::harness {
@@ -89,12 +91,13 @@ class RunPlan
 /** Resolved worker count: GRIT_JOBS env if set, else hardware threads. */
 unsigned defaultJobs();
 
-/** Knobs of the resilient execution path (runResilient). */
+/** Knobs of the resilient execution path (runResilient, runCell). */
 struct ResilientOptions
 {
     /**
      * Journal completed cells here and skip cells the journal already
      * holds; nullptr disables journaling. Non-owning; must be open.
+     * Only runResilient reads it.
      */
     RecordLog *journal = nullptr;
     /** Per-run wall-clock deadline (seconds); 0 keeps each config's. */
@@ -119,7 +122,6 @@ struct ResilientOptions
 /** One quarantined cell in a SweepResult's failure manifest. */
 struct FailureRecord
 {
-    std::size_t cellIndex = 0;  //!< position in the RunPlan
     std::string row;
     std::string label;
     std::string fingerprint;
@@ -196,6 +198,20 @@ class ExperimentEngine
      */
     SweepResult runResilient(const RunPlan &plan,
                              const ResilientOptions &options);
+
+    /**
+     * Execute one cell under @p options' watchdog overrides, retrying
+     * transient failures (kDeadline) and salvaging partial counters,
+     * and return its outcome keyed by @p fingerprint: status "ok" with
+     * the result, or "failed" with the diagnostic (and the partial
+     * result when salvaged). Exceptions become "failed" entries. The
+     * journal is neither read nor written. Returns nullopt only when
+     * the cancel flag interrupted the run. Thread-safe: concurrent
+     * calls share the trace cache.
+     */
+    std::optional<JournalEntry> runCell(const RunCell &cell,
+                                        const std::string &fingerprint,
+                                        const ResilientOptions &options);
 
     /** Worker count run() will use. */
     unsigned jobs() const;

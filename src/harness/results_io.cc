@@ -51,21 +51,7 @@ writeResultMatrix(std::ostream &os, std::string_view generator,
                   const workload::WorkloadParams &params,
                   const ResultMatrix &matrix)
 {
-    stats::ResultSink sink(os);
-    sink.begin(generator, title);
-    sink.writeParams(params.footprintDivisor, params.intensity,
-                     params.seed);
-    sink.beginRuns();
-    for (const auto &[row, runs] : matrix) {
-        for (const auto &[label, result] : runs) {
-            sink.beginRun(row, label);
-            writeRunResult(sink, result);
-            sink.endRun();
-        }
-    }
-    sink.endRuns();
-    sink.end();
-    os << '\n';
+    writeSweepResult(os, generator, title, params, matrix, {}, nullptr);
 }
 
 void

@@ -35,7 +35,8 @@ void writeRunResult(stats::ResultSink &sink, const RunResult &result);
 
 /**
  * Write one complete document: envelope, params, and a "runs" array
- * holding every (row, label) cell of @p matrix in map order.
+ * holding every (row, label) cell of @p matrix in map order. It is
+ * writeSweepResult with no failures and no stats.
  */
 void writeResultMatrix(std::ostream &os, std::string_view generator,
                        std::string_view title,
@@ -60,9 +61,9 @@ struct SweepStatsView
  * (salvaged-partial runs carry "partial"/"error"), the quarantined-run
  * "failures" manifest when any exist, and — only when @p stats is
  * non-null — the "sweep" statistics section. Without failures, partial
- * runs, or stats, the document is byte-identical to writeResultMatrix
- * output, which is what lets a resumed sweep merge cleanly against an
- * uninterrupted reference.
+ * runs, or stats, the document is the writeResultMatrix one, which is
+ * what lets a resumed sweep merge cleanly against an uninterrupted
+ * reference.
  */
 void writeSweepResult(std::ostream &os, std::string_view generator,
                       std::string_view title,

@@ -3,6 +3,7 @@
 #include <bit>
 #include <sstream>
 
+#include "harness/experiment_engine.h"
 #include "stats/timeline.h"
 #include "workload/apps.h"
 

@@ -20,12 +20,13 @@
 #include <optional>
 #include <string>
 
-#include "harness/experiment_engine.h"
 #include "harness/simulator.h"
 #include "stats/json_value.h"
 #include "stats/json_writer.h"
 
 namespace grit::harness {
+
+struct RunCell;
 
 /**
  * Header identity of a sweep journal, whose generator is the sweeping

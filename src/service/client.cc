@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include <unistd.h>
@@ -63,9 +64,12 @@ Client::roundTrip(const Request &request)
                                 std::string("cannot connect: ") +
                                     std::strerror(errno),
                                 options_.socketPath);
+    // The daemon is trusted: its reply line has no ceiling.
+    constexpr std::size_t kNoCeiling = std::numeric_limits<std::size_t>::max();
+    LineReader reader(fd);
     std::string line;
-    const bool ok =
-        writeLine(fd, requestLine(request)) && readLine(fd, line);
+    const bool ok = writeLine(fd, requestLine(request)) &&
+                    reader.next(line, kNoCeiling) == LineReader::Status::kLine;
     ::close(fd);
     if (!ok)
         throw sim::SimException(

@@ -47,54 +47,25 @@ parseEnvelope(const std::string &line)
     return v;
 }
 
-void
-writeCounters(stats::JsonWriter &w, const ServiceCounters &c)
-{
-    w.beginObject();
-    w.key("requests").value(c.requests);
-    w.key("hits").value(c.hits);
-    w.key("misses").value(c.misses);
-    w.key("deduped").value(c.deduped);
-    w.key("executed").value(c.executed);
-    w.key("rejected_overload").value(c.rejectedOverload);
-    w.key("rejected_draining").value(c.rejectedDraining);
-    w.key("bad_requests").value(c.badRequests);
-    w.key("failures").value(c.failures);
-    w.key("store_entries").value(c.storeEntries);
-    w.key("store_scanned").value(c.storeScanned);
-    w.key("store_valid").value(c.storeValid);
-    w.key("store_quarantined").value(c.storeQuarantined);
-    w.key("store_truncated").value(c.storeTruncated);
-    w.endObject();
-}
-
 ServiceCounters
 countersFromJson(const stats::JsonValue &v)
 {
     ServiceCounters c;
-    c.requests = v.at("requests").asUint64();
-    c.hits = v.at("hits").asUint64();
-    c.misses = v.at("misses").asUint64();
-    c.deduped = v.at("deduped").asUint64();
-    c.executed = v.at("executed").asUint64();
-    c.rejectedOverload = v.at("rejected_overload").asUint64();
-    c.rejectedDraining = v.at("rejected_draining").asUint64();
-    c.badRequests = v.at("bad_requests").asUint64();
-    c.failures = v.at("failures").asUint64();
-    c.storeEntries = v.at("store_entries").asUint64();
-    // Lenient: absent in pre-scrub wire lines; default zero.
-    if (const stats::JsonValue *scanned = v.find("store_scanned"))
-        c.storeScanned = scanned->asUint64();
-    if (const stats::JsonValue *valid = v.find("store_valid"))
-        c.storeValid = valid->asUint64();
-    if (const stats::JsonValue *q = v.find("store_quarantined"))
-        c.storeQuarantined = q->asUint64();
-    if (const stats::JsonValue *t = v.find("store_truncated"))
-        c.storeTruncated = t->asUint64();
+    for (const ServiceCounterField &field : kServiceCounterFields)
+        c.*field.member = v.at(field.name).asUint64();
     return c;
 }
 
 }  // namespace
+
+void
+writeServiceCounters(stats::JsonWriter &w, const ServiceCounters &counters)
+{
+    w.beginObject();
+    for (const ServiceCounterField &field : kServiceCounterFields)
+        w.key(field.name).value(counters.*field.member);
+    w.endObject();
+}
 
 std::string
 requestLine(const Request &request)
@@ -182,7 +153,7 @@ responseLine(const Response &response)
     }
     if (response.service) {
         w.key("service");
-        writeCounters(w, *response.service);
+        writeServiceCounters(w, *response.service);
     }
     if (response.ping) {
         w.key("server").beginObject();
@@ -206,16 +177,13 @@ responseFromLine(const std::string &line)
             wireFail("unknown status \"" + response.status + "\"");
         response.cached = v.at("cached").asBool();
         response.deduped = v.at("deduped").asBool();
-        // Lenient: absent in pre-persisted wire lines; defaults false.
-        if (const stats::JsonValue *persisted = v.find("persisted"))
-            response.persisted = persisted->asBool();
+        response.persisted = v.at("persisted").asBool();
         if (const stats::JsonValue *entry = v.find("entry"))
             response.entry = harness::journalEntryFromJson(*entry);
         if (const stats::JsonValue *error = v.find("error"))
             response.error = harness::errorFromJson(*error);
         if (const stats::JsonValue *service = v.find("service"))
             response.service = countersFromJson(*service);
-        // Lenient: absent in pre-PingInfo wire lines.
         if (const stats::JsonValue *server = v.find("server")) {
             PingInfo info;
             info.version = server->at("version").asString();

@@ -22,6 +22,7 @@
 #include "harness/experiment_engine.h"
 #include "harness/run_journal.h"
 #include "simcore/sim_error.h"
+#include "stats/json_writer.h"
 #include "workload/apps.h"
 
 namespace grit::service {
@@ -86,6 +87,39 @@ struct ServiceCounters
     std::uint64_t storeQuarantined = 0;  //!< corrupt records sidelined
     std::uint64_t storeTruncated = 0;    //!< torn tails cut at open
 };
+
+/** One service.* counter: its document key and its member. */
+struct ServiceCounterField
+{
+    const char *name;
+    std::uint64_t ServiceCounters::*member;
+};
+
+/**
+ * Every service.* counter in document order. The wire "service" object
+ * (both directions), grit_serve's drain document and
+ * `grit_submit --stats` all walk this one list.
+ */
+inline constexpr ServiceCounterField kServiceCounterFields[] = {
+    {"requests", &ServiceCounters::requests},
+    {"hits", &ServiceCounters::hits},
+    {"misses", &ServiceCounters::misses},
+    {"deduped", &ServiceCounters::deduped},
+    {"executed", &ServiceCounters::executed},
+    {"rejected_overload", &ServiceCounters::rejectedOverload},
+    {"rejected_draining", &ServiceCounters::rejectedDraining},
+    {"bad_requests", &ServiceCounters::badRequests},
+    {"failures", &ServiceCounters::failures},
+    {"store_entries", &ServiceCounters::storeEntries},
+    {"store_scanned", &ServiceCounters::storeScanned},
+    {"store_valid", &ServiceCounters::storeValid},
+    {"store_quarantined", &ServiceCounters::storeQuarantined},
+    {"store_truncated", &ServiceCounters::storeTruncated},
+};
+
+/** Write @p counters as one object keyed by kServiceCounterFields. */
+void writeServiceCounters(stats::JsonWriter &w,
+                          const ServiceCounters &counters);
 
 /** Liveness payload of a "ping" response. */
 struct PingInfo

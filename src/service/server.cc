@@ -63,7 +63,7 @@ Server::stop()
     {
         std::lock_guard<std::mutex> lock(connMutex_);
         for (const int fd : connFds_)
-            ::shutdown(fd, SHUT_RD);  // unblock readLine
+            ::shutdown(fd, SHUT_RD);  // unblock LineReader::next
         // Take the threads out from under the lock before joining:
         // an exiting connection needs connMutex_ to park its id.
         connections.swap(connections_);
@@ -110,19 +110,10 @@ Server::counters() const
 Response
 Server::handle(const Request &request)
 {
+    Response response;
+    response.status = "ok";
     if (request.op == "ping") {
-        Response response;
-        response.status = "ok";
-        PingInfo info;
-        info.version = kVersion;
-        info.draining = draining();
-        response.ping = info;
-        return response;
-    }
-    if (request.op == "stats") {
-        Response response;
-        response.status = "ok";
-        response.service = counters();
+        response.ping = PingInfo{kVersion, draining()};
         return response;
     }
     if (request.op == "compact") {
@@ -138,12 +129,12 @@ Server::handle(const Request &request)
                  "store compacted: kept " << stats.kept << " of "
                                           << stats.recordsIn
                                           << " record(s)");
-        Response response;
-        response.status = "ok";
-        response.service = counters();
-        return response;
+    } else if (request.op != "stats") {
+        return handleRun(request.run);
     }
-    return handleRun(request.run);
+    // "stats", and "compact" with its post-compaction counters.
+    response.service = counters();
+    return response;
 }
 
 Response
@@ -183,12 +174,8 @@ Server::handleRun(const RunRequest &request)
         }
     }
 
-    // Attaching to an in-flight run additionally requires matching
-    // resilience constraints: the deadline/event budget decide whether
-    // the execution comes back complete or quarantined, so sharing one
-    // across different constraints would hand some waiter the wrong
-    // outcome. (Completed results still dedupe by fingerprint alone —
-    // the store lookup above is constraint-blind by design.)
+    // Only runs under the same constraints share an execution (see
+    // Job::dedupeKey); the store lookup above is constraint-blind.
     const std::string dedupeKey =
         fingerprint + '|' + std::to_string(request.deadlineSec) + '|' +
         std::to_string(request.eventBudget);
@@ -206,18 +193,12 @@ Server::handleRun(const RunRequest &request)
             job->fingerprint = fingerprint;
             job->dedupeKey = dedupeKey;
             job->cell = std::move(cell);
-            job->deadlineSec = request.deadlineSec;
-            job->eventBudget = request.eventBudget;
-            // Index before push: a worker may pop the id immediately,
-            // and its completion erases the in-flight slot.
+            job->options.wallDeadlineSec = request.deadlineSec;
+            job->options.eventBudget = request.eventBudget;
             inflight_[dedupeKey] = job;
-            const std::uint64_t id = nextJobId_++;
-            jobs_.emplace(id, job);
-            const Admission admission =
-                queue_.push(request.client, id);
+            const Admission admission = queue_.push(request.client, job);
             if (admission != Admission::kAdmitted) {
                 inflight_.erase(dedupeKey);
-                jobs_.erase(id);
                 if (admission == Admission::kFull) {
                     rejectedOverload_.fetch_add(
                         1, std::memory_order_relaxed);
@@ -257,21 +238,10 @@ Server::handleRun(const RunRequest &request)
 void
 Server::workerLoop()
 {
-    while (const std::optional<std::uint64_t> id = queue_.pop()) {
-        std::shared_ptr<Job> job;
-        {
-            std::lock_guard<std::mutex> lock(jobsMutex_);
-            const auto it = jobs_.find(*id);
-            if (it == jobs_.end())
-                continue;  // defensive: id without a job slot
-            job = std::move(it->second);
-            // Reclaim the slot now — waiters hold their own
-            // shared_ptr, and a daemon must not grow by one Job per
-            // executed miss forever.
-            jobs_.erase(it);
-        }
-        execute(*job);
-    }
+    // Waiters hold their own shared_ptr, so a popped job lives until
+    // its last client has its response.
+    while (const std::optional<std::shared_ptr<Job>> job = queue_.pop())
+        execute(**job);
 }
 
 void
@@ -281,51 +251,14 @@ Server::execute(Job &job)
         options_.executionGate(job.fingerprint);
 
     harness::JournalEntry entry;
-    entry.fingerprint = job.fingerprint;
-    entry.row = job.cell.row;
-    entry.label = job.cell.label;
     try {
-        harness::RunPlan plan;
-        plan.addCell(job.cell.row, job.cell.label, job.cell.config,
-                     job.cell.app, job.cell.params);
-        harness::ResilientOptions options;
-        options.salvagePartial = true;
-        options.wallDeadlineSec = job.deadlineSec;
-        options.eventBudget = job.eventBudget;
-        const harness::SweepResult sweep =
-            engine_.runResilient(plan, options);
-
-        const auto rowIt = sweep.matrix.find(job.cell.row);
-        const harness::RunResult *result = nullptr;
-        if (rowIt != sweep.matrix.end()) {
-            const auto cellIt = rowIt->second.find(job.cell.label);
-            if (cellIt != rowIt->second.end())
-                result = &cellIt->second;
-        }
-        if (sweep.failures.empty() && result != nullptr) {
-            entry.status = "ok";
-            entry.attempts = 1;
-            entry.hasResult = true;
-            entry.result = *result;
-        } else if (!sweep.failures.empty()) {
-            const harness::FailureRecord &f = sweep.failures.front();
-            entry.status = "failed";
-            entry.attempts = f.attempts;
-            entry.error = f.error;
-            if (f.salvaged && result != nullptr) {
-                entry.hasResult = true;
-                entry.result = *result;
-            }
-        } else {
-            entry.status = "failed";
-            entry.error = sim::SimError(
-                sim::ErrorCode::kInternal,
-                "cell neither completed nor failed", "grit-service");
-        }
-    } catch (const sim::SimException &e) {
-        entry.status = "failed";
-        entry.error = e.error();
+        // No cancel flag is set, so runCell always returns an entry.
+        entry = engine_.runCell(job.cell, job.fingerprint, job.options)
+                    .value();
     } catch (const std::exception &e) {
+        entry.fingerprint = job.fingerprint;
+        entry.row = job.cell.row;
+        entry.label = job.cell.label;
         entry.status = "failed";
         entry.error = sim::SimError(sim::ErrorCode::kInternal, e.what(),
                                     "grit-service");

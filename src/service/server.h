@@ -3,8 +3,8 @@
  * The simulation-service daemon core: accepts grit-service requests,
  * serves completed cells from the content-addressed result store,
  * deduplicates identical in-flight cells onto a single execution, and
- * schedules misses onto ExperimentEngine workers through a bounded
- * fair-share admission queue.
+ * executes misses with ExperimentEngine::runCell on its own workers,
+ * fed through a bounded fair-share admission queue.
  *
  * End-to-end fault handling (docs/SERVICE.md):
  *  - per-request deadlines/event budgets ride the engine's cooperative
@@ -124,7 +124,6 @@ class Server
     ServiceCounters counters() const;
 
     const harness::RecordLog &store() const { return store_; }
-    const std::string &socketPath() const { return options_.socketPath; }
 
   private:
     /** One admitted cell; waiters block on cv until done. */
@@ -143,8 +142,8 @@ class Server
          */
         std::string dedupeKey;
         harness::RunCell cell;
-        double deadlineSec = 0.0;
-        std::uint64_t eventBudget = 0;
+        /** The request's deadline and event budget. */
+        harness::ResilientOptions options;
         std::mutex mutex;
         std::condition_variable cv;
         bool done = false;
@@ -162,7 +161,7 @@ class Server
 
     Options options_;
     harness::RecordLog store_;
-    FairShareQueue queue_;
+    FairShareQueue<std::shared_ptr<Job>> queue_;
     harness::ExperimentEngine engine_;
     std::atomic<bool> draining_{false};
     std::atomic<bool> stopped_{false};
@@ -181,14 +180,6 @@ class Server
     std::mutex jobsMutex_;
     /** In-flight executions by Job::dedupeKey (see that comment). */
     std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
-    /**
-     * Queued-but-not-yet-dispatched jobs by admission id. A worker
-     * removes the slot when it picks the job up (waiters hold their
-     * own shared_ptr), so the map stays bounded by the queue, not by
-     * daemon lifetime.
-     */
-    std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_;
-    std::uint64_t nextJobId_ = 0;
 
     int listenFd_ = -1;
     std::mutex connMutex_;

@@ -84,25 +84,6 @@ connectUnix(const std::string &path)
 }
 
 bool
-readLine(int fd, std::string &out)
-{
-    out.clear();
-    char c = 0;
-    while (true) {
-        const ssize_t n = ::read(fd, &c, 1);
-        if (n == 1) {
-            if (c == '\n')
-                return true;
-            out.push_back(c);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        return false;  // EOF or hard error mid-line
-    }
-}
-
-bool
 LineReader::fill()
 {
     char chunk[4096];

@@ -36,14 +36,6 @@ int acceptWithTimeout(int listen_fd, int timeout_ms);
 /** Connect to the Unix socket at @p path; -1 on failure (sets errno). */
 int connectUnix(const std::string &path);
 
-/**
- * Read one '\n'-terminated line (newline stripped) from @p fd.
- * Unbuffered single-byte reads: correctness over throughput — one
- * request/response line per connection turn makes this a non-issue.
- * @return false on EOF or error before any newline.
- */
-bool readLine(int fd, std::string &out);
-
 /** Write all of @p data, retrying short writes; false on error. */
 bool writeAll(int fd, std::string_view data);
 
@@ -51,14 +43,14 @@ bool writeAll(int fd, std::string_view data);
 bool writeLine(int fd, std::string_view line);
 
 /**
- * Buffered, bounded line reader for the server side of a connection.
+ * Buffered, bounded line reader: the one way both ends of a connection
+ * read lines.
  *
- * Unlike the free readLine(), this reads in chunks (a connection may
- * pipeline many requests) and enforces a per-line byte ceiling: a line
- * longer than the limit is *discarded up to its newline* and reported
- * as kTooLong, so the server can answer a structured `bad-argument`
- * and keep the connection usable — memory stays bounded no matter what
- * a client sends.
+ * It reads in chunks (a connection may pipeline many requests) and
+ * enforces a per-line byte ceiling: a line longer than the limit is
+ * *discarded up to its newline* and reported as kTooLong, so the server
+ * can answer a structured `bad-argument` and keep the connection
+ * usable — memory stays bounded no matter what a client sends.
  */
 class LineReader
 {

@@ -181,38 +181,6 @@ ResultSink::writeSweepStats(std::uint64_t executed, std::uint64_t reused,
 }
 
 void
-ResultSink::writeServiceStats(std::uint64_t requests, std::uint64_t hits,
-                              std::uint64_t misses, std::uint64_t deduped,
-                              std::uint64_t executed,
-                              std::uint64_t rejected_overload,
-                              std::uint64_t rejected_draining,
-                              std::uint64_t bad_requests,
-                              std::uint64_t failures,
-                              std::uint64_t store_entries,
-                              std::uint64_t store_scanned,
-                              std::uint64_t store_valid,
-                              std::uint64_t store_quarantined,
-                              std::uint64_t store_truncated)
-{
-    json_.key("service").beginObject();
-    json_.key("requests").value(requests);
-    json_.key("hits").value(hits);
-    json_.key("misses").value(misses);
-    json_.key("deduped").value(deduped);
-    json_.key("executed").value(executed);
-    json_.key("rejected_overload").value(rejected_overload);
-    json_.key("rejected_draining").value(rejected_draining);
-    json_.key("bad_requests").value(bad_requests);
-    json_.key("failures").value(failures);
-    json_.key("store_entries").value(store_entries);
-    json_.key("store_scanned").value(store_scanned);
-    json_.key("store_valid").value(store_valid);
-    json_.key("store_quarantined").value(store_quarantined);
-    json_.key("store_truncated").value(store_truncated);
-    json_.endObject();
-}
-
-void
 ResultSink::beginTables()
 {
     json_.key("tables").beginArray();

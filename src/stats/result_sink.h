@@ -117,24 +117,6 @@ class ResultSink
                          std::uint64_t cache_bytes,
                          std::uint64_t cache_byte_budget);
 
-    /**
-     * v2: the optional top-level "service" counters object, emitted
-     * by the simulation-service daemon (docs/SERVICE.md) when it
-     * reports its lifetime statistics at drain.
-     */
-    void writeServiceStats(std::uint64_t requests, std::uint64_t hits,
-                           std::uint64_t misses, std::uint64_t deduped,
-                           std::uint64_t executed,
-                           std::uint64_t rejected_overload,
-                           std::uint64_t rejected_draining,
-                           std::uint64_t bad_requests,
-                           std::uint64_t failures,
-                           std::uint64_t store_entries,
-                           std::uint64_t store_scanned,
-                           std::uint64_t store_valid,
-                           std::uint64_t store_quarantined,
-                           std::uint64_t store_truncated);
-
     void beginTables();
     void endTables();
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -207,6 +208,12 @@ main(int argc, char **argv)
         return 1;
     }
 
+    service::LineReader reader(fd);
+    const auto readReply = [&reader](std::string &reply) {
+        return reader.next(reply, std::numeric_limits<std::size_t>::max()) ==
+               service::LineReader::Status::kLine;
+    };
+
     service::Request ping;
     ping.op = "ping";
     const std::string pingLine = service::requestLine(ping);
@@ -222,7 +229,7 @@ main(int argc, char **argv)
             break;
         }
         std::string reply;
-        if (!service::readLine(fd, reply)) {
+        if (!readReply(reply)) {
             complain("no response line (connection dropped)", line);
             break;
         }
@@ -249,7 +256,7 @@ main(int argc, char **argv)
         // still answer structured pings between garbage bursts.
         if (i % 256 == 255) {
             if (!service::writeLine(fd, pingLine) ||
-                !service::readLine(fd, reply)) {
+                !readReply(reply)) {
                 complain("heartbeat ping got no response", pingLine);
                 break;
             }

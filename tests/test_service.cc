@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -20,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "harness/experiment_engine.h"
 #include "harness/record_frame.h"
 #include "harness/record_log.h"
 #include "harness/run_journal.h"
@@ -82,6 +84,33 @@ waitFor(const std::function<bool()> &pred)
     return pred();
 }
 
+/**
+ * The line a local, journaled runResilient of @p request's cell writes
+ * to a fresh journal at @p name in the test temp directory.
+ */
+std::string
+localJournalLine(const Request &request, const std::string &name)
+{
+    const TempPath path(name);
+    const harness::RecordLogHeader header{
+        harness::kJournalSchema, harness::kJournalVersion, "test_service"};
+    const harness::RunCell cell = cellFromRequest(request.run);
+    harness::RunPlan plan;
+    plan.addCell(cell.row, cell.label, cell.config, cell.app, cell.params);
+    harness::RecordLog journal;
+    journal.open(path.str(), header);
+    harness::ResilientOptions options;
+    options.journal = &journal;
+    options.wallDeadlineSec = request.run.deadlineSec;
+    options.eventBudget = request.run.eventBudget;
+    (void)harness::ExperimentEngine().runResilient(plan, options);
+    journal.close();
+    journal.open(path.str(), header);  // read back what was written
+    const harness::JournalEntry *entry =
+        journal.find(harness::runFingerprint(cell));
+    return entry != nullptr ? harness::journalLine(*entry) : "";
+}
+
 /** Execution gate: holds every worker at the door until release(). */
 struct Gate
 {
@@ -110,7 +139,7 @@ struct Gate
 
 TEST(FairShareQueue, RoundRobinAcrossClients)
 {
-    FairShareQueue queue(16);
+    FairShareQueue<std::uint64_t> queue(16);
     EXPECT_EQ(queue.push("c1", 1), Admission::kAdmitted);
     EXPECT_EQ(queue.push("c1", 2), Admission::kAdmitted);
     EXPECT_EQ(queue.push("c1", 3), Admission::kAdmitted);
@@ -129,7 +158,7 @@ TEST(FairShareQueue, RoundRobinAcrossClients)
 
 TEST(FairShareQueue, BoundedPushSheds)
 {
-    FairShareQueue queue(2);
+    FairShareQueue<std::uint64_t> queue(2);
     EXPECT_EQ(queue.push("c1", 1), Admission::kAdmitted);
     EXPECT_EQ(queue.push("c2", 2), Admission::kAdmitted);
     EXPECT_EQ(queue.push("c3", 3), Admission::kFull);
@@ -141,7 +170,7 @@ TEST(FairShareQueue, BoundedPushSheds)
 
 TEST(FairShareQueue, CloseDrainsThenReportsExhaustion)
 {
-    FairShareQueue queue(4);
+    FairShareQueue<std::uint64_t> queue(4);
     queue.push("c1", 7);
     queue.close();
     EXPECT_TRUE(queue.closed());
@@ -153,7 +182,7 @@ TEST(FairShareQueue, CloseDrainsThenReportsExhaustion)
 
 TEST(FairShareQueue, PopBlocksUntilPush)
 {
-    FairShareQueue queue(4);
+    FairShareQueue<std::uint64_t> queue(4);
     std::optional<std::uint64_t> got;
     std::thread consumer([&] { got = queue.pop(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -212,13 +241,16 @@ TEST(ServiceProtocol, ResponseLineRoundTripsEntryAndError)
     EXPECT_EQ(errBack.error->code, sim::ErrorCode::kServiceOverloaded);
     EXPECT_FALSE(errBack.persisted);
 
-    // A line without the persisted key (a pre-flag daemon) parses
-    // leniently to false rather than failing.
-    const Response legacy = responseFromLine(
-        "{\"schema\":\"grit-service\",\"version\":1,"
-        "\"status\":\"ok\",\"cached\":true,\"deduped\":false}");
-    EXPECT_TRUE(legacy.cached);
-    EXPECT_FALSE(legacy.persisted);
+    // Every response line comes from this build's responseLine, so a
+    // line without the persisted key is a structured wire error.
+    try {
+        (void)responseFromLine(
+            "{\"schema\":\"grit-service\",\"version\":1,"
+            "\"status\":\"ok\",\"cached\":true,\"deduped\":false}");
+        FAIL() << "accepted a response line without persisted";
+    } catch (const sim::SimException &e) {
+        EXPECT_EQ(e.code(), sim::ErrorCode::kBadArgument);
+    }
 
     Response stats;
     stats.status = "ok";
@@ -332,6 +364,9 @@ TEST(ServiceServer, ExecutesThenServesFromStore)
     EXPECT_EQ(first.entry->status, "ok");
     EXPECT_TRUE(first.entry->hasResult);
     EXPECT_GT(first.entry->result.cycles, 0u);
+    // The served entry is the one a local journaled sweep writes.
+    EXPECT_EQ(harness::journalLine(*first.entry),
+              localJournalLine(request, "server_local_journal.jsonl"));
 
     const Response second = server.handle(request);
     ASSERT_EQ(second.status, "ok");
@@ -541,6 +576,10 @@ TEST(ServiceServer, DeadlineFailureSalvagesPartialAndIsNotCached)
     EXPECT_EQ(response.entry->error->code, sim::ErrorCode::kDeadline);
     EXPECT_TRUE(response.entry->hasResult);
     EXPECT_TRUE(response.entry->result.partial);
+    // The failed entry and its salvaged partial are the ones a local
+    // journaled sweep under the same budget writes.
+    EXPECT_EQ(harness::journalLine(*response.entry),
+              localJournalLine(hung, "server_deadline_journal.jsonl"));
 
     // Failures must never poison the cache: re-requesting re-executes.
     const ServiceCounters counters = server.counters();
@@ -764,9 +803,11 @@ TEST(ServiceServer, OversizedLineGetsStructuredErrorAndConnectionLives)
 
     // An over-limit line (even with no newline yet at the limit) is
     // answered with bad-argument, never buffered unboundedly.
+    constexpr std::size_t kNoCeiling = std::numeric_limits<std::size_t>::max();
+    LineReader reader(fd);
     ASSERT_TRUE(writeLine(fd, std::string(4096, 'x')));
     std::string line;
-    ASSERT_TRUE(readLine(fd, line));
+    ASSERT_EQ(reader.next(line, kNoCeiling), LineReader::Status::kLine);
     const Response refused = responseFromLine(line);
     ASSERT_EQ(refused.status, "error");
     ASSERT_TRUE(refused.error.has_value());
@@ -776,7 +817,7 @@ TEST(ServiceServer, OversizedLineGetsStructuredErrorAndConnectionLives)
     Request ping;
     ping.op = "ping";
     ASSERT_TRUE(writeLine(fd, requestLine(ping)));
-    ASSERT_TRUE(readLine(fd, line));
+    ASSERT_EQ(reader.next(line, kNoCeiling), LineReader::Status::kLine);
     EXPECT_EQ(responseFromLine(line).status, "ok");
 
     ::close(fd);
