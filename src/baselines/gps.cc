@@ -9,6 +9,13 @@ namespace grit::baselines {
 
 GpsPolicy::GpsPolicy(const GpsConfig &config) : config_(config) {}
 
+void
+GpsPolicy::attach(uvm::UvmDriver &driver)
+{
+    PlacementPolicy::attach(driver);
+    storeBroadcastsCtr_ = {driver.stats(), "gps.store_broadcasts"};
+}
+
 policy::FaultAction
 GpsPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 {
@@ -52,7 +59,7 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
     for (sim::GpuId subscriber : info->replicas)
         push(subscriber);
 
-    driver_->stats().counter("gps.store_broadcasts").inc();
+    storeBroadcastsCtr_.inc();
     // The store retires once every subscriber push has secured a
     // slot; under write storms this is GPS's bottleneck.
     const sim::Cycle send_overhead = slot_done - now;

@@ -19,6 +19,7 @@
 
 #include "policy/policy.h"
 #include "simcore/types.h"
+#include "stats/counters.h"
 
 namespace grit::baselines {
 
@@ -34,6 +35,8 @@ class GpsPolicy : public policy::PlacementPolicy
 {
   public:
     explicit GpsPolicy(const GpsConfig &config = {});
+
+    void attach(uvm::UvmDriver &driver) override;
 
     const char *name() const override { return "gps"; }
 
@@ -58,6 +61,7 @@ class GpsPolicy : public policy::PlacementPolicy
   private:
     GpsConfig config_;
     std::uint64_t broadcasts_ = 0;
+    stats::CounterRef storeBroadcastsCtr_;  //!< bound by attach()
 };
 
 }  // namespace grit::baselines

@@ -22,6 +22,14 @@ GritPolicy::attach(uvm::UvmDriver &driver)
 {
     PlacementPolicy::attach(driver);
     nap_ = std::make_unique<NeighborPredictor>(driver.centralTable());
+    stats::StatSet &stats = driver.stats();
+    capacityRefaultsCtr_ = {stats, "grit.capacity_refaults"};
+    triggersCtr_ = {stats, "grit.triggers"};
+    changesToDuplicationCtr_ = {stats, "grit.changes_to_duplication"};
+    changesToAccessCounterCtr_ = {stats, "grit.changes_to_access_counter"};
+    napAdoptionsCtr_ = {stats, "grit.nap_adoptions"};
+    napDegradationsCtr_ = {stats, "grit.nap_degradations"};
+    napPromotionsCtr_ = {stats, "grit.nap_promotions"};
 }
 
 mem::Scheme
@@ -98,7 +106,6 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 {
     assert(driver_ != nullptr);
     auto &central = driver_->centralTable();
-    auto &stats = driver_->stats();
 
     // A refault on a page the capacity manager spilled to the host
     // (owner is the host, no replicas, not a protection fault) carries
@@ -140,21 +147,20 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
         pendingOverhead_ = paLatency(pa, now);
     } else {
         pendingOverhead_ = 0;
-        stats.counter("grit.capacity_refaults").inc();
+        capacityRefaultsCtr_.inc();
     }
 
     if (pa.triggered) {
-        stats.counter("grit.triggers").inc();
+        triggersCtr_.inc();
         const mem::Scheme old_scheme = effectiveScheme(info.page);
         const mem::Scheme new_scheme = decideScheme(pa.writeSeen);
 
         if (new_scheme != old_scheme) {
             central.setScheme(info.page, new_scheme);
             ++schemeChanges_;
-            stats
-                .counter(new_scheme == mem::Scheme::kDuplication
-                             ? "grit.changes_to_duplication"
-                             : "grit.changes_to_access_counter")
+            (new_scheme == mem::Scheme::kDuplication
+                 ? changesToDuplicationCtr_
+                 : changesToAccessCounterCtr_)
                 .inc();
 
             // Leaving duplication requires dropping stale replicas
@@ -166,12 +172,11 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
                 const NapOutcome out =
                     nap_->onSchemeChange(info.page, new_scheme);
                 napAdoptions_ += out.adopted.size();
-                stats.counter("grit.nap_adoptions")
-                    .inc(out.adopted.size());
+                napAdoptionsCtr_.inc(out.adopted.size());
                 if (out.degraded)
-                    stats.counter("grit.nap_degradations").inc();
+                    napDegradationsCtr_.inc();
                 if (out.groupPages > 1)
-                    stats.counter("grit.nap_promotions").inc();
+                    napPromotionsCtr_.inc();
                 if (new_scheme != mem::Scheme::kDuplication) {
                     for (sim::PageId p : out.adopted)
                         driver_->resetDuplication(p, now);

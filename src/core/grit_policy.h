@@ -16,6 +16,7 @@
 #include "core/pa_table.h"
 #include "policy/policy.h"
 #include "simcore/types.h"
+#include "stats/counters.h"
 
 namespace grit::core {
 
@@ -105,6 +106,14 @@ class GritPolicy : public policy::PlacementPolicy
     sim::Cycle pendingOverhead_ = 0;
     std::uint64_t schemeChanges_ = 0;
     std::uint64_t napAdoptions_ = 0;
+    // Run counters in the attached driver's StatSet, bound by attach().
+    stats::CounterRef capacityRefaultsCtr_;
+    stats::CounterRef triggersCtr_;
+    stats::CounterRef changesToDuplicationCtr_;
+    stats::CounterRef changesToAccessCounterCtr_;
+    stats::CounterRef napAdoptionsCtr_;
+    stats::CounterRef napDegradationsCtr_;
+    stats::CounterRef napPromotionsCtr_;
 };
 
 }  // namespace grit::core

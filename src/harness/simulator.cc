@@ -1,6 +1,7 @@
 #include "harness/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -84,8 +85,12 @@ Simulator::Simulator(const SystemConfig &config,
 
     // Byte addresses decode into (page, line) at the configured base
     // page size as accesses are issued (nextAccess); large-page studies
-    // reuse 4 KB-generated traces unchanged.
+    // reuse 4 KB-generated traces unchanged. validate() guarantees a
+    // power-of-two base size that is a multiple of the line size, so
+    // the decode is a shift and a mask.
     const std::uint64_t page_size = config_.geometry.baseSize;
+    pageShift_ = static_cast<unsigned>(std::countr_zero(page_size));
+    lineMask_ = config_.geometry.linesPerBase() - 1;
     cursors_.resize(config_.numGpus);
     for (unsigned g = 0; g < config_.numGpus; ++g) {
         GpuCursor &cur = cursors_[g];
@@ -189,10 +194,8 @@ Simulator::nextAccess(unsigned g, LaneAccess &out)
     }
     const workload::Access a = cur.chunk->accesses[cur.chunkPos++];
     ++cur.pos;
-    const mem::PageGeometry &geo = config_.geometry;
-    out.page = a.addr / geo.baseSize;
-    out.line = static_cast<unsigned>((a.addr / sim::kLineSize) %
-                                     geo.linesPerBase());
+    out.page = a.addr >> pageShift_;
+    out.line = static_cast<unsigned>((a.addr / sim::kLineSize) & lineMask_);
     out.write = a.write;
     return true;
 }
@@ -270,9 +273,7 @@ Simulator::runLane(unsigned g, unsigned lane, sim::Cycle now)
         LaneAccess access;
         if (!nextAccess(g, access))
             return;  // this GPU has drained; the lane retires
-        if (accessesCtr_ == nullptr)
-            accessesCtr_ = &stats_.counter("sim.accesses");
-        accessesCtr_->inc();
+        accessesCtr_.inc();
         const std::optional<sim::Cycle> done =
             beginAccess(g, lane, access, 0, now);
         if (!done)
@@ -309,9 +310,7 @@ Simulator::beginAccess(unsigned g, unsigned lane, const LaneAccess &a,
             gpu.fillTlbs(lane, a.page);
         } else {
             loc = driver_->directory().ownerOf(a.page);
-            if (staleReplaysCtr_ == nullptr)
-                staleReplaysCtr_ = &stats_.counter("sim.stale_replays");
-            staleReplaysCtr_->inc();
+            staleReplaysCtr_.inc();
         }
         const sim::Cycle done = finishAccess(g, now, loc, a);
         finish_ = std::max(finish_, done);
@@ -425,10 +424,7 @@ Simulator::finishAccess(unsigned g, sim::Cycle ready, sim::GpuId loc,
             t = gpu.remoteSlot(before, flight,
                                /*to_host=*/loc == sim::kHostId);
             breakdown_.add(stats::LatencyKind::kRemoteAccess, t - before);
-            if (remoteAccessesCtr_ == nullptr)
-                remoteAccessesCtr_ =
-                    &stats_.counter("sim.remote_accesses");
-            remoteAccessesCtr_->inc();
+            remoteAccessesCtr_.inc();
             if (timeline_)
                 timeline_->record(
                     before,

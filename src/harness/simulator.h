@@ -230,14 +230,12 @@ class Simulator
 
     sim::EventQueue queue_;
     stats::StatSet stats_;
-    // Per-access counters resolved on first use and then cached: StatSet
-    // is a string-keyed map with stable nodes, but looking the names up
-    // per access would put string compares on the hot path. Lazy (not
-    // eager) so a counter still only exists once its event occurs —
-    // results serialize the counter set, and it must not change.
-    stats::Counter *accessesCtr_ = nullptr;
-    stats::Counter *staleReplaysCtr_ = nullptr;
-    stats::Counter *remoteAccessesCtr_ = nullptr;
+    // Per-access counters, resolved on first increment: results
+    // serialize the counter set, so a counter must still appear only
+    // once its event occurs.
+    stats::CounterRef accessesCtr_{stats_, "sim.accesses"};
+    stats::CounterRef staleReplaysCtr_{stats_, "sim.stale_replays"};
+    stats::CounterRef remoteAccessesCtr_{stats_, "sim.remote_accesses"};
     stats::LatencyBreakdown breakdown_;
     std::unique_ptr<ic::Topology> fabric_;
     std::vector<std::unique_ptr<gpu::Gpu>> gpus_;
@@ -253,6 +251,8 @@ class Simulator
 
     /** Per-GPU shared work cursors (CU work distribution). */
     std::vector<GpuCursor> cursors_;
+    unsigned pageShift_ = 0;      //!< log2(geometry.baseSize)
+    std::uint64_t lineMask_ = 0;  //!< geometry.linesPerBase() - 1
     std::uint64_t totalAccesses_ = 0;
     std::uint64_t accessesBatched_ = 0;
     sim::Cycle finish_ = 0;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "simcore/first_min.h"
+
 namespace grit::mem {
 
 DataCache::DataCache(std::string name, std::uint64_t size_bytes,
@@ -16,7 +18,7 @@ DataCache::DataCache(std::string name, std::uint64_t size_bytes,
       latency_(latency),
       lines_(static_cast<std::size_t>(size_bytes / line_bytes), 0),
       lastUse_(lines_.size(), 0),
-      genOf_(lines_.size(), 0)
+      live_(sets_, ways)
 {
     assert(ways > 0 && line_bytes > 0);
     assert(size_bytes % (line_bytes * ways) == 0);
@@ -27,64 +29,68 @@ bool
 DataCache::access(std::uint64_t line_id)
 {
     ++tick_;
-    const std::size_t base = std::size_t{setIndex(line_id)} * ways_;
-    std::size_t victim = base;
-    for (unsigned w = 0; w < ways_; ++w) {
-        const std::size_t i = base + w;
-        if (lines_[i] == line_id && live(i)) {
-            lastUse_[i] = tick_;
-            ++hits_;
-            return true;
-        }
-        if (!live(i)) {
-            victim = i;
-            continue;
-        }
-        if (live(victim) && lastUse_[i] < lastUse_[victim])
-            victim = i;
+    const std::size_t hit = findLive(line_id);
+    if (hit != LiveWays::kNone) {
+        lastUse_[hit] = tick_;
+        ++hits_;
+        return true;
     }
     ++misses_;
+    // A set with a dead way fills it (dead ways are interchangeable:
+    // nothing reads a dead slot); a full set loses its LRU way (live
+    // stamps are distinct, so the minimum is unique).
+    const std::size_t set = live_.setOf(line_id);
+    const std::size_t base = set * ways_;
+    std::uint64_t *live = live_.fill(set);
+    const std::size_t dead = live_.firstDead(live);
+    std::size_t victim;
+    if (dead < ways_) {
+        victim = base + dead;
+        LiveWays::markLive(live, dead);
+    } else {
+        victim = base + sim::firstMinIndex(&lastUse_[base], ways_);
+    }
     lines_[victim] = line_id;
     lastUse_[victim] = tick_;
-    genOf_[victim] = gen_;
     return false;
 }
 
 bool
 DataCache::contains(std::uint64_t line_id) const
 {
-    const std::size_t base = std::size_t{setIndex(line_id)} * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        const std::size_t i = base + w;
-        if (lines_[i] == line_id && live(i))
-            return true;
-    }
-    return false;
+    return findLive(line_id) != LiveWays::kNone;
 }
 
 void
-DataCache::invalidateSpan(std::size_t begin, std::size_t end,
+DataCache::invalidateSpan(std::size_t first_set, std::size_t end_set,
                           std::uint64_t first, std::uint64_t count)
 {
-    // Unsigned wrap makes one compare a two-sided range test; the
-    // generation check runs only on the rare in-range candidate. Blocks
-    // of four use a branch-free any-match reduction so the common
-    // no-line-here case costs one branch per block, not per entry.
-    std::size_t i = begin;
-    for (; i + 4 <= end; i += 4) {
-        const bool any = (lines_[i] - first < count) |
-                         (lines_[i + 1] - first < count) |
-                         (lines_[i + 2] - first < count) |
-                         (lines_[i + 3] - first < count);
-        if (!any)
+    // Unsigned wrap makes one compare a two-sided range test. Blocks of
+    // four use a branch-free any-match reduction so the common
+    // no-line-here case costs one branch per block, not per entry. A
+    // set emptied by a flush holds nothing to kill.
+    for (std::size_t set = first_set; set < end_set; ++set) {
+        if (live_.find(set) == nullptr)
             continue;
-        for (std::size_t j = i; j < i + 4; ++j)
-            if (lines_[j] - first < count && live(j))
-                genOf_[j] = 0;
+        std::uint64_t *live = live_.fill(set);
+        const std::size_t base = set * ways_;
+        const std::size_t end = base + ways_;
+        std::size_t i = base;
+        for (; i + 4 <= end; i += 4) {
+            const bool any = (lines_[i] - first < count) |
+                             (lines_[i + 1] - first < count) |
+                             (lines_[i + 2] - first < count) |
+                             (lines_[i + 3] - first < count);
+            if (!any)
+                continue;
+            for (std::size_t j = i; j < i + 4; ++j)
+                if (lines_[j] - first < count)
+                    LiveWays::markDead(live, j - base);
+        }
+        for (; i < end; ++i)
+            if (lines_[i] - first < count)
+                LiveWays::markDead(live, i - base);
     }
-    for (; i < end; ++i)
-        if (lines_[i] - first < count && live(i))
-            genOf_[i] = 0;
 }
 
 void
@@ -95,22 +101,22 @@ DataCache::invalidatePage(sim::PageId page, unsigned lines_per_page)
     // at first % sets_ (all sets when the page has more lines than
     // sets). Sweep those sets as contiguous spans of the SoA arrays.
     if (lines_per_page >= sets_) {
-        invalidateSpan(0, lines_.size(), first, lines_per_page);
+        invalidateSpan(0, sets_, first, lines_per_page);
         return;
     }
-    const std::size_t s0 = setIndex(first);
+    const std::size_t s0 = live_.setOf(first);
     const std::size_t last = std::min<std::size_t>(s0 + lines_per_page,
                                                    sets_);
-    invalidateSpan(s0 * ways_, last * ways_, first, lines_per_page);
+    invalidateSpan(s0, last, first, lines_per_page);
     if (s0 + lines_per_page > sets_)  // wrapped around the set array
-        invalidateSpan(0, (s0 + lines_per_page - sets_) * ways_, first,
+        invalidateSpan(0, s0 + lines_per_page - sets_, first,
                        lines_per_page);
 }
 
 void
 DataCache::flushAll()
 {
-    ++gen_;
+    live_.flushAll();
 }
 
 }  // namespace grit::mem

@@ -12,6 +12,9 @@
  * sets, so invalidatePage() reduces to a membership test over one or
  * two contiguous spans of the line-id array — a vectorizable sweep
  * instead of a per-line, per-way pointer chase over padded structs.
+ * Each set keeps a live-way bit mask (mem/live_ways.h), so a fill finds
+ * its free way with one bit scan, and a full set picks its LRU victim
+ * with one branch-free pass over the stamps.
  */
 
 #ifndef GRIT_MEM_DATA_CACHE_H_
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/live_ways.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -63,17 +67,16 @@ class DataCache
     void resetStats() { hits_ = misses_ = 0; }
 
   private:
-    unsigned setIndex(std::uint64_t line_id) const
+    /** Slot holding a live copy of @p line_id, or LiveWays::kNone. */
+    std::size_t
+    findLive(std::uint64_t line_id) const
     {
-        return static_cast<unsigned>(line_id % sets_);
+        return live_.firstLive(live_.setOf(line_id), lines_.data(), line_id);
     }
 
-    /** Entry @p i is live: stamped with the current generation. */
-    bool live(std::size_t i) const { return genOf_[i] == gen_; }
-
-    /** Kill every live line in index span [@p begin, @p end) whose id
+    /** Kill every live line of sets [@p first_set, @p end_set) whose id
      *  falls in [@p first, @p first + @p count). */
-    void invalidateSpan(std::size_t begin, std::size_t end,
+    void invalidateSpan(std::size_t first_set, std::size_t end_set,
                         std::uint64_t first, std::uint64_t count);
 
     std::string name_;
@@ -81,13 +84,12 @@ class DataCache
     unsigned ways_;
     std::uint64_t lineBytes_;
     sim::Cycle latency_;
-    // Parallel arrays indexed by set * ways + way. genOf_ doubles as the
-    // valid bit: 0 means never filled, gen_ (always >= 1) means live.
+    // Per-slot arrays indexed by set * ways + way. A slot's stamp is the
+    // tick of its last fill or hit, so live stamps are all distinct.
     std::vector<std::uint64_t> lines_;
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint64_t> genOf_;
+    LiveWays live_;  // flushAll() bumps its generation
     std::uint64_t tick_ = 0;
-    std::uint64_t gen_ = 1;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "simcore/first_min.h"
+
 namespace grit::mem {
 
 Tlb::Tlb(std::string name, unsigned entries, unsigned ways,
@@ -13,125 +15,97 @@ Tlb::Tlb(std::string name, unsigned entries, unsigned ways,
       latency_(latency),
       pages_(entries, 0),
       lastUse_(entries, 0),
-      genOf_(entries, 0)
+      live_(entries / ways, ways)
 {
     assert(ways > 0 && entries % ways == 0 && "entries must be ways-aligned");
     assert(sets_ > 0);
-}
-
-unsigned
-Tlb::setIndex(sim::PageId page) const
-{
-    return static_cast<unsigned>(page % sets_);
 }
 
 bool
 Tlb::lookup(sim::PageId page)
 {
     ++tick_;
-    const std::size_t base = std::size_t{setIndex(page)} * ways_;
-    const std::size_t end = base + ways_;
-    // Blocks of four with a branch-free any-match reduction: the miss
-    // path (every way scanned) costs one branch per block. A matching
-    // but generation-dead entry does not hit; keep scanning.
-    std::size_t i = base;
-    for (; i + 4 <= end; i += 4) {
-        const bool any = (pages_[i] == page) | (pages_[i + 1] == page) |
-                         (pages_[i + 2] == page) |
-                         (pages_[i + 3] == page);
-        if (!any)
-            continue;
-        for (std::size_t j = i; j < i + 4; ++j) {
-            if (pages_[j] == page && live(j)) {
-                lastUse_[j] = tick_;
-                ++hits_;
-                return true;
-            }
-        }
+    const std::size_t i = firstLive(live_.setOf(page), page);
+    if (i == LiveWays::kNone) {
+        ++misses_;
+        missed_ = page;
+        return false;
     }
-    for (; i < end; ++i) {
-        if (pages_[i] == page && live(i)) {
-            lastUse_[i] = tick_;
-            ++hits_;
-            return true;
-        }
-    }
-    ++misses_;
-    return false;
+    lastUse_[i] = tick_;
+    ++hits_;
+    return true;
 }
 
 std::optional<sim::PageId>
 Tlb::insert(sim::PageId page)
 {
+    // Fill the first dead way, unless a live copy of the page sits
+    // before it (refresh that copy); a full set loses its LRU way (live
+    // stamps are distinct, so the minimum is unique). A live copy
+    // beyond the first dead way is ignored, so the set then holds the
+    // page once more: the goldens pin the victims of this way-order
+    // rule.
     ++tick_;
-    const std::size_t base = std::size_t{setIndex(page)} * ways_;
-    std::size_t victim = base;
-    for (unsigned w = 0; w < ways_; ++w) {
-        const std::size_t i = base + w;
-        if (!live(i)) {
-            victim = i;  // prefer an invalid slot
-            break;
-        }
-        if (pages_[i] == page) {
-            lastUse_[i] = tick_;  // already present
-            return std::nullopt;
-        }
-        if (lastUse_[i] < lastUse_[victim])
-            victim = i;
+    const std::size_t set = live_.setOf(page);
+    const std::size_t base = set * ways_;
+    std::uint64_t *live = live_.fill(set);
+    const std::size_t dead = live_.firstDead(live);
+    // A fill right after its own lookup missed has no copy to find.
+    const std::size_t copy =
+        missed_ == page ? LiveWays::kNone : firstLive(set, page);
+    missed_.reset();
+    if (copy != LiveWays::kNone && copy - base < dead) {
+        lastUse_[copy] = tick_;  // already present
+        return std::nullopt;
     }
     std::optional<sim::PageId> displaced;
-    if (live(victim))
+    std::size_t victim;
+    if (dead < ways_) {
+        victim = base + dead;
+        LiveWays::markLive(live, dead);
+    } else {
+        victim = base + sim::firstMinIndex(&lastUse_[base], ways_);
         displaced = pages_[victim];
+    }
     pages_[victim] = page;
     lastUse_[victim] = tick_;
-    genOf_[victim] = gen_;
     return displaced;
 }
 
 bool
 Tlb::holds(sim::PageId page) const
 {
-    const std::size_t base = std::size_t{setIndex(page)} * ways_;
-    for (std::size_t i = base; i < base + ways_; ++i)
-        if (pages_[i] == page && live(i))
-            return true;
-    return false;
+    return firstLive(live_.setOf(page), page) != LiveWays::kNone;
 }
 
 void
 Tlb::invalidate(sim::PageId page)
 {
-    const std::size_t base = std::size_t{setIndex(page)} * ways_;
-    const std::size_t end = base + ways_;
-    std::size_t i = base;
-    for (; i + 4 <= end; i += 4) {
-        const bool any = (pages_[i] == page) | (pages_[i + 1] == page) |
-                         (pages_[i + 2] == page) |
-                         (pages_[i + 3] == page);
-        if (!any)
-            continue;
-        for (std::size_t j = i; j < i + 4; ++j)
-            if (pages_[j] == page && live(j))
-                genOf_[j] = 0;
-    }
-    for (; i < end; ++i)
-        if (pages_[i] == page && live(i))
-            genOf_[i] = 0;
+    // One pass kills every copy: each refill that finds a dead way
+    // before a live copy adds one more. Killing a dead way changes
+    // nothing.
+    const std::size_t set = live_.setOf(page);
+    if (live_.find(set) == nullptr)
+        return;  // a flush emptied the set
+    std::uint64_t *live = live_.fill(set);
+    const std::size_t base = set * ways_;
+    for (std::size_t way = 0; way < ways_; ++way)
+        if (pages_[base + way] == page)
+            LiveWays::markDead(live, way);
 }
 
 void
 Tlb::flushAll()
 {
-    ++gen_;
+    live_.flushAll();
 }
 
 std::size_t
 Tlb::occupancy() const
 {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < genOf_.size(); ++i)
-        if (live(i))
-            ++n;
+    for (std::size_t set = 0; set < sets_; ++set)
+        live_.forEachLive(set, [&n](std::size_t) { ++n; });
     return n;
 }
 
@@ -139,9 +113,12 @@ std::vector<sim::PageId>
 Tlb::livePages() const
 {
     std::vector<sim::PageId> out;
-    for (std::size_t i = 0; i < genOf_.size(); ++i)
-        if (live(i))
-            out.push_back(pages_[i]);
+    for (std::size_t set = 0; set < sets_; ++set) {
+        const std::size_t base = set * ways_;
+        live_.forEachLive(set, [&](std::size_t way) {
+            out.push_back(pages_[base + way]);
+        });
+    }
     return out;
 }
 

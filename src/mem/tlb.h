@@ -11,7 +11,9 @@
  * Storage is structure-of-arrays: set scans (lookup, insert,
  * invalidate) touch one contiguous page-id array instead of striding
  * over padded entry structs, so the scans vectorize and stay inside a
- * few cache lines even for the fully associative L1.
+ * few cache lines even for the fully associative L1. Each set keeps a
+ * live-way bit mask, so an insert finds its free way with one bit scan
+ * and picks an LRU victim with one branch-free pass over the stamps.
  */
 
 #ifndef GRIT_MEM_TLB_H_
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/live_ways.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -33,7 +36,7 @@ class Tlb
     /**
      * @param name    diagnostic name.
      * @param entries total entry count. @pre entries % ways == 0
-     * @param ways    associativity.
+     * @param ways    associativity (any width, including over 64).
      * @param latency lookup latency in cycles.
      */
     Tlb(std::string name, unsigned entries, unsigned ways,
@@ -47,7 +50,7 @@ class Tlb
      * @return the live page the insert displaced, if any (a refill of
      *         an invalid or flushed slot displaces nothing). The page
      *         may still be held: an insert that finds an invalid slot
-     *         before a live copy of its page fills a second copy.
+     *         before a live copy of its page fills another copy.
      */
     std::optional<sim::PageId> insert(sim::PageId page);
 
@@ -65,31 +68,36 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
     const std::string &name() const { return name_; }
 
-    /** Valid entries currently held (walks the arrays; test use). */
+    /** Valid entries currently held (walks the masks; test use). */
     std::size_t occupancy() const;
 
-    /** Pages with live translations (audit use; does not touch LRU). */
+    /** Pages with live translations in slot order (audit use; does not
+     *  touch LRU). */
     std::vector<sim::PageId> livePages() const;
 
     void resetStats() { hits_ = misses_ = 0; }
 
   private:
-    unsigned setIndex(sim::PageId page) const;
-    /** Entry @p i is live: stamped with the current generation. */
-    bool live(std::size_t i) const { return genOf_[i] == gen_; }
+    /** Slot of @p page's first live copy in @p set, or LiveWays::kNone. */
+    std::size_t
+    firstLive(std::size_t set, sim::PageId page) const
+    {
+        return live_.firstLive(set, pages_.data(), page);
+    }
 
     std::string name_;
     unsigned sets_;
     unsigned ways_;
     sim::Cycle latency_;
-    // Parallel arrays indexed by set * ways + way. genOf_ doubles as the
-    // valid bit: 0 means never filled, gen_ (always >= 1) means live,
-    // anything older is a flushed-out entry.
+    // Per-slot arrays indexed by set * ways + way. A slot's stamp is the
+    // tick of its last fill or hit, so live stamps are all distinct.
     std::vector<sim::PageId> pages_;
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint64_t> genOf_;
+    LiveWays live_;  // flushAll() bumps its generation
+    // The page the last lookup() missed, until the next insert(): only
+    // an insert of that page could give it a live copy again.
+    std::optional<sim::PageId> missed_;
     std::uint64_t tick_ = 0;
-    std::uint64_t gen_ = 1;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "service/server.h"
 
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include <sys/socket.h>
@@ -175,10 +177,13 @@ Server::handleRun(const RunRequest &request)
     }
 
     // Only runs under the same constraints share an execution (see
-    // Job::dedupeKey); the store lookup above is constraint-blind.
+    // Job::dedupeKey); the store lookup above is constraint-blind. The
+    // deadline keys on its exact bits: printed to six decimals, any
+    // deadline under a microsecond read as 0, which means none.
     const std::string dedupeKey =
-        fingerprint + '|' + std::to_string(request.deadlineSec) + '|' +
-        std::to_string(request.eventBudget);
+        fingerprint + '|' +
+        std::to_string(std::bit_cast<std::uint64_t>(request.deadlineSec)) +
+        '|' + std::to_string(request.eventBudget);
 
     std::shared_ptr<Job> job;
     bool attached = false;
@@ -247,11 +252,10 @@ Server::workerLoop()
 void
 Server::execute(Job &job)
 {
-    if (options_.executionGate)
-        options_.executionGate(job.fingerprint);
-
     harness::JournalEntry entry;
     try {
+        if (options_.executionGate)
+            options_.executionGate(job.fingerprint);
         // No cancel flag is set, so runCell always returns an entry.
         entry = engine_.runCell(job.cell, job.fingerprint, job.options)
                     .value();

@@ -82,7 +82,8 @@ class Server
          * Test hook: called (with the cell fingerprint) on the worker
          * thread immediately before a cell executes. Lets tests hold
          * an execution open to provoke dedupe/overload windows
-         * deterministically. Null in production.
+         * deterministically. A gate that throws fails the cell as
+         * any execution error does. Null in production.
          */
         std::function<void(const std::string &)> executionGate;
     };

@@ -29,7 +29,7 @@ EventQueue::schedule(Cycle when, EventFn fn, const char *tag)
     }
     const std::uint64_t seq = nextSeq_++;
     ++pending_;
-    if (when < horizon_) {
+    if (when - now_ < kWindow) {
         const std::size_t idx = when & kMask;
         buckets_[idx].items.push_back(Event{fn, tag});
         markOccupied(idx);
@@ -41,17 +41,17 @@ EventQueue::schedule(Cycle when, EventFn fn, const char *tag)
 }
 
 void
-EventQueue::refillFromFar()
+EventQueue::advanceTo(Cycle when)
 {
-    // Near window drained: re-base it at the earliest overflow event
-    // and pull everything inside the new window into buckets. Heap pops
-    // come out in (time, sequence) order, so each bucket's FIFO stays
-    // in sequence order and later direct schedules (higher sequence)
-    // append behind — the determinism contract is preserved.
-    assert(nearCount_ == 0 && !far_.empty());
-    windowBase_ = far_.front().when;
-    horizon_ = windowBase_ + kWindow;
-    while (!far_.empty() && far_.front().when < horizon_) {
+    // The window slides with now_: every overflow event that falls
+    // inside [when, when + kWindow) moves into its bucket here, before
+    // the event at `when` runs and can schedule directly into one of
+    // those cycles. Heap pops come out in (time, sequence) order, and
+    // every event scheduled at a cycle before the window reached it has
+    // a lower sequence than any scheduled after, so each bucket's FIFO
+    // stays in sequence order — the determinism contract is preserved.
+    now_ = when;
+    while (!far_.empty() && far_.front().when - when < kWindow) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
         const FarEvent ev = far_.back();
         far_.pop_back();
@@ -67,28 +67,26 @@ EventQueue::firstBucketCycle() const
 {
     assert(nearCount_ > 0);
     // Every occupied bucket maps to a unique cycle in
-    // [origin, origin + kWindow); scan the bitmap ring from origin's
-    // residue to find the earliest.
-    const Cycle origin = now_ > windowBase_ ? now_ : windowBase_;
-    const std::size_t start = static_cast<std::size_t>(origin) & kMask;
+    // [now_, now_ + kWindow); scan the bitmap ring from now_'s residue
+    // to find the earliest.
+    const std::size_t start = static_cast<std::size_t>(now_) & kMask;
     const std::size_t words = kWindow / 64;
     const std::size_t w0 = start >> 6;
     const unsigned off = start & 63;
     std::uint64_t word = occupied_[w0] >> off;
     if (word != 0)
-        return origin + static_cast<Cycle>(std::countr_zero(word));
+        return now_ + static_cast<Cycle>(std::countr_zero(word));
     Cycle dist = 64 - off;
     for (std::size_t i = 1; i < words; ++i) {
         word = occupied_[(w0 + i) & (words - 1)];
         if (word != 0)
-            return origin + dist +
-                   static_cast<Cycle>(std::countr_zero(word));
+            return now_ + dist + static_cast<Cycle>(std::countr_zero(word));
         dist += 64;
     }
     word = off != 0 ? (occupied_[w0] & ((std::uint64_t{1} << off) - 1))
                     : 0;
     assert(word != 0 && "occupied bitmap out of sync");
-    return origin + dist + static_cast<Cycle>(std::countr_zero(word));
+    return now_ + dist + static_cast<Cycle>(std::countr_zero(word));
 }
 
 const char *
@@ -114,11 +112,12 @@ EventQueue::step()
 {
     if (pending_ == 0)
         return false;
-    if (nearCount_ == 0)
-        refillFromFar();
-    const Cycle when = firstBucketCycle();
+    // With the near window empty, jump straight to the overflow heap's
+    // earliest event; advanceTo() then pulls it into its bucket.
+    const Cycle when =
+        nearCount_ > 0 ? firstBucketCycle() : far_.front().when;
+    advanceTo(when);
     Bucket &bucket = buckets_[when & kMask];
-    now_ = when;
     Event ev = bucket.items[bucket.head++];
     --nearCount_;
     --pending_;
@@ -202,8 +201,6 @@ EventQueue::reset()
     far_.clear();
     nearCount_ = 0;
     pending_ = 0;
-    windowBase_ = 0;
-    horizon_ = kWindow;
     now_ = 0;
     nextSeq_ = 0;
     limitHit_ = false;

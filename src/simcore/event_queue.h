@@ -15,12 +15,13 @@
  *    Callables must be trivially copyable and fit kInlineBytes — a
  *    compile-time error otherwise, never a silent fallback.
  *  - The queue is a two-level bucketed calendar queue keyed on cycle:
- *    events within the near window land in a per-cycle FIFO bucket
- *    (O(1) schedule, O(1) amortized dispatch); events beyond it wait
- *    in an overflow heap ordered by (time, sequence) and migrate into
- *    buckets when the window advances. FIFO within a bucket preserves
- *    the (time, sequence) determinism contract exactly, so results are
- *    bit-identical to the old binary-heap implementation.
+ *    events within the near window [now, now + kWindow) land in a
+ *    per-cycle FIFO bucket (O(1) schedule, O(1) amortized dispatch);
+ *    events beyond it wait in an overflow heap ordered by (time,
+ *    sequence) and migrate into buckets as the window slides with now.
+ *    FIFO within a bucket preserves the (time, sequence) determinism
+ *    contract exactly, so results are bit-identical to the old
+ *    binary-heap implementation.
  *
  * Two safety valves guard against runaway simulations, both reporting a
  * structured SimError via diagnostic() instead of aborting: the run()
@@ -257,8 +258,11 @@ class EventQueue
      */
     Cycle firstBucketCycle() const;
 
-    /** Advance the window over the overflow heap when near is empty. */
-    void refillFromFar();
+    /**
+     * Set now_ to @p when (no earlier than any pending event) and slide
+     * the near window with it, pulling overflow events into buckets.
+     */
+    void advanceTo(Cycle when);
 
     void markOccupied(std::size_t idx)
     {
@@ -271,11 +275,11 @@ class EventQueue
 
     std::vector<Bucket> buckets_;         // kWindow per-cycle FIFOs
     std::vector<std::uint64_t> occupied_; // bitmap over buckets_
-    std::vector<FarEvent> far_;           // heap (FarLater)
+    // Events in [now_, now_ + kWindow) sit in buckets_, later ones in
+    // far_ (a FarLater heap).
+    std::vector<FarEvent> far_;
     std::size_t nearCount_ = 0;           // unconsumed events in buckets_
     std::size_t pending_ = 0;             // near + far
-    Cycle windowBase_ = 0;                // first cycle of the window
-    Cycle horizon_ = kWindow;             // exclusive near-window bound
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t watchdogEvents_ = 0;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <utility>
 
+#include "simcore/first_min.h"
+
 namespace grit::sim {
 
 BandwidthResource::BandwidthResource(std::string name,
@@ -33,19 +35,21 @@ BandwidthResource::serviceCycles(std::uint64_t bytes) const
 Cycle
 BandwidthResource::acquire(Cycle now, std::uint64_t bytes)
 {
-    auto it = std::min_element(channelFree_.begin(), channelFree_.end());
-    const Cycle start = std::max(now, *it);
+    Cycle &free =
+        channelFree_[firstMinIndex(channelFree_.data(), channelFree_.size())];
+    const Cycle start = std::max(now, free);
     const Cycle service = serviceCycles(bytes);
-    *it = start + service;
+    free = start + service;
     busy_ += service;
     bytes_ += bytes;
-    return *it;
+    return free;
 }
 
 Cycle
 BandwidthResource::nextFree() const
 {
-    return *std::min_element(channelFree_.begin(), channelFree_.end());
+    return channelFree_[firstMinIndex(channelFree_.data(),
+                                      channelFree_.size())];
 }
 
 void
@@ -64,10 +68,10 @@ ServerPool::ServerPool(std::string name, unsigned servers)
 Cycle
 ServerPool::acquire(Cycle now, Cycle service)
 {
-    auto it = std::min_element(freeAt_.begin(), freeAt_.end());
-    const Cycle start = std::max(now, *it);
+    Cycle &free = freeAt_[firstMinIndex(freeAt_.data(), freeAt_.size())];
+    const Cycle start = std::max(now, free);
     const Cycle done = start + service;
-    *it = done;
+    free = done;
     ++requests_;
     busy_ += service;
     queueDelay_ += start - now;

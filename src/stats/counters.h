@@ -9,6 +9,7 @@
 #ifndef GRIT_STATS_COUNTERS_H_
 #define GRIT_STATS_COUNTERS_H_
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,6 +52,42 @@ class StatSet
 
   private:
     std::map<std::string, Counter> counters_;
+};
+
+/**
+ * One named counter of a StatSet, looked up on its first increment and
+ * cached after that.
+ *
+ * StatSet::counter() builds a std::string and walks the map on every
+ * call, and the fault path's names are too long for the small-string
+ * buffer, so each call allocates. Hot paths hold a CounterRef instead.
+ * The lookup stays lazy, not eager: the first inc() (even of 0)
+ * creates the entry, so a counter still appears in the set only once
+ * it fires, exactly as with counter(). Map nodes never move and the
+ * set never erases, so the cached pointer stays valid.
+ */
+class CounterRef
+{
+  public:
+    /** An unbound reference; bind it by assignment before inc(). */
+    CounterRef() = default;
+
+    /** @p name must outlive the reference (a string literal). */
+    CounterRef(StatSet &set, const char *name) : set_(&set), name_(name) {}
+
+    void
+    inc(std::uint64_t n = 1)
+    {
+        assert(set_ != nullptr && "CounterRef incremented before binding");
+        if (counter_ == nullptr)
+            counter_ = &set_->counter(name_);
+        counter_->inc(n);
+    }
+
+  private:
+    StatSet *set_ = nullptr;
+    const char *name_ = nullptr;
+    Counter *counter_ = nullptr;
 };
 
 }  // namespace grit::stats

@@ -31,7 +31,7 @@ UvmDriver::invalidateRemoteMappings(sim::PageId page, sim::Cycle now)
         t += config_.invalidatePteCycles;
         t = fabric_.message(t, mapper, sim::kHostId, config_.messageBytes);
         done = std::max(done, t);
-        stats_.counter("uvm.remote_invalidations").inc();
+        remoteInvalidationsCtr_.inc();
     }
     info.remoteMappers.clear();
     return done;
@@ -52,7 +52,7 @@ UvmDriver::dropReplicas(sim::PageId page, sim::Cycle now,
         g.dram().erase(page);
         t = fabric_.message(t, holder, sim::kHostId, config_.messageBytes);
         done = std::max(done, t);
-        stats_.counter("uvm.replica_invalidations").inc();
+        replicaInvalidationsCtr_.inc();
     }
     directory_.clearReplicas(page, now);
 
@@ -91,7 +91,7 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
     if (victim.kind == mem::FrameKind::kReplica) {
         // A dropped replica loses nothing: the owner still has the data.
         directory_.removeReplica(victim.page, gpu, now);
-        stats_.counter("uvm.replica_evictions").inc();
+        replicaEvictionsCtr_.inc();
         if (info.replicas.empty() && info.owner >= 0 &&
             info.owner != gpu) {
             gpu::Gpu &owner = gpuAt(info.owner);
@@ -106,7 +106,7 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
     }
 
     // An owned page was evicted; translations to this copy are stale.
-    stats_.counter("uvm.owner_evictions").inc();
+    ownerEvictionsCtr_.inc();
     now = invalidateRemoteMappings(victim.page, now);
     while (!info.replicas.empty()) {
         // Promote a replica to be the new authoritative copy, dropping
@@ -114,7 +114,7 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
         const sim::GpuId heir = info.replicas.front();
         directory_.removeReplica(victim.page, heir, now);
         if (heir == gpu || !gpuAt(heir).dram().resident(victim.page)) {
-            stats_.counter("uvm.stale_replica_entries").inc();
+            staleReplicaEntriesCtr_.inc();
             continue;
         }
         info.owner = heir;
@@ -131,12 +131,12 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
     // Spill to host memory. Clean pages drop without a writeback; the
     // spill time folds into the span the caller charges to @p kind.
     (void)kind;
-    stats_.counter("uvm.spills").inc();
+    spillsCtr_.inc();
     sim::Cycle t = now;
     if (info.dirty) {
         t = fabric_.transfer(now, gpu, sim::kHostId, geometry_->baseSize);
         info.dirty = false;
-        stats_.counter("uvm.spill_writebacks").inc();
+        spillWritebacksCtr_.inc();
     }
     info.owner = sim::kHostId;
     if (trace_)
@@ -225,8 +225,7 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     t += config_.remapCycles;
 
     breakdown_.add(kind, t - start);
-    stats_.counter(from >= 0 ? "uvm.migrations" : "uvm.host_migrations")
-        .inc();
+    (from >= 0 ? migrationsCtr_ : hostMigrationsCtr_).inc();
     timelineRecord(stats::TimelineKind::kMigration, start);
     if (trace_)
         trace_->record("migrate", "uvm", start, t - start, to, page, from);
@@ -283,7 +282,7 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     t += config_.remapCycles;
 
     breakdown_.add(stats::LatencyKind::kPageDuplication, t - start);
-    stats_.counter("uvm.duplications").inc();
+    duplicationsCtr_.inc();
     timelineRecord(stats::TimelineKind::kDuplication, start);
     if (trace_)
         trace_->record("duplicate", "uvm", start, t - start, to, page,
@@ -314,7 +313,7 @@ UvmDriver::prefetchPage(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
     gpuAt(gpu).pageTable().install(page, mem::MappingKind::kLocal, gpu,
                                    /*writable=*/!write_protected,
                                    /*read_only_replica=*/write_protected);
-    stats_.counter("uvm.prefetches").inc();
+    prefetchesCtr_.inc();
     if (trace_)
         trace_->record("prefetch", "uvm", now, t - now, gpu, page);
     // Background transfer: occupies bandwidth, charges no fault latency.
@@ -377,7 +376,7 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
     t += config_.remapCycles;
 
     breakdown_.add(stats::LatencyKind::kWriteCollapse, t - start);
-    stats_.counter("uvm.collapses").inc();
+    collapsesCtr_.inc();
     timelineRecord(stats::TimelineKind::kCollapse, start);
     if (trace_)
         trace_->record("collapse", "uvm", start, t - start, writer, page,
@@ -410,7 +409,7 @@ UvmDriver::resetDuplication(sim::PageId page, sim::Cycle now)
     PageInfo &info = directory_.info(page);
     if (info.replicas.empty())
         return now;
-    stats_.counter("uvm.scheme_reset_collapses").inc();
+    schemeResetCollapsesCtr_.inc();
     return dropReplicas(page, now, stats::LatencyKind::kWriteCollapse);
 }
 

@@ -99,14 +99,11 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     // onto the in-flight episode, as the GMMU fault queues do.
     const sim::Cycle pending = coalescer_.inflight(gpu, page, now);
     if (pending != sim::kCycleMax) {
-        stats_.counter("uvm.coalesced_faults").inc();
+        coalescedFaultsCtr_.inc();
         return FaultOutcome{pending, true};
     }
 
-    stats_
-        .counter(protection_fault ? "uvm.protection_faults"
-                                  : "uvm.local_faults")
-        .inc();
+    (protection_fault ? protectionFaultsCtr_ : localFaultsCtr_).inc();
     timelineRecord(stats::TimelineKind::kFault, now);
 
     PageInfo &info = directory_.info(page);
@@ -136,7 +133,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
         at = fabric_.message(at, info.owner, gpu, config_.messageBytes);
         const sim::Cycle done = mapRemote(page, gpu, at);
         breakdown_.add(stats::LatencyKind::kHost, done - now);
-        stats_.counter("uvm.transfw_forwards").inc();
+        transfwForwardsCtr_.inc();
         if (trace_)
             trace_->record("fault", "uvm", now, done - now, gpu, page);
         coalescer_.record(gpu, page, done);
@@ -177,7 +174,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     } else if (cold) {
         // First touch anywhere: the page comes from host memory under
         // every scheme; only the charged category differs.
-        stats_.counter("uvm.cold_migrations").inc();
+        coldMigrationsCtr_.inc();
         done = migratePage(page, gpu, at, coldKind(action));
     } else {
         switch (action) {
@@ -206,7 +203,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
                     page, mem::MappingKind::kLocal, gpu,
                     /*writable=*/true);
                 gpuAt(gpu).dram().touch(page);
-                stats_.counter("uvm.refills").inc();
+                refillsCtr_.inc();
                 done = at + config_.remapCycles;
             } else {
                 done = duplicatePage(page, gpu, at,
@@ -254,7 +251,7 @@ UvmDriver::mapRemote(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
     gpuAt(gpu).pageTable().install(page, mem::MappingKind::kRemote,
                                    info.owner, /*writable=*/true);
     info.addRemoteMapper(gpu);
-    stats_.counter("uvm.remote_maps").inc();
+    remoteMapsCtr_.inc();
     return now + config_.remapCycles;
 }
 
@@ -269,7 +266,7 @@ UvmDriver::refillMapping(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
                                    /*writable=*/!write_protected,
                                    /*read_only_replica=*/write_protected);
     gpuAt(gpu).dram().touch(page);
-    stats_.counter("uvm.refills").inc();
+    refillsCtr_.inc();
     return now + config_.remapCycles;
 }
 
@@ -294,7 +291,7 @@ UvmDriver::counterMigration(sim::GpuId gpu, sim::PageId page,
                                     stats::LatencyKind::kPageMigration));
         ++migrated;
     }
-    stats_.counter("uvm.counter_migrations").inc(migrated);
+    counterMigrationsCtr_.inc(migrated);
     return done;
 }
 

@@ -315,6 +315,33 @@ class UvmDriver
     ic::Topology &fabric_;
     std::vector<gpu::Gpu *> gpus_;
     stats::StatSet &stats_;
+    // The fault path's counters, resolved on first increment (a
+    // StatSet::counter() call per fault allocated a std::string).
+    stats::CounterRef coalescedFaultsCtr_{stats_, "uvm.coalesced_faults"};
+    stats::CounterRef coldMigrationsCtr_{stats_, "uvm.cold_migrations"};
+    stats::CounterRef collapsesCtr_{stats_, "uvm.collapses"};
+    stats::CounterRef counterMigrationsCtr_{stats_, "uvm.counter_migrations"};
+    stats::CounterRef duplicationsCtr_{stats_, "uvm.duplications"};
+    stats::CounterRef hostMigrationsCtr_{stats_, "uvm.host_migrations"};
+    stats::CounterRef localFaultsCtr_{stats_, "uvm.local_faults"};
+    stats::CounterRef migrationsCtr_{stats_, "uvm.migrations"};
+    stats::CounterRef ownerEvictionsCtr_{stats_, "uvm.owner_evictions"};
+    stats::CounterRef prefetchesCtr_{stats_, "uvm.prefetches"};
+    stats::CounterRef protectionFaultsCtr_{stats_, "uvm.protection_faults"};
+    stats::CounterRef refillsCtr_{stats_, "uvm.refills"};
+    stats::CounterRef remoteInvalidationsCtr_{stats_,
+                                              "uvm.remote_invalidations"};
+    stats::CounterRef remoteMapsCtr_{stats_, "uvm.remote_maps"};
+    stats::CounterRef replicaEvictionsCtr_{stats_, "uvm.replica_evictions"};
+    stats::CounterRef replicaInvalidationsCtr_{stats_,
+                                               "uvm.replica_invalidations"};
+    stats::CounterRef schemeResetCollapsesCtr_{stats_,
+                                               "uvm.scheme_reset_collapses"};
+    stats::CounterRef spillWritebacksCtr_{stats_, "uvm.spill_writebacks"};
+    stats::CounterRef spillsCtr_{stats_, "uvm.spills"};
+    stats::CounterRef staleReplicaEntriesCtr_{stats_,
+                                              "uvm.stale_replica_entries"};
+    stats::CounterRef transfwForwardsCtr_{stats_, "uvm.transfw_forwards"};
     stats::LatencyBreakdown &breakdown_;
     const mem::PageGeometry *geometry_;
     mem::RegionTracker regions_;

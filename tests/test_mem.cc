@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -187,6 +188,24 @@ TEST(Tlb, RefillBeforeALiveCopyHoldsTwoCopies)
     EXPECT_TRUE(tlb.lookup(7));
 }
 
+TEST(Tlb, InvalidateKillsEveryCopy)
+{
+    // Each refill that finds a dead way before the page's first copy
+    // adds one more copy, so a set can hold a page three times; one
+    // shootdown must kill them all.
+    Tlb tlb("t", 4, 4, 1);
+    for (const sim::PageId page : {1, 2, 7, 3})
+        tlb.insert(page);
+    tlb.invalidate(2);
+    tlb.insert(7);  // slot 1
+    tlb.invalidate(1);
+    tlb.insert(7);  // slot 0
+    EXPECT_EQ(tlb.livePages(), (std::vector<sim::PageId>{7, 7, 7, 3}));
+    tlb.invalidate(7);
+    EXPECT_FALSE(tlb.holds(7));
+    EXPECT_EQ(tlb.livePages(), std::vector<sim::PageId>{3});
+}
+
 /** Property sweep over Table I TLB geometries. */
 class TlbGeometry
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -208,6 +227,201 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(512u, 16u),   // L2 TLB
                       std::make_tuple(64u, 4u),
                       std::make_tuple(16u, 1u)));
+
+/**
+ * The TLB as a way-order scan over page / lastUse / generation arrays:
+ * the layout Tlb replaced, kept as the reference its live-way masks
+ * must match slot for slot.
+ */
+class ScanTlb
+{
+  public:
+    ScanTlb(unsigned entries, unsigned ways)
+        : sets_(entries / ways),
+          ways_(ways),
+          pages_(entries, 0),
+          lastUse_(entries, 0),
+          genOf_(entries, 0)
+    {
+    }
+
+    bool
+    lookup(sim::PageId page)
+    {
+        ++tick_;
+        const std::size_t base = (page % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i) {
+            if (pages_[i] == page && live(i)) {
+                lastUse_[i] = tick_;
+                ++hits_;
+                return true;
+            }
+        }
+        ++misses_;
+        return false;
+    }
+
+    std::optional<sim::PageId>
+    insert(sim::PageId page)
+    {
+        ++tick_;
+        const std::size_t base = (page % sets_) * ways_;
+        std::size_t victim = base;
+        for (unsigned w = 0; w < ways_; ++w) {
+            const std::size_t i = base + w;
+            if (!live(i)) {
+                victim = i;
+                break;
+            }
+            if (pages_[i] == page) {
+                lastUse_[i] = tick_;
+                return std::nullopt;
+            }
+            if (lastUse_[i] < lastUse_[victim])
+                victim = i;
+        }
+        std::optional<sim::PageId> displaced;
+        if (live(victim))
+            displaced = pages_[victim];
+        pages_[victim] = page;
+        lastUse_[victim] = tick_;
+        genOf_[victim] = gen_;
+        return displaced;
+    }
+
+    bool
+    holds(sim::PageId page) const
+    {
+        const std::size_t base = (page % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (pages_[i] == page && live(i))
+                return true;
+        return false;
+    }
+
+    /** Live pages of @p page's set, in way order. */
+    std::vector<sim::PageId>
+    setPages(sim::PageId page) const
+    {
+        std::vector<sim::PageId> out;
+        const std::size_t base = (page % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (live(i))
+                out.push_back(pages_[i]);
+        return out;
+    }
+
+    void
+    invalidate(sim::PageId page)
+    {
+        const std::size_t base = (page % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (pages_[i] == page && live(i))
+                genOf_[i] = 0;
+    }
+
+    void flushAll() { ++gen_; }
+
+    std::vector<sim::PageId>
+    livePages() const
+    {
+        std::vector<sim::PageId> out;
+        for (std::size_t i = 0; i < genOf_.size(); ++i)
+            if (live(i))
+                out.push_back(pages_[i]);
+        return out;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    bool live(std::size_t i) const { return genOf_[i] == gen_; }
+
+    unsigned sets_;
+    unsigned ways_;
+    std::vector<sim::PageId> pages_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint64_t> genOf_;
+    std::uint64_t tick_ = 0;
+    std::uint64_t gen_ = 1;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+class TlbEquivalence
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(TlbEquivalence, MatchesTheWayOrderScan)
+{
+    // A seeded stream of lookups, inserts (fills after their lookup
+    // missed, and refills without one, as after a protection fault),
+    // single-page shootdowns and full flushes over a page universe twice
+    // the capacity: every return value, displaced page, hit and miss
+    // count and livePages() order must match the scan at every step.
+    const auto [entries, ways] = GetParam();
+    Tlb tlb("t", entries, ways, 1);
+    ScanTlb reference(entries, ways);
+    sim::Rng rng(entries * 131 + ways);
+    const std::uint64_t universe = 2 * entries;
+    std::uint64_t displacements = 0;
+    std::uint64_t twins = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const sim::PageId page = rng.chance(0.5)
+                                     ? rng.below(entries / 2 + 1)
+                                     : rng.below(universe);
+        const std::uint64_t op = rng.below(100);
+        if (rng.below(8 * entries) == 0) {
+            tlb.flushAll();
+            reference.flushAll();
+        } else if (op < 40) {
+            const bool hit = tlb.lookup(page);
+            ASSERT_EQ(hit, reference.lookup(page)) << i;
+            // Usually fill the page the lookup missed, as a translation
+            // does after its walk.
+            if (!hit && rng.chance(0.7)) {
+                ASSERT_EQ(tlb.insert(page), reference.insert(page)) << i;
+            }
+        } else if (op < 85) {
+            const std::optional<sim::PageId> displaced = tlb.insert(page);
+            ASSERT_EQ(displaced, reference.insert(page)) << i;
+            if (displaced) {
+                ++displacements;
+                ASSERT_EQ(tlb.holds(*displaced),
+                          reference.holds(*displaced))
+                    << i;
+            }
+        } else if (op < 95) {
+            tlb.invalidate(page);
+            reference.invalidate(page);
+        } else {
+            ASSERT_EQ(tlb.holds(page), reference.holds(page)) << i;
+        }
+        ASSERT_EQ(tlb.hits(), reference.hits()) << i;
+        ASSERT_EQ(tlb.misses(), reference.misses()) << i;
+        ASSERT_EQ(tlb.livePages(), reference.livePages()) << i;
+        ASSERT_EQ(tlb.occupancy(), reference.livePages().size()) << i;
+        std::vector<sim::PageId> set = reference.setPages(page);
+        std::sort(set.begin(), set.end());
+        twins += std::adjacent_find(set.begin(), set.end()) != set.end();
+    }
+    EXPECT_GT(tlb.hits(), 0u);
+    EXPECT_GT(displacements, 0u);
+    if (ways > 1) {
+        EXPECT_GT(twins, 0u);  // the refill trap was exercised
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, TlbEquivalence,
+    ::testing::Values(std::make_tuple(32u, 32u),    // L1 TLB
+                      std::make_tuple(512u, 16u),   // L2 TLB
+                      std::make_tuple(3u, 3u),
+                      std::make_tuple(16u, 1u),
+                      std::make_tuple(100u, 100u),  // a set over 64 ways
+                      std::make_tuple(256u, 128u)));
 
 // -------------------------------------------------------------- PageWalkCache
 
@@ -424,6 +638,143 @@ TEST(DataCache, FlushAllClears)
     EXPECT_FALSE(cache.access(1));  // refill works
     EXPECT_TRUE(cache.contains(1));
 }
+
+/**
+ * The data cache as a way-order scan over line / lastUse / generation
+ * arrays: the layout DataCache replaced, kept as the reference its
+ * live-way masks must match fill for fill.
+ */
+class ScanDataCache
+{
+  public:
+    ScanDataCache(unsigned lines, unsigned ways)
+        : sets_(lines / ways),
+          ways_(ways),
+          lines_(lines, 0),
+          lastUse_(lines, 0),
+          genOf_(lines, 0)
+    {
+    }
+
+    bool
+    access(std::uint64_t line_id)
+    {
+        ++tick_;
+        const std::size_t base = (line_id % sets_) * ways_;
+        std::size_t victim = base;
+        for (unsigned w = 0; w < ways_; ++w) {
+            const std::size_t i = base + w;
+            if (lines_[i] == line_id && live(i)) {
+                lastUse_[i] = tick_;
+                ++hits_;
+                return true;
+            }
+            if (!live(i)) {
+                victim = i;
+                continue;
+            }
+            if (live(victim) && lastUse_[i] < lastUse_[victim])
+                victim = i;
+        }
+        ++misses_;
+        lines_[victim] = line_id;
+        lastUse_[victim] = tick_;
+        genOf_[victim] = gen_;
+        return false;
+    }
+
+    bool
+    contains(std::uint64_t line_id) const
+    {
+        const std::size_t base = (line_id % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (lines_[i] == line_id && live(i))
+                return true;
+        return false;
+    }
+
+    void
+    invalidatePage(sim::PageId page, unsigned lines_per_page)
+    {
+        const std::uint64_t first = page * lines_per_page;
+        for (std::size_t i = 0; i < lines_.size(); ++i)
+            if (lines_[i] - first < lines_per_page && live(i))
+                genOf_[i] = 0;
+    }
+
+    void flushAll() { ++gen_; }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    bool live(std::size_t i) const { return genOf_[i] == gen_; }
+
+    unsigned sets_;
+    unsigned ways_;
+    std::vector<std::uint64_t> lines_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint64_t> genOf_;
+    std::uint64_t tick_ = 0;
+    std::uint64_t gen_ = 1;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+class DataCacheEquivalence
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(DataCacheEquivalence, MatchesTheWayOrderScan)
+{
+    // A seeded stream of line accesses, page invalidations (pages of 1
+    // to 64 lines, so spans wrap around the set array or cover all of
+    // it) and full flushes over a line universe three times the
+    // capacity: every hit or miss and both counts must match the scan at
+    // every step, and so must the whole cache's contents every 64 steps.
+    const auto [lines, ways] = GetParam();
+    DataCache cache("c", std::uint64_t{lines} * 64, ways, 64, 1);
+    ScanDataCache reference(lines, ways);
+    sim::Rng rng(lines * 131 + ways);
+    const std::uint64_t universe = 3 * lines;
+    const unsigned page_lines[] = {1, 3, 8, 64};
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t op = rng.below(100);
+        if (rng.below(8 * lines) == 0) {
+            cache.flushAll();
+            reference.flushAll();
+        } else if (op < 90) {
+            const std::uint64_t line = rng.chance(0.5)
+                                           ? rng.below(lines / 2 + 1)
+                                           : rng.below(universe);
+            ASSERT_EQ(cache.access(line), reference.access(line)) << i;
+        } else {
+            const unsigned lpp = page_lines[rng.below(4)];
+            const sim::PageId page = rng.below(universe / lpp + 1);
+            cache.invalidatePage(page, lpp);
+            reference.invalidatePage(page, lpp);
+        }
+        ASSERT_EQ(cache.hits(), reference.hits()) << i;
+        ASSERT_EQ(cache.misses(), reference.misses()) << i;
+        if (i % 64 == 0) {
+            for (std::uint64_t line = 0; line < universe; ++line)
+                ASSERT_EQ(cache.contains(line), reference.contains(line))
+                    << i << " line " << line;
+        }
+    }
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.misses(), lines);  // sets filled and evicted
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DataCacheEquivalence,
+    ::testing::Values(std::make_tuple(32u, 32u),
+                      std::make_tuple(512u, 16u),
+                      std::make_tuple(3u, 3u),
+                      std::make_tuple(16u, 1u),
+                      std::make_tuple(100u, 100u),  // a set over 64 ways
+                      std::make_tuple(4096u, 16u)));  // Table I's L2
 
 // ---------------------------------------------------------------- DramManager
 

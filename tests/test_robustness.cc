@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -430,6 +431,53 @@ TEST(InvariantAuditor, DetectsPageTableResidencyDrift)
     const auto violations = auditor.audit();
     ASSERT_FALSE(violations.empty());
     EXPECT_EQ(violations.front().code, sim::ErrorCode::kInvariant);
+}
+
+/** True when @p violations holds one whose message is exactly @p what
+ *  (other audit passes may fire on the same corruption). */
+bool
+reports(const std::vector<sim::SimError> &violations,
+        const std::string &what)
+{
+    return std::any_of(violations.begin(), violations.end(),
+                       [&](const sim::SimError &v) {
+                           return v.message == what;
+                       });
+}
+
+TEST(InvariantAuditor, DetectsATlbEntryThatSurvivedItsPteShootdown)
+{
+    MiniSystem sys(2);
+    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.driver->handleFault(0, 10, false, false, 1000);
+    gpu::Gpu &g = sys.gpu(0);
+    ASSERT_FALSE(g.translate(0, 10, false, 2000).fault);
+    sim::InvariantAuditor auditor(*sys.driver);
+    EXPECT_TRUE(auditor.audit().empty());
+
+    // Corrupt: drop the PTE without Gpu::invalidatePage's shootdown, so
+    // lane 0's L1 entry and the L2 entry outlive it.
+    g.pageTable().invalidate(10);
+    const auto violations = auditor.audit();
+    EXPECT_TRUE(reports(violations,
+                        "live gpu0.l1tlb.0 entry survived the PTE "
+                        "shootdown"));
+    EXPECT_TRUE(reports(violations,
+                        "live gpu0.l2tlb entry survived the PTE shootdown"));
+}
+
+TEST(InvariantAuditor, DetectsAReplicaHolderListedTwice)
+{
+    MiniSystem sys(2);
+    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.driver->handleFault(0, 10, false, false, 1000);
+    sys.driver->duplicatePage(10, 1, 2000);
+    sim::InvariantAuditor auditor(*sys.driver);
+    EXPECT_TRUE(auditor.audit().empty());
+
+    // Corrupt: list GPU 1's (real, frame-backed) replica a second time.
+    sys.driver->directory().info(10).replicas.push_back(1);
+    EXPECT_TRUE(reports(auditor.audit(), "gpu1 listed twice as replica"));
 }
 
 TEST(InvariantAuditor, ShootdownFilterAuditHoldsAcrossDisplacement)

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -488,6 +489,39 @@ TEST(ServiceServer, MismatchedBudgetsDoNotShareAnExecution)
     EXPECT_EQ(counters.deduped, 0u);
     EXPECT_EQ(counters.executed, 2u);
     server.stop();
+
+    // A deadline under a microsecond is still a deadline. Printed to six
+    // decimals it read as 0 (none), so this request attached to the
+    // unbounded run and got its `ok`; alone it fails its deadline.
+    Gate tight_gate;
+    Server::Options tight_options;
+    tight_options.workers = 2;
+    tight_options.executionGate = [&tight_gate](const std::string &) {
+        tight_gate.wait();
+    };
+    Server tight_server(std::move(tight_options));
+    tight_server.start();
+    Request tight = unbounded;
+    tight.run.deadlineSec = 1e-7;
+    Response open, bounded;
+    std::thread c([&] { open = tight_server.handle(unbounded); });
+    ASSERT_TRUE(waitFor([&] { return tight_gate.arrivals.load() == 1; }));
+    std::thread d([&] { bounded = tight_server.handle(tight); });
+    // Released either way, so an attached request cannot hang the test.
+    const bool executed_apart =
+        waitFor([&] { return tight_gate.arrivals.load() == 2; });
+    tight_gate.release();
+    c.join();
+    d.join();
+
+    EXPECT_TRUE(executed_apart);
+    EXPECT_EQ(open.status, "ok");
+    EXPECT_NE(bounded.status, "ok");
+    EXPECT_FALSE(bounded.deduped);
+    const ServiceCounters tight_counters = tight_server.counters();
+    EXPECT_EQ(tight_counters.deduped, 0u);
+    EXPECT_EQ(tight_counters.executed, 2u);
+    tight_server.stop();
 }
 
 TEST(ServiceServer, ShedsWithStructuredErrorWhenQueueFull)
@@ -589,6 +623,32 @@ TEST(ServiceServer, DeadlineFailureSalvagesPartialAndIsNotCached)
     EXPECT_EQ(again.status, "failed");
     EXPECT_FALSE(again.cached);
     EXPECT_EQ(server.counters().executed, 2u);
+    server.stop();
+}
+
+TEST(ServiceServer, FailureWithoutPartialIsNotStored)
+{
+    // The other half of "only complete ok results are stored": a failed
+    // cell with nothing to salvage. The execution gate throws before
+    // the simulation starts, so no partial counters exist.
+    TempPath store("server_failed_no_partial.jsonl");
+    Server::Options options;
+    options.storePath = store.str();
+    options.executionGate = [](const std::string &) {
+        throw std::runtime_error("execution refused");
+    };
+    Server server(std::move(options));
+    server.start();
+
+    const Response response =
+        server.handle(runRequest("alice", "GEMM", "on-touch"));
+    EXPECT_EQ(response.status, "failed");
+    ASSERT_TRUE(response.entry.has_value());
+    ASSERT_TRUE(response.entry->error.has_value());
+    EXPECT_EQ(response.entry->error->message, "execution refused");
+    EXPECT_FALSE(response.entry->hasResult);
+    EXPECT_FALSE(response.persisted);
+    EXPECT_EQ(server.counters().storeEntries, 0u);
     server.stop();
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "simcore/event_queue.h"
+#include "simcore/first_min.h"
 #include "simcore/resource.h"
 #include "simcore/rng.h"
 
@@ -355,6 +358,113 @@ TEST(EventQueue, StressMatchesReferenceHeapOrdering)
     EXPECT_EQ(executed, expected);
 }
 
+/** Shared state of the re-entrant stress test's events. */
+struct SpawnContext
+{
+    EventQueue *q;
+    Rng rng{7};
+    int nextId = 0;
+    int budget = 0;
+    std::vector<std::pair<Cycle, int>> log;
+};
+
+/** Delay of a spawned event: same-cycle one time in five, else up to
+ *  three windows ahead (so both the buckets and the far heap fill). */
+Cycle
+spawnDelay(Rng &rng)
+{
+    return rng.chance(0.2) ? 0 : rng.below(3 * EventQueue::kWindow);
+}
+
+/** Logs itself, then schedules 0-2 children at random distances. */
+struct Spawner
+{
+    SpawnContext *ctx;
+    int id;
+
+    void
+    operator()() const
+    {
+        ctx->log.emplace_back(ctx->q->now(), id);
+        const std::uint64_t children = ctx->rng.below(3);
+        for (std::uint64_t c = 0; c < children && ctx->nextId < ctx->budget;
+             ++c) {
+            const Cycle when = ctx->q->now() + spawnDelay(ctx->rng);
+            ctx->q->schedule(when, Spawner{ctx, ctx->nextId++}, "spawn");
+        }
+    }
+};
+
+TEST(EventQueue, ReentrantStressMatchesReferenceModel)
+{
+    // Events scheduled from inside running events, same-cycle included,
+    // while the window slides: the dispatch order must be exactly the
+    // (when, seq) order of a reference model that makes the same random
+    // draws in that order.
+    EventQueue q;
+    SpawnContext ctx;
+    ctx.q = &q;
+    ctx.budget = 20000;
+    Rng roots(11);
+    for (; ctx.nextId < 200; ++ctx.nextId)
+        q.schedule(roots.below(3 * EventQueue::kWindow),
+                   Spawner{&ctx, ctx.nextId}, "root");
+    q.run();
+
+    // The model: a (when, seq) ordered set, replaying the same draws.
+    std::set<std::tuple<Cycle, std::uint64_t, int>> pending;
+    std::uint64_t seq = 0;
+    Rng model_roots(11);
+    Rng rng(7);
+    int next_id = 0;
+    for (; next_id < 200; ++next_id)
+        pending.emplace(model_roots.below(3 * EventQueue::kWindow), seq++,
+                        next_id);
+    std::vector<std::pair<Cycle, int>> expected;
+    while (!pending.empty()) {
+        const auto [now, s, id] = *pending.begin();
+        pending.erase(pending.begin());
+        expected.emplace_back(now, id);
+        const std::uint64_t children = rng.below(3);
+        for (std::uint64_t c = 0; c < children && next_id < ctx.budget;
+             ++c)
+            pending.emplace(now + spawnDelay(rng), seq++, next_id++);
+    }
+    EXPECT_EQ(ctx.log.size(), static_cast<std::size_t>(ctx.budget));
+    EXPECT_EQ(ctx.log, expected);
+}
+
+TEST(EventQueue, TiesBreakByInsertionOrderAcrossASlide)
+{
+    // A far event and a later direct schedule share a cycle. A chain of
+    // events every 100 cycles keeps the near window busy, so the far
+    // event reaches its bucket by sliding, never by re-basing an empty
+    // window; the direct schedule, made after the slide, must still run
+    // second.
+    EventQueue q;
+    std::vector<int> order;
+    const Cycle when = EventQueue::kWindow + 50;
+    q.schedule(when, [&order] { order.push_back(0); }, "far");
+    struct Tick
+    {
+        EventQueue *q;
+        std::vector<int> *order;
+        Cycle when;
+        void
+        operator()() const
+        {
+            if (q->now() == 200)
+                q->schedule(when, [o = order] { o->push_back(1); },
+                            "direct");
+            if (q->now() + 100 <= 2 * EventQueue::kWindow)
+                q->schedule(q->now() + 100, *this, "tick");
+        }
+    };
+    q.schedule(0, Tick{&q, &order, when}, "tick");
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
 // ----------------------------------------------------------------------- Rng
 
 TEST(Rng, DeterministicForSameSeed)
@@ -536,6 +646,62 @@ INSTANTIATE_TEST_SUITE_P(
     Geometry, ServerPoolThroughput,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1u, 3u, 8u, 17u)));
+
+// ------------------------------------------------------------ Resource picks
+
+TEST(FirstMinIndex, MatchesMinElementOnTies)
+{
+    // Values from a four-value range, so ties are the rule: the lowest
+    // index must win, exactly as with std::min_element.
+    Rng rng(17);
+    for (std::size_t n : {1u, 2u, 12u, 16u, 17u}) {
+        std::vector<std::uint64_t> v(n);
+        for (int i = 0; i < 2000; ++i) {
+            for (std::uint64_t &x : v)
+                x = rng.below(4);
+            ASSERT_EQ(firstMinIndex(v.data(), n),
+                      static_cast<std::size_t>(
+                          std::min_element(v.begin(), v.end()) - v.begin()))
+                << "n " << n << " draw " << i;
+        }
+    }
+}
+
+class ResourcePicks : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(ResourcePicks, MatchTheMinElementReference)
+{
+    // Both resources against the std::min_element picks they replaced,
+    // on a stream of near-simultaneous requests that keeps several
+    // channels (servers) tied: every completion time must match.
+    const unsigned channels = GetParam();
+    BandwidthResource pipe("p", 3.0, channels);
+    ServerPool pool("s", channels);
+    std::vector<Cycle> pipe_free(channels, 0);
+    std::vector<Cycle> pool_free(channels, 0);
+    Rng rng(channels);
+    Cycle now = 0;
+    for (int i = 0; i < 5000; ++i) {
+        now += rng.below(4);
+        const std::uint64_t bytes = 1 + rng.below(64);
+        auto channel = std::min_element(pipe_free.begin(), pipe_free.end());
+        *channel = std::max(now, *channel) + pipe.serviceCycles(bytes);
+        ASSERT_EQ(pipe.acquire(now, bytes), *channel) << i;
+        ASSERT_EQ(pipe.nextFree(),
+                  *std::min_element(pipe_free.begin(), pipe_free.end()));
+
+        const Cycle service = rng.below(3) * 20;
+        auto server = std::min_element(pool_free.begin(), pool_free.end());
+        *server = std::max(now, *server) + service;
+        ASSERT_EQ(pool.acquire(now, service), *server) << i;
+    }
+    EXPECT_GT(pool.queueDelay(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, ResourcePicks,
+                         ::testing::Values(1u, 2u, 12u, 16u, 17u));
 
 }  // namespace
 }  // namespace grit::sim
