@@ -1,9 +1,11 @@
 # Determinism golden: run a bench binary under pinned workload
 # parameters and require its --json output to be byte-identical to a
 # committed reference. Guards the hot-path engine's bit-identity
-# contract (docs/PERFORMANCE.md) against drift from any PR. Usage:
+# contract (docs/PERFORMANCE.md) against drift from any PR. When
+# STDOUT_GOLDEN names a committed .txt, the printed report must match
+# it byte for byte too. Usage:
 #   cmake -DCMD="<binary> <args...>" -DGOLDEN=<file> -DOUT=<file>
-#         -P golden_check.cmake
+#         [-DSTDOUT_GOLDEN=<file>] -P golden_check.cmake
 if(NOT DEFINED CMD OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)
     message(FATAL_ERROR "golden_check.cmake needs -DCMD, -DGOLDEN, -DOUT")
 endif()
@@ -29,7 +31,7 @@ endif()
 separate_arguments(cmd_list UNIX_COMMAND "${CMD}")
 execute_process(COMMAND ${cmd_list} --json ${OUT}
                 RESULT_VARIABLE code
-                OUTPUT_QUIET
+                OUTPUT_FILE ${OUT}.txt
                 ERROR_VARIABLE err)
 if(NOT code EQUAL 0)
     message(FATAL_ERROR "exit ${code} from: ${CMD}\nstderr:\n${err}")
@@ -44,4 +46,15 @@ if(NOT same EQUAL 0)
             "  produced: ${OUT}\n  golden:   ${GOLDEN}\n"
             "If the change is intentional, regenerate per "
             "tests/golden/README.md and explain the drift in the PR.")
+endif()
+
+if(DEFINED STDOUT_GOLDEN AND NOT STDOUT_GOLDEN STREQUAL "")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            ${OUT}.txt ${STDOUT_GOLDEN}
+                    RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+                "The printed report drifted from the golden reference.\n"
+                "  produced: ${OUT}.txt\n  golden:   ${STDOUT_GOLDEN}")
+    endif()
 endif()
