@@ -33,7 +33,7 @@
 #include <iostream>
 #include <thread>
 
-#include "bench_util.h"
+#include "driver.h"
 #include "harness/record_frame.h"
 #include "harness/record_log.h"
 #include "service/server.h"

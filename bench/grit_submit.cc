@@ -21,7 +21,8 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "driver.h"
+#include "harness/results_io.h"
 #include "service/client.h"
 
 static int

@@ -50,19 +50,12 @@ RunPlan::addWorkload(std::string row, std::string label,
 RunPlan
 RunPlan::matrix(const std::vector<workload::AppId> &apps,
                 const std::vector<LabeledConfig> &configs,
-                const workload::WorkloadParams &params,
-                const std::function<void(workload::AppId,
-                                         workload::WorkloadParams &)>
-                    &mutate)
+                const workload::WorkloadParams &params)
 {
     RunPlan plan;
-    for (workload::AppId app : apps) {
-        workload::WorkloadParams p = params;
-        if (mutate)
-            mutate(app, p);
+    for (workload::AppId app : apps)
         for (const LabeledConfig &lc : configs)
-            plan.add(app, lc, p);
-    }
+            plan.add(app, lc, params);
     return plan;
 }
 

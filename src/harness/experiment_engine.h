@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,17 +67,10 @@ class RunPlan
                          SystemConfig config,
                          workload::WorkloadHandle workload);
 
-    /**
-     * The full app x config cross product.
-     * @param mutate optional per-app hook (e.g. to scale input sizes).
-     */
-    static RunPlan matrix(
-        const std::vector<workload::AppId> &apps,
-        const std::vector<LabeledConfig> &configs,
-        const workload::WorkloadParams &params = {},
-        const std::function<void(workload::AppId,
-                                 workload::WorkloadParams &)> &mutate =
-            nullptr);
+    /** The full app x config cross product, app-major. */
+    static RunPlan matrix(const std::vector<workload::AppId> &apps,
+                          const std::vector<LabeledConfig> &configs,
+                          const workload::WorkloadParams &params = {});
 
     const std::vector<RunCell> &cells() const { return cells_; }
     std::size_t size() const { return cells_.size(); }

@@ -45,27 +45,22 @@ writeRunResult(stats::ResultSink &sink, const RunResult &result)
     }
 }
 
-void
-writeResultMatrix(std::ostream &os, std::string_view generator,
-                  std::string_view title,
-                  const workload::WorkloadParams &params,
-                  const ResultMatrix &matrix)
-{
-    writeSweepResult(os, generator, title, params, matrix, {}, nullptr);
-}
+namespace {
 
+/** Open @p sink's envelope and write the workload parameters. */
 void
-writeSweepResult(std::ostream &os, std::string_view generator,
-                 std::string_view title,
-                 const workload::WorkloadParams &params,
-                 const ResultMatrix &matrix,
-                 const std::vector<FailureRecord> &failures,
-                 const SweepStatsView *stats)
+beginDocument(stats::ResultSink &sink, std::string_view generator,
+              std::string_view title, const workload::WorkloadParams &params)
 {
-    stats::ResultSink sink(os);
     sink.begin(generator, title);
     sink.writeParams(params.footprintDivisor, params.intensity,
                      params.seed);
+}
+
+/** The "runs" array: every (row, label) cell in map order. */
+void
+writeRuns(stats::ResultSink &sink, const ResultMatrix &matrix)
+{
     sink.beginRuns();
     for (const auto &[row, runs] : matrix) {
         for (const auto &[label, result] : runs) {
@@ -75,20 +70,58 @@ writeSweepResult(std::ostream &os, std::string_view generator,
         }
     }
     sink.endRuns();
-    if (!failures.empty()) {
+}
+
+}  // namespace
+
+void
+writeResultMatrix(std::ostream &os, std::string_view generator,
+                  std::string_view title,
+                  const workload::WorkloadParams &params,
+                  const ResultMatrix &matrix)
+{
+    stats::ResultSink sink(os);
+    beginDocument(sink, generator, title, params);
+    writeRuns(sink, matrix);
+    sink.end();
+    os << '\n';
+}
+
+void
+writeSweepResult(std::ostream &os, std::string_view generator,
+                 std::string_view title,
+                 const workload::WorkloadParams &params,
+                 const SweepResult &sweep, const workload::TraceCache *cache)
+{
+    stats::ResultSink sink(os);
+    beginDocument(sink, generator, title, params);
+    writeRuns(sink, sweep.matrix);
+    if (!sweep.failures.empty()) {
         sink.beginFailures();
-        for (const FailureRecord &f : failures)
+        for (const FailureRecord &f : sweep.failures)
             sink.writeFailure(f.row, f.label, f.fingerprint,
                               sim::errorCodeName(f.error.code),
                               f.error.message, f.error.context,
                               f.attempts, f.salvaged);
         sink.endFailures();
     }
-    if (stats != nullptr)
-        sink.writeSweepStats(stats->executed, stats->reused,
-                             stats->skipped, stats->cacheHits,
-                             stats->cacheMisses, stats->cacheEvictions,
-                             stats->cacheBytes, stats->cacheByteBudget);
+    if (cache != nullptr) {
+        // Opt-in because reuse and cache numbers legitimately differ
+        // between a fresh and a resumed sweep.
+        stats::JsonWriter &json = sink.json();
+        json.key("sweep").beginObject();
+        json.key("executed").value(std::uint64_t{sweep.executed});
+        json.key("reused").value(std::uint64_t{sweep.reused});
+        json.key("skipped").value(std::uint64_t{sweep.skipped});
+        json.key("cache").beginObject();
+        json.key("hits").value(cache->hits());
+        json.key("misses").value(cache->misses());
+        json.key("evictions").value(cache->evictions());
+        json.key("bytes").value(cache->bytes());
+        json.key("byte_budget").value(cache->byteBudget());
+        json.endObject();
+        json.endObject();
+    }
     sink.end();
     os << '\n';
 }
@@ -106,9 +139,7 @@ writeResultTables(std::ostream &os, std::string_view generator,
                   const std::vector<NamedTable> &tables)
 {
     stats::ResultSink sink(os);
-    sink.begin(generator, title);
-    sink.writeParams(params.footprintDivisor, params.intensity,
-                     params.seed);
+    beginDocument(sink, generator, title, params);
     sink.beginTables();
     for (const NamedTable &table : tables)
         sink.writeTable(table.name, table.columns, table.rows);

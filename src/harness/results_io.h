@@ -5,8 +5,8 @@
  * described in docs/METRICS.md.
  *
  * These sit above stats::ResultSink (which knows the envelope and the
- * stats-layer types) and below bench_util (which parses `--json` and
- * picks the output stream). Every field a run emits is deterministic,
+ * stats-layer types) and below the bench driver (which parses `--json`
+ * and picks the output stream). Every field a run emits is deterministic,
  * so a document is byte-identical for any worker count.
  */
 
@@ -35,42 +35,28 @@ void writeRunResult(stats::ResultSink &sink, const RunResult &result);
 
 /**
  * Write one complete document: envelope, params, and a "runs" array
- * holding every (row, label) cell of @p matrix in map order. It is
- * writeSweepResult with no failures and no stats.
+ * holding every (row, label) cell of @p matrix in map order.
  */
 void writeResultMatrix(std::ostream &os, std::string_view generator,
                        std::string_view title,
                        const workload::WorkloadParams &params,
                        const ResultMatrix &matrix);
 
-/** Opt-in "sweep" section payload (--sweep-stats). */
-struct SweepStatsView
-{
-    std::uint64_t executed = 0;
-    std::uint64_t reused = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheEvictions = 0;
-    std::uint64_t cacheBytes = 0;
-    std::uint64_t cacheByteBudget = 0;
-};
-
 /**
  * Write one complete document for a resilient sweep: the matrix runs
  * (salvaged-partial runs carry "partial"/"error"), the quarantined-run
- * "failures" manifest when any exist, and — only when @p stats is
- * non-null — the "sweep" statistics section. Without failures, partial
- * runs, or stats, the document is the writeResultMatrix one, which is
- * what lets a resumed sweep merge cleanly against an uninterrupted
- * reference.
+ * "failures" manifest when any exist, and — only when @p cache is
+ * non-null (--sweep-stats) — the "sweep" section: the sweep's
+ * executed/reused/skipped cells and the engine's trace-cache counters.
+ * Without failures, partial runs, or stats, the document is the
+ * writeResultMatrix one, which is what lets a resumed sweep merge
+ * cleanly against an uninterrupted reference.
  */
 void writeSweepResult(std::ostream &os, std::string_view generator,
                       std::string_view title,
                       const workload::WorkloadParams &params,
-                      const ResultMatrix &matrix,
-                      const std::vector<FailureRecord> &failures,
-                      const SweepStatsView *stats = nullptr);
+                      const SweepResult &sweep,
+                      const workload::TraceCache *cache);
 
 /** A named table for the "tables" section (characterization output). */
 struct NamedTable

@@ -1,6 +1,8 @@
 #include "simcore/fault_injector.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -41,15 +43,24 @@ specError(const std::string &clause, const std::string &what)
                        "clause '" + clause + "': " + what, "--chaos");
 }
 
+/** The ceiling of the `unsigned` fields and of `svclat:extra`. */
+constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+
 std::uint64_t
 parseUint(const std::string &clause, const std::string &key,
-          const std::string &value)
+          const std::string &value,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (value.empty() || value.find_first_not_of("0123456789") !=
                              std::string::npos)
         specError(clause, key + " wants a non-negative integer, got '" +
                               value + "'");
-    return std::strtoull(value.c_str(), nullptr, 10);
+    errno = 0;
+    const std::uint64_t v = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        specError(clause, key + " must be at most " + std::to_string(max) +
+                              ", got '" + value + "'");
+    return v;
 }
 
 double
@@ -117,6 +128,10 @@ ChaosSpec::parse(const std::string &text)
             const std::string key = param.substr(0, eq);
             const std::string value = param.substr(eq + 1);
             auto uintv = [&] { return parseUint(clause, key, value); };
+            auto uint32v = [&] {
+                return static_cast<std::uint32_t>(
+                    parseUint(clause, key, value, kMax32));
+            };
             auto fracv = [&] {
                 return parseFraction(clause, key, value);
             };
@@ -132,8 +147,7 @@ ChaosSpec::parse(const std::string &text)
                     specError(clause, "unknown key '" + key + "'");
             } else if (head == "linkslow") {
                 if (key == "factor")
-                    spec.linkSlow.factor =
-                        static_cast<unsigned>(uintv());
+                    spec.linkSlow.factor = uint32v();
                 else if (key == "period")
                     spec.linkSlow.period = uintv();
                 else if (key == "duty")
@@ -142,7 +156,7 @@ ChaosSpec::parse(const std::string &text)
                     specError(clause, "unknown key '" + key + "'");
             } else if (head == "svclat") {
                 if (key == "extra")
-                    spec.serviceDelay.extra = uintv();
+                    spec.serviceDelay.extra = uint32v();
                 else if (key == "period")
                     spec.serviceDelay.period = uintv();
                 else if (key == "duty")
@@ -151,7 +165,7 @@ ChaosSpec::parse(const std::string &text)
                     specError(clause, "unknown key '" + key + "'");
             } else if (head == "pressure") {
                 if (key == "pages")
-                    spec.pressure.pages = static_cast<unsigned>(uintv());
+                    spec.pressure.pages = uint32v();
                 else if (key == "period")
                     spec.pressure.period = uintv();
                 else if (key == "start")
@@ -186,8 +200,7 @@ ChaosSpec::parse(const std::string &text)
                 if (key == "seed")
                     spec.storeBitflip.seed = uintv();
                 else if (key == "flips")
-                    spec.storeBitflip.flips =
-                        static_cast<unsigned>(uintv());
+                    spec.storeBitflip.flips = uint32v();
                 else
                     specError(clause, "unknown key '" + key + "'");
             } else {

@@ -63,6 +63,9 @@ namespace grit::sim {
  *                                         grit_serve --corrupt, never
  *                                         by the simulation itself
  *
+ * Every number is a non-negative integer that fits 64 bits; K, N and
+ * C must also fit 32 bits (at most 4294967295).
+ *
  * A default-constructed spec injects nothing (any() == false).
  */
 struct ChaosSpec

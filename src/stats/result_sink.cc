@@ -158,29 +158,6 @@ ResultSink::writeFailure(std::string_view row, std::string_view label,
 }
 
 void
-ResultSink::writeSweepStats(std::uint64_t executed, std::uint64_t reused,
-                            std::uint64_t skipped,
-                            std::uint64_t cache_hits,
-                            std::uint64_t cache_misses,
-                            std::uint64_t cache_evictions,
-                            std::uint64_t cache_bytes,
-                            std::uint64_t cache_byte_budget)
-{
-    json_.key("sweep").beginObject();
-    json_.key("executed").value(executed);
-    json_.key("reused").value(reused);
-    json_.key("skipped").value(skipped);
-    json_.key("cache").beginObject();
-    json_.key("hits").value(cache_hits);
-    json_.key("misses").value(cache_misses);
-    json_.key("evictions").value(cache_evictions);
-    json_.key("bytes").value(cache_bytes);
-    json_.key("byte_budget").value(cache_byte_budget);
-    json_.endObject();
-    json_.endObject();
-}
-
-void
 ResultSink::beginTables()
 {
     json_.key("tables").beginArray();

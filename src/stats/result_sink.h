@@ -104,19 +104,6 @@ class ResultSink
                       std::string_view message, std::string_view context,
                       unsigned attempts, bool salvaged);
 
-    /**
-     * v2: the optional "sweep" execution-statistics object. Opt-in
-     * (--sweep-stats) because reuse/cache numbers legitimately differ
-     * between a fresh and a resumed sweep, and default documents must
-     * stay byte-identical.
-     */
-    void writeSweepStats(std::uint64_t executed, std::uint64_t reused,
-                         std::uint64_t skipped, std::uint64_t cache_hits,
-                         std::uint64_t cache_misses,
-                         std::uint64_t cache_evictions,
-                         std::uint64_t cache_bytes,
-                         std::uint64_t cache_byte_budget);
-
     void beginTables();
     void endTables();
 

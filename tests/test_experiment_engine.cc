@@ -149,22 +149,6 @@ TEST(RunPlan, MatrixCrossProductAndRowLabels)
         EXPECT_EQ(cell.params.numGpus, cell.config.numGpus);
 }
 
-TEST(RunPlan, MutateHookScalesParams)
-{
-    const auto [apps, configs] = smallSweep();
-    const RunPlan plan = RunPlan::matrix(
-        apps, configs, fastParams(),
-        [](workload::AppId app, workload::WorkloadParams &p) {
-            if (app == workload::AppId::kSt)
-                p.intensity = 0.5;
-        });
-    for (const RunCell &cell : plan.cells()) {
-        const double expected =
-            cell.app == workload::AppId::kSt ? 0.5 : 0.25;
-        EXPECT_DOUBLE_EQ(cell.params.intensity, expected);
-    }
-}
-
 /** First chunk of GPU 0's trace of @p app, fetched through @p cache. */
 workload::ChunkHandle
 firstChunk(workload::TraceCache &cache, workload::AppId app,

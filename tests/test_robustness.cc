@@ -119,6 +119,12 @@ TEST(ChaosSpec, RejectsMalformedInputWithStructuredError)
         "padisable:end=5",          // missing start
         "padisable:start=9,end=3",  // end before start
         "seed",                     // bare key
+        "seed=18446744073709551616",             // overflows 64 bits
+        "linkslow:factor=4294967297,period=1000,duty=0.5",  // > 2^32-1
+        "pressure:pages=4294967296,period=100",  // > 2^32-1
+        "store-bitflip:seed=1,flips=4294967296", // > 2^32-1
+        "svclat:extra=18446744073709551615",     // > 2^32-1
+        "svclat:extra=99999999999999999999",     // overflows 64 bits
     };
     for (const char *text : bad) {
         try {
@@ -128,6 +134,22 @@ TEST(ChaosSpec, RejectsMalformedInputWithStructuredError)
             EXPECT_EQ(e.code(), sim::ErrorCode::kChaosSpec) << text;
         }
     }
+}
+
+TEST(ChaosSpec, AcceptsTheLargestValueEachFieldHolds)
+{
+    const sim::ChaosSpec spec = sim::ChaosSpec::parse(
+        "seed=18446744073709551615;"
+        "linkslow:factor=4294967295;"
+        "svclat:extra=4294967295;"
+        "pressure:pages=4294967295,period=18446744073709551615;"
+        "store-bitflip:seed=1,flips=4294967295");
+    EXPECT_EQ(spec.seed, 18446744073709551615ULL);
+    EXPECT_EQ(spec.linkSlow.factor, 4294967295u);
+    EXPECT_EQ(spec.serviceDelay.extra, 4294967295u);
+    EXPECT_EQ(spec.pressure.pages, 4294967295u);
+    EXPECT_EQ(spec.pressure.period, 18446744073709551615ULL);
+    EXPECT_EQ(spec.storeBitflip.flips, 4294967295u);
 }
 
 // -------------------------------------------------- SystemConfig::validate

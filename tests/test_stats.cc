@@ -1,12 +1,11 @@
-/** @file Unit tests for counters, latency breakdown, interval sampler,
- *  and summary helpers. */
+/** @file Unit tests for counters, latency breakdown and the interval
+ *  sampler. */
 
 #include <gtest/gtest.h>
 
 #include "stats/counters.h"
 #include "stats/interval_sampler.h"
 #include "stats/latency_breakdown.h"
-#include "stats/summary.h"
 
 namespace grit::stats {
 namespace {
@@ -114,21 +113,6 @@ TEST(IntervalSampler, OutOfRangeReadsAreZero)
     IntervalSampler s(10, 2);
     EXPECT_EQ(s.get(5, 0), 0u);
     EXPECT_EQ(s.get(0, 9), 0u);
-}
-
-TEST(Summary, MeanAndGeomean)
-{
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(mean({2.0, 4.0}), 3.0);
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-    EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);
-}
-
-TEST(Summary, Speedup)
-{
-    EXPECT_DOUBLE_EQ(speedup(200.0, 100.0), 2.0);
-    EXPECT_DOUBLE_EQ(speedup(100.0, 200.0), 0.5);
 }
 
 }  // namespace
