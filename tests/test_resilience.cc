@@ -16,6 +16,7 @@
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
 #include "harness/record_log.h"
+#include "harness/results_io.h"
 #include "harness/run_journal.h"
 #include "harness/simulator.h"
 #include "simcore/sim_error.h"
@@ -345,6 +346,35 @@ TEST(ResilientSweep, HungCellIsQuarantinedAndSalvaged)
     EXPECT_TRUE(partial.partial);
     ASSERT_TRUE(partial.error.has_value());
     EXPECT_EQ(partial.error->code, sim::ErrorCode::kDeadline);
+
+    // The document: the runs, then the failure manifest, then, only
+    // when the engine's trace cache is passed (--sweep-stats), the
+    // "sweep" section.
+    std::ostringstream plain;
+    std::ostringstream with_stats;
+    writeSweepResult(plain, "test", "hung", fastParams(), sweep, nullptr);
+    writeSweepResult(with_stats, "test", "hung", fastParams(), sweep,
+                     &engine.traceCache());
+    EXPECT_EQ(stats::JsonValue::parse(plain.str()).find("sweep"), nullptr);
+    const stats::JsonValue doc = stats::JsonValue::parse(with_stats.str());
+    std::vector<std::string> keys;
+    for (const auto &member : doc.asObject())
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, (std::vector<std::string>{"schema", "version",
+                                              "generator", "title",
+                                              "params", "runs",
+                                              "failures", "sweep"}));
+    EXPECT_EQ(doc.at("failures").at(std::size_t{0}).at("label").asString(),
+              "hung");
+    const stats::JsonValue &section = doc.at("sweep");
+    EXPECT_EQ(section.at("executed").asUint64(), 2u);
+    EXPECT_EQ(section.at("reused").asUint64(), 0u);
+    EXPECT_EQ(section.at("skipped").asUint64(), 0u);
+    const workload::TraceCache &cache = engine.traceCache();
+    EXPECT_EQ(section.at("cache").at("hits").asUint64(), cache.hits());
+    EXPECT_EQ(section.at("cache").at("misses").asUint64(), cache.misses());
+    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_EQ(section.at("cache").at("bytes").asUint64(), cache.bytes());
 }
 
 TEST(ResilientSweep, SalvageOffDropsPartialResults)
