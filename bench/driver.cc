@@ -1,11 +1,14 @@
 #include "driver.h"
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "figures.h"
@@ -33,6 +36,28 @@ void
 signalHandler(int sig)
 {
     cancelFlag().store(sig, std::memory_order_relaxed);
+}
+
+/** Throw kBadArgument: variable @p name's @p value is not @p want. */
+[[noreturn]] void
+badEnv(const char *name, const std::string &value, const char *want)
+{
+    throw sim::SimException(sim::ErrorCode::kBadArgument,
+                            std::string(name) + " needs " + want +
+                                ", got \"" + value + "\"");
+}
+
+/** Environment variable @p name's value @p text, parsed whole. */
+template <typename T>
+T
+envNumber(const char *name, const std::string &text, const char *want)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        badEnv(name, text, want);
+    return value;
 }
 
 /** Write a document through @p write to @p path, if one was given. */
@@ -69,13 +94,23 @@ workload::WorkloadParams
 benchParams()
 {
     workload::WorkloadParams params;
-    if (const char *div = std::getenv("GRIT_FOOTPRINT_DIVISOR"))
-        params.footprintDivisor =
-            static_cast<unsigned>(std::strtoul(div, nullptr, 10));
-    if (const char *intensity = std::getenv("GRIT_INTENSITY"))
-        params.intensity = std::strtod(intensity, nullptr);
+    if (const char *div = std::getenv("GRIT_FOOTPRINT_DIVISOR")) {
+        const std::uint64_t v = envNumber<std::uint64_t>(
+            "GRIT_FOOTPRINT_DIVISOR", div, "a whole number");
+        if (v == 0 || v > std::numeric_limits<unsigned>::max())
+            badEnv("GRIT_FOOTPRINT_DIVISOR", div,
+                   "a divisor from 1 to 4294967295");
+        params.footprintDivisor = static_cast<unsigned>(v);
+    }
+    if (const char *intensity = std::getenv("GRIT_INTENSITY")) {
+        params.intensity =
+            envNumber<double>("GRIT_INTENSITY", intensity, "a number");
+        if (!std::isfinite(params.intensity))
+            badEnv("GRIT_INTENSITY", intensity, "a finite number");
+    }
     if (const char *seed = std::getenv("GRIT_SEED"))
-        params.seed = std::strtoull(seed, nullptr, 10);
+        params.seed =
+            envNumber<std::uint64_t>("GRIT_SEED", seed, "a whole number");
     return params;
 }
 

@@ -52,7 +52,9 @@ void installSignalHandlers();
 
 /**
  * Workload parameters for bench runs: GRIT_FOOTPRINT_DIVISOR,
- * GRIT_INTENSITY and GRIT_SEED override the defaults.
+ * GRIT_INTENSITY and GRIT_SEED override the defaults. Each value must
+ * parse whole, and the divisor must lie in [1, 2^32-1]; anything else
+ * throws SimException (kBadArgument).
  */
 workload::WorkloadParams benchParams();
 

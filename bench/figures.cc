@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/transfw.h"
 #include "driver.h"
 #include "harness/table.h"
 #include "mem/pte.h"
@@ -905,7 +904,7 @@ RunPlan
 plan(const SweepFlags &flags, WorkloadParams &params)
 {
     harness::SystemConfig combo = flags.config(PolicyKind::kGriffinDpc);
-    baselines::applyTransFw(combo.uvm);
+    combo.uvm.transFw = true;
     return appSweep(
         {{"dpc+transfw", combo}, {"grit", flags.config(PolicyKind::kGrit)}},
         params);

@@ -1,28 +1,26 @@
 #include "baselines/gps.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "uvm/uvm_driver.h"
 
 namespace grit::baselines {
 
-GpsPolicy::GpsPolicy(const GpsConfig &config) : config_(config) {}
-
-void
-GpsPolicy::attach(uvm::UvmDriver &driver)
+GpsPolicy::GpsPolicy(uvm::UvmDriver &driver, const GpsConfig &config)
+    : PlacementPolicy(driver),
+      config_(config),
+      storeBroadcastsCtr_(driver.stats(), "gps.store_broadcasts")
 {
-    PlacementPolicy::attach(driver);
-    storeBroadcastsCtr_ = {driver.stats(), "gps.store_broadcasts"};
 }
 
-policy::FaultAction
+policy::FaultDecision
 GpsPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 {
     (void)now;
     // First touch places the page; every later access subscribes.
-    return info.coldTouch ? policy::FaultAction::kMigrate
-                          : policy::FaultAction::kSubscribe;
+    return {info.coldTouch ? policy::FaultAction::kMigrate
+                           : policy::FaultAction::kSubscribe,
+            0};
 }
 
 sim::Cycle
@@ -32,9 +30,8 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
     (void)remote;
     if (!write)
         return 0;
-    assert(driver_ != nullptr);
 
-    const uvm::PageInfo *info = driver_->directory().find(page);
+    const uvm::PageInfo *info = driver_.directory().find(page);
     if (info == nullptr || info->replicas.empty())
         return 0;
 
@@ -43,14 +40,14 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
     // outstanding-remote-transaction slots for its flight — a store
     // storm to widely subscribed pages saturates the RDMA engine,
     // which is where GPS pays for its replication.
-    gpu::Gpu &sender = driver_->gpuAt(gpu);
+    gpu::Gpu &sender = driver_.gpuAt(gpu);
     sim::Cycle slot_done = now;
     auto push = [&](sim::GpuId target) {
         if (target == gpu || target < 0)
             return;
-        driver_->fabric().transfer(now, gpu, target, config_.storeBytes);
+        driver_.fabric().transfer(now, gpu, target, config_.storeBytes);
         const sim::Cycle flight =
-            driver_->fabric().flightLatency(gpu, target);
+            driver_.fabric().flightLatency(gpu, target);
         slot_done = std::max(
             slot_done, sender.remoteSlot(now, flight, /*to_host=*/false));
         ++broadcasts_;
@@ -63,7 +60,7 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
     // The store retires once every subscriber push has secured a
     // slot; under write storms this is GPS's bottleneck.
     const sim::Cycle send_overhead = slot_done - now;
-    driver_->breakdown().add(stats::LatencyKind::kRemoteAccess,
+    driver_.breakdown().add(stats::LatencyKind::kRemoteAccess,
                              send_overhead);
     return send_overhead;
 }

@@ -34,14 +34,10 @@ struct GpsConfig
 class GpsPolicy : public policy::PlacementPolicy
 {
   public:
-    explicit GpsPolicy(const GpsConfig &config = {});
+    explicit GpsPolicy(uvm::UvmDriver &driver, const GpsConfig &config = {});
 
-    void attach(uvm::UvmDriver &driver) override;
-
-    const char *name() const override { return "gps"; }
-
-    policy::FaultAction onFault(const policy::FaultInfo &info,
-                                sim::Cycle now) override;
+    policy::FaultDecision onFault(const policy::FaultInfo &info,
+                                  sim::Cycle now) override;
 
     /** Writes to subscribed pages broadcast to every subscriber. */
     sim::Cycle onAccess(sim::GpuId gpu, sim::PageId page, bool write,
@@ -54,14 +50,13 @@ class GpsPolicy : public policy::PlacementPolicy
         return mem::Scheme::kDuplication;
     }
 
+    /** Individual subscriber pushes (one broadcast store makes many). */
     std::uint64_t broadcasts() const { return broadcasts_; }
-
-    void reset() override { broadcasts_ = 0; }
 
   private:
     GpsConfig config_;
     std::uint64_t broadcasts_ = 0;
-    stats::CounterRef storeBroadcastsCtr_;  //!< bound by attach()
+    stats::CounterRef storeBroadcastsCtr_;
 };
 
 }  // namespace grit::baselines

@@ -7,22 +7,24 @@
 
 namespace grit::baselines {
 
-GriffinDpcPolicy::GriffinDpcPolicy(const GriffinConfig &config)
-    : config_(config)
+GriffinDpcPolicy::GriffinDpcPolicy(uvm::UvmDriver &driver,
+                                   const GriffinConfig &config)
+    : PlacementPolicy(driver), config_(config)
 {
     assert(config_.intervalCycles > 0);
     nextBoundary_ = config_.intervalCycles;
 }
 
-policy::FaultAction
+policy::FaultDecision
 GriffinDpcPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 {
     (void)now;
     // Cold faults place the page on the toucher (the driver handles the
     // host->GPU path); afterwards DPC works through remote mappings and
     // migrates only at classification boundaries.
-    return info.coldTouch ? policy::FaultAction::kMigrate
-                          : policy::FaultAction::kMapRemote;
+    return {info.coldTouch ? policy::FaultAction::kMigrate
+                           : policy::FaultAction::kMapRemote,
+            0};
 }
 
 sim::Cycle
@@ -31,11 +33,10 @@ GriffinDpcPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
 {
     (void)write;
     (void)remote;
-    assert(driver_ != nullptr);
 
     auto &row = counts_[page];
-    if (row.size() < driver_->numGpus())
-        row.resize(driver_->numGpus(), 0);
+    if (row.size() < driver_.numGpus())
+        row.resize(driver_.numGpus(), 0);
     row[static_cast<std::size_t>(gpu)] += 1;
 
     if (now >= nextBoundary_)
@@ -46,7 +47,6 @@ GriffinDpcPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
 void
 GriffinDpcPolicy::processInterval(sim::Cycle now)
 {
-    assert(driver_ != nullptr);
     ++intervals_;
 
     // Each GPU ships its access profile to the host over PCIe — the
@@ -54,8 +54,8 @@ GriffinDpcPolicy::processInterval(sim::Cycle now)
     const std::uint64_t profile_bytes =
         counts_.size() * config_.profileBytesPerPage;
     if (profile_bytes > 0) {
-        for (unsigned g = 0; g < driver_->numGpus(); ++g) {
-            driver_->fabric().transfer(now, static_cast<sim::GpuId>(g),
+        for (unsigned g = 0; g < driver_.numGpus(); ++g) {
+            driver_.fabric().transfer(now, static_cast<sim::GpuId>(g),
                                        sim::kHostId, profile_bytes);
         }
     }
@@ -67,15 +67,15 @@ GriffinDpcPolicy::processInterval(sim::Cycle now)
             continue;
         const sim::GpuId dominant = static_cast<sim::GpuId>(
             std::distance(row.begin(), dominant_it));
-        const sim::GpuId owner = driver_->directory().ownerOf(page);
-        if (owner == dominant || !driver_->directory().touched(page))
+        const sim::GpuId owner = driver_.directory().ownerOf(page);
+        if (owner == dominant || !driver_.directory().touched(page))
             continue;
         const std::uint32_t owner_count =
             owner >= 0 ? row[static_cast<std::size_t>(owner)] : 0;
         if (static_cast<double>(dominant_count) <
             config_.dominanceRatio * static_cast<double>(owner_count))
             continue;
-        driver_->migratePage(page, dominant, now,
+        driver_.migratePage(page, dominant, now,
                              stats::LatencyKind::kPageMigration);
         ++migrations_;
     }
@@ -83,15 +83,6 @@ GriffinDpcPolicy::processInterval(sim::Cycle now)
     counts_.clear();
     while (nextBoundary_ <= now)
         nextBoundary_ += config_.intervalCycles;
-}
-
-void
-GriffinDpcPolicy::reset()
-{
-    counts_.clear();
-    nextBoundary_ = config_.intervalCycles;
-    intervals_ = 0;
-    migrations_ = 0;
 }
 
 }  // namespace grit::baselines

@@ -43,12 +43,11 @@ struct GriffinConfig
 class GriffinDpcPolicy : public policy::PlacementPolicy
 {
   public:
-    explicit GriffinDpcPolicy(const GriffinConfig &config = {});
+    explicit GriffinDpcPolicy(uvm::UvmDriver &driver,
+                              const GriffinConfig &config = {});
 
-    const char *name() const override { return "griffin-dpc"; }
-
-    policy::FaultAction onFault(const policy::FaultInfo &info,
-                                sim::Cycle now) override;
+    policy::FaultDecision onFault(const policy::FaultInfo &info,
+                                  sim::Cycle now) override;
 
     sim::Cycle onAccess(sim::GpuId gpu, sim::PageId page, bool write,
                         bool remote, sim::Cycle now) override;
@@ -61,8 +60,6 @@ class GriffinDpcPolicy : public policy::PlacementPolicy
         // access-counter scheme in Table IV terms.
         return mem::Scheme::kAccessCounter;
     }
-
-    void reset() override;
 
     std::uint64_t intervalsProcessed() const { return intervals_; }
     std::uint64_t migrationsIssued() const { return migrations_; }

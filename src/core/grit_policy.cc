@@ -8,7 +8,26 @@
 
 namespace grit::core {
 
-GritPolicy::GritPolicy(const GritConfig &config) : config_(config)
+namespace {
+
+/** Pages start under on-touch until a decision (Section V-B). */
+constexpr mem::Scheme kDefaultScheme = mem::Scheme::kOnTouch;
+
+}  // namespace
+
+GritPolicy::GritPolicy(uvm::UvmDriver &driver, const GritConfig &config)
+    : PlacementPolicy(driver),
+      config_(config),
+      nap_(driver.centralTable()),
+      capacityRefaultsCtr_(driver.stats(), "grit.capacity_refaults"),
+      triggersCtr_(driver.stats(), "grit.triggers"),
+      changesToDuplicationCtr_(driver.stats(),
+                               "grit.changes_to_duplication"),
+      changesToAccessCounterCtr_(driver.stats(),
+                                 "grit.changes_to_access_counter"),
+      napAdoptionsCtr_(driver.stats(), "grit.nap_adoptions"),
+      napDegradationsCtr_(driver.stats(), "grit.nap_degradations"),
+      napPromotionsCtr_(driver.stats(), "grit.nap_promotions")
 {
     assert(config_.faultThreshold > 0);
     if (config_.paCacheEnabled) {
@@ -17,27 +36,11 @@ GritPolicy::GritPolicy(const GritConfig &config) : config_(config)
     }
 }
 
-void
-GritPolicy::attach(uvm::UvmDriver &driver)
-{
-    PlacementPolicy::attach(driver);
-    nap_ = std::make_unique<NeighborPredictor>(driver.centralTable());
-    stats::StatSet &stats = driver.stats();
-    capacityRefaultsCtr_ = {stats, "grit.capacity_refaults"};
-    triggersCtr_ = {stats, "grit.triggers"};
-    changesToDuplicationCtr_ = {stats, "grit.changes_to_duplication"};
-    changesToAccessCounterCtr_ = {stats, "grit.changes_to_access_counter"};
-    napAdoptionsCtr_ = {stats, "grit.nap_adoptions"};
-    napDegradationsCtr_ = {stats, "grit.nap_degradations"};
-    napPromotionsCtr_ = {stats, "grit.nap_promotions"};
-}
-
 mem::Scheme
 GritPolicy::effectiveScheme(sim::PageId page) const
 {
-    assert(driver_ != nullptr);
-    const mem::Scheme s = driver_->centralTable().scheme(page);
-    return s == mem::Scheme::kNone ? config_.defaultScheme : s;
+    const mem::Scheme s = driver_.centralTable().scheme(page);
+    return s == mem::Scheme::kNone ? kDefaultScheme : s;
 }
 
 mem::Scheme
@@ -77,7 +80,6 @@ GritPolicy::recordFaultTableOnly(sim::PageId vpn, bool write)
 sim::Cycle
 GritPolicy::paLatency(const PaAccessResult &result, sim::Cycle now)
 {
-    assert(driver_ != nullptr);
     sim::Cycle duration = 0;
     if (config_.paCacheEnabled && result.cacheHit) {
         duration = config_.paCacheHitCycles;
@@ -87,13 +89,13 @@ GritPolicy::paLatency(const PaAccessResult &result, sim::Cycle now)
         // utilization accounting (off the latency path to keep the
         // composed-latency model stable).
         duration = static_cast<sim::Cycle>(config_.paTableAccessesOnMiss) *
-                   driver_->config().hostMemAccessCycles;
+                   driver_.config().hostMemAccessCycles;
         for (unsigned i = 0; i < config_.paTableAccessesOnMiss; ++i)
-            driver_->hostMemAccess(now, config_.paEntryBytes);
+            driver_.hostMemAccess(now, config_.paEntryBytes);
     }
     if (result.wroteBack) {
         // Write-backs occupy bandwidth but sit off the critical path.
-        driver_->hostMemAccess(now, config_.paEntryBytes);
+        driver_.hostMemAccess(now, config_.paEntryBytes);
     }
     // Most of the PA access hides behind the centralized PT walk.
     return duration > config_.paHiddenSlackCycles
@@ -101,11 +103,10 @@ GritPolicy::paLatency(const PaAccessResult &result, sim::Cycle now)
                : 0;
 }
 
-policy::FaultAction
+policy::FaultDecision
 GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 {
-    assert(driver_ != nullptr);
-    auto &central = driver_->centralTable();
+    auto &central = driver_.centralTable();
 
     // A refault on a page the capacity manager spilled to the host
     // (owner is the host, no replicas, not a protection fault) carries
@@ -122,7 +123,7 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
     // cached fault counts on a period boundary (state loss; the policy
     // repopulates); a "padisable" window writes the cache back once and
     // then degrades gracefully to the in-memory PA-Table.
-    sim::FaultInjector *chaos = driver_->injector();
+    sim::FaultInjector *chaos = driver_.injector();
     if (chaos != nullptr && paCache_ != nullptr) {
         if (chaos->paFlushDue(now)) {
             paCache_->invalidateAll();
@@ -137,6 +138,7 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
     // --- Fault-Aware Initiator: record this fault in the PA machinery.
     const bool use_cache = config_.paCacheEnabled && !paCacheChaosDown_;
     PaAccessResult pa;
+    sim::Cycle overhead = 0;
     if (!capacity_refault) {
         const bool write_fault = info.write || info.protectionFault;
         pa = use_cache ? paCache_->recordFault(info.page, write_fault,
@@ -144,9 +146,8 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
                        : recordFaultTableOnly(info.page, write_fault);
         if (config_.paCacheEnabled && !use_cache)
             chaos->notePaTableFallback();
-        pendingOverhead_ = paLatency(pa, now);
+        overhead = paLatency(pa, now);
     } else {
-        pendingOverhead_ = 0;
         capacityRefaultsCtr_.inc();
     }
 
@@ -157,7 +158,6 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 
         if (new_scheme != old_scheme) {
             central.setScheme(info.page, new_scheme);
-            ++schemeChanges_;
             (new_scheme == mem::Scheme::kDuplication
                  ? changesToDuplicationCtr_
                  : changesToAccessCounterCtr_)
@@ -166,12 +166,11 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
             // Leaving duplication requires dropping stale replicas
             // (Section V-F consistency reset).
             if (old_scheme == mem::Scheme::kDuplication)
-                driver_->resetDuplication(info.page, now);
+                driver_.resetDuplication(info.page, now);
 
             if (config_.napEnabled) {
                 const NapOutcome out =
-                    nap_->onSchemeChange(info.page, new_scheme);
-                napAdoptions_ += out.adopted.size();
+                    nap_.onSchemeChange(info.page, new_scheme);
                 napAdoptionsCtr_.inc(out.adopted.size());
                 if (out.degraded)
                     napDegradationsCtr_.inc();
@@ -179,7 +178,7 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
                     napPromotionsCtr_.inc();
                 if (new_scheme != mem::Scheme::kDuplication) {
                     for (sim::PageId p : out.adopted)
-                        driver_->resetDuplication(p, now);
+                        driver_.resetDuplication(p, now);
                 }
             }
         }
@@ -189,28 +188,15 @@ GritPolicy::onFault(const policy::FaultInfo &info, sim::Cycle now)
 
     // --- Route the fault through the scheme now in force.
     switch (effectiveScheme(info.page)) {
-      case mem::Scheme::kOnTouch:
-        return policy::FaultAction::kMigrate;
       case mem::Scheme::kAccessCounter:
-        return policy::FaultAction::kMapRemote;
+        return {policy::FaultAction::kMapRemote, overhead};
       case mem::Scheme::kDuplication:
-        return policy::FaultAction::kDuplicate;
+        return {policy::FaultAction::kDuplicate, overhead};
+      case mem::Scheme::kOnTouch:
       case mem::Scheme::kNone:
         break;
     }
-    return policy::FaultAction::kMigrate;
-}
-
-void
-GritPolicy::reset()
-{
-    paTable_.clear();
-    if (paCache_)
-        paCache_->clear();
-    paCacheChaosDown_ = false;
-    pendingOverhead_ = 0;
-    schemeChanges_ = 0;
-    napAdoptions_ = 0;
+    return {policy::FaultAction::kMigrate, overhead};
 }
 
 }  // namespace grit::core

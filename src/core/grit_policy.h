@@ -29,8 +29,6 @@ struct GritConfig
     bool paCacheEnabled = true;
     /** Enable Neighboring-Aware Prediction. */
     bool napEnabled = true;
-    /** Scheme pages start under before any decision (paper: on-touch). */
-    mem::Scheme defaultScheme = mem::Scheme::kOnTouch;
 
     unsigned paCacheEntries = 64;
     unsigned paCacheWays = 4;
@@ -53,39 +51,21 @@ struct GritConfig
 class GritPolicy : public policy::PlacementPolicy
 {
   public:
-    explicit GritPolicy(const GritConfig &config = {});
+    explicit GritPolicy(uvm::UvmDriver &driver,
+                        const GritConfig &config = {});
 
-    void attach(uvm::UvmDriver &driver) override;
-
-    const char *name() const override { return "grit"; }
-
-    policy::FaultAction onFault(const policy::FaultInfo &info,
-                                sim::Cycle now) override;
-
-    /**
-     * PA machinery latency computed by the preceding onFault call for
-     * the same fault (the driver guarantees the call order).
-     */
-    sim::Cycle
-    faultOverhead(const policy::FaultInfo &info, sim::Cycle now) override
-    {
-        (void)info;
-        (void)now;
-        return pendingOverhead_;
-    }
+    /** The scheme's action, plus the PA machinery latency it cost. */
+    policy::FaultDecision onFault(const policy::FaultInfo &info,
+                                  sim::Cycle now) override;
 
     bool countsRemote(sim::PageId page) const override;
 
     mem::Scheme schemeOf(sim::PageId page) const override;
 
-    void reset() override;
-
     // Introspection for tests and benches.
     const PaTable &paTable() const { return paTable_; }
     const PaCache *paCache() const { return paCache_.get(); }
     const GritConfig &config() const { return config_; }
-    std::uint64_t schemeChanges() const { return schemeChanges_; }
-    std::uint64_t napAdoptions() const { return napAdoptions_; }
 
   private:
     /** PA access when the PA-Cache is disabled (table-only ablation). */
@@ -94,19 +74,16 @@ class GritPolicy : public policy::PlacementPolicy
     /** Latency of the PA machinery for this fault (minus hidden slack). */
     sim::Cycle paLatency(const PaAccessResult &result, sim::Cycle now);
 
-    /** Scheme currently governing @p page (default when unset). */
+    /** Scheme currently governing @p page (on-touch when unset). */
     mem::Scheme effectiveScheme(sim::PageId page) const;
 
     GritConfig config_;
     PaTable paTable_;
     std::unique_ptr<PaCache> paCache_;
-    std::unique_ptr<NeighborPredictor> nap_;
+    NeighborPredictor nap_;
     /** Chaos "padisable" window is open; faults go table-only. */
     bool paCacheChaosDown_ = false;
-    sim::Cycle pendingOverhead_ = 0;
-    std::uint64_t schemeChanges_ = 0;
-    std::uint64_t napAdoptions_ = 0;
-    // Run counters in the attached driver's StatSet, bound by attach().
+    // Run counters in the driver's StatSet.
     stats::CounterRef capacityRefaultsCtr_;
     stats::CounterRef triggersCtr_;
     stats::CounterRef changesToDuplicationCtr_;

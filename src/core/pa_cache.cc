@@ -127,15 +127,4 @@ PaCache::writeBackAll()
     }
 }
 
-void
-PaCache::clear()
-{
-    for (Line &l : lines_)
-        l.valid = false;
-    tick_ = 0;
-    hits_ = 0;
-    misses_ = 0;
-    writebacks_ = 0;
-}
-
 }  // namespace grit::core

@@ -85,8 +85,6 @@ class PaCache
      */
     void writeBackAll();
 
-    void clear();
-
   private:
     struct Line
     {

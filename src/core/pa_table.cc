@@ -23,12 +23,4 @@ PaTable::erase(sim::PageId vpn)
     return entries_.erase(vpn);
 }
 
-void
-PaTable::clear()
-{
-    entries_.clear();
-    reads_ = 0;
-    writes_ = 0;
-}
-
 }  // namespace grit::core

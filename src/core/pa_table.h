@@ -66,8 +66,6 @@ class PaTable
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
 
-    void clear();
-
   private:
     /**
      * Page-indexed dense leaves: the PA-Table sits on the fault path

@@ -115,22 +115,6 @@ ExperimentEngine::jobs() const
     return options_.jobs > 0 ? options_.jobs : defaultJobs();
 }
 
-ResultMatrix
-ExperimentEngine::run(const RunPlan &plan)
-{
-    // Front end over the resilient path (the sole sweep executor):
-    // no journal, no watchdog overrides, no partial salvage. The
-    // manifest is already ordered by plan position, so rethrowing the
-    // first failure reproduces the historical first-in-plan-order-wins
-    // exception behaviour independent of thread timing.
-    ResilientOptions options;
-    options.salvagePartial = false;
-    SweepResult sweep = runResilient(plan, options);
-    if (!sweep.failures.empty())
-        throw sim::SimException(sweep.failures.front().error);
-    return std::move(sweep.matrix);
-}
-
 namespace {
 
 /** What one cell of a resilient sweep turned into. */

@@ -169,21 +169,13 @@ class ExperimentEngine
 
     /**
      * Execute every cell of @p plan and fold the results into a
-     * ResultMatrix. A convenience front end over runResilient() — the
-     * sole sweep executor — with no journal, watchdog overrides, or
-     * partial salvage. Deterministic: the matrix is identical for any
-     * worker count. A quarantined cell rethrows here as SimException
-     * (first cell in plan order wins) after all workers drain.
-     */
-    ResultMatrix run(const RunPlan &plan);
-
-    /**
-     * Resilient variant of run(): cells found in the journal are
-     * replayed instead of re-simulated; watchdog/cancel diagnostics
-     * and per-cell exceptions are quarantined into the failure
-     * manifest (the rest of the sweep proceeds); transient failures
-     * get @p options.retries re-executions; timed-out runs optionally
-     * salvage counters-so-far into the matrix as partial results.
+     * ResultMatrix, the one sweep executor: cells found in the journal
+     * are replayed instead of re-simulated; watchdog/cancel
+     * diagnostics and per-cell exceptions are quarantined into the
+     * failure manifest (the rest of the sweep proceeds); transient
+     * failures get @p options.retries re-executions; timed-out runs
+     * optionally salvage counters-so-far into the matrix as partial
+     * results.
      * Deterministic: the matrix and the failure manifest are identical
      * for any worker count, and a resumed sweep merges to the same
      * matrix an uninterrupted one produces.
@@ -205,10 +197,10 @@ class ExperimentEngine
                                         const std::string &fingerprint,
                                         const ResilientOptions &options);
 
-    /** Worker count run() will use. */
+    /** Worker count runResilient() will use. */
     unsigned jobs() const;
 
-    /** Trace cache (hit/miss stats survive across run() calls). */
+    /** Trace cache (hit/miss stats survive across sweeps). */
     const workload::TraceCache &traceCache() const { return cache_; }
 
   private:

@@ -40,15 +40,6 @@ keyStr(PageId key)
     return pageStr(key);
 }
 
-/** The "ideal" baseline installs local PTEs without moving data; its
- *  page tables intentionally disagree with residency state. */
-bool
-idealPolicy(uvm::UvmDriver &driver)
-{
-    policy::PlacementPolicy *p = driver.policy();
-    return p != nullptr && std::string(p->name()) == "ideal";
-}
-
 }  // namespace
 
 std::vector<SimError>
@@ -155,7 +146,6 @@ void
 InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
 {
     const uvm::ReplicaDirectory &dir = driver_.directory();
-    const bool ideal = idealPolicy(driver_);
 
     for (unsigned g = 0; g < driver_.numGpus(); ++g) {
         const gpu::Gpu &gpu = driver_.gpuAt(static_cast<GpuId>(g));
@@ -167,7 +157,7 @@ InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
             const uvm::PageInfo *info = dir.find(page);
 
             if (rec.kind == mem::MappingKind::kLocal) {
-                if (ideal)
+                if (ideal_)
                     continue;
                 if (!gpu.dram().resident(page)) {
                     out.push_back(violation(

@@ -22,12 +22,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "harness/config.h"
 #include "simcore/sim_error.h"
 #include "simcore/types.h"
-
-namespace grit::uvm {
-class UvmDriver;
-}  // namespace grit::uvm
 
 namespace grit::sim {
 
@@ -35,8 +32,16 @@ namespace grit::sim {
 class InvariantAuditor
 {
   public:
-    /** @param driver audited driver (not owned; must outlive this). */
-    explicit InvariantAuditor(uvm::UvmDriver &driver) : driver_(driver) {}
+    /**
+     * @param driver audited driver (not owned; must outlive this).
+     * @param policy the policy steering @p driver. The Ideal oracle
+     *        installs local PTEs without moving data, so its page tables
+     *        intentionally disagree with residency state.
+     */
+    InvariantAuditor(uvm::UvmDriver &driver, harness::PolicyKind policy)
+        : driver_(driver), ideal_(policy == harness::PolicyKind::kIdeal)
+    {
+    }
 
     /**
      * Run every invariant check against the current state.
@@ -58,6 +63,8 @@ class InvariantAuditor
     void auditRegions(std::vector<SimError> &out) const;
 
     uvm::UvmDriver &driver_;
+    /** Skip the local-PTE residency checks (the Ideal oracle). */
+    bool ideal_;
     std::uint64_t audits_ = 0;
     std::uint64_t violations_ = 0;
 };

@@ -101,6 +101,7 @@ configDigest(const SystemConfig &config)
     d.word(config.memoryFraction);
     d.text(policyKindName(config.policy));
     d.word(config.prefetch);
+    d.word(config.batchAccesses);
     d.word(config.timelineIntervalCycles);
     d.word(config.audit);
     d.word(config.auditIntervalCycles);
@@ -162,6 +163,7 @@ configDigest(const SystemConfig &config)
     d.word(f.interposerGBs);
     d.word(f.interposerLatency);
     d.word(config.fabricStats);
+    d.word(config.pageSizeStats);
 
     const core::GritConfig &gr = config.grit;
     d.word(std::uint64_t{gr.faultThreshold});
@@ -175,6 +177,7 @@ configDigest(const SystemConfig &config)
     d.word(gr.paEntryBytes);
 
     d.word(config.griffin.intervalCycles);
+    d.word(std::uint64_t{config.griffin.minAccesses});
     d.word(config.griffin.dominanceRatio);
     d.word(config.griffin.profileBytesPerPage);
     d.word(config.gps.storeBytes);

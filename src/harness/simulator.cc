@@ -5,13 +5,8 @@
 #include <chrono>
 #include <string>
 
+#include "policy/uniform.h"
 #include "simcore/log.h"
-
-#include "policy/access_counter_policy.h"
-#include "policy/duplication.h"
-#include "policy/first_touch.h"
-#include "policy/ideal.h"
-#include "policy/on_touch.h"
 
 namespace grit::harness {
 
@@ -31,29 +26,33 @@ constexpr std::uint64_t kEventLimitSlack = 1024;
 /** Liveness watchdog (kNoProgress): events at one simulated cycle. */
 constexpr std::uint64_t kWatchdogSameCycleEvents = 2'000'000;
 
+/** The placement policy @p config names, built on @p driver. */
 std::unique_ptr<policy::PlacementPolicy>
-makePolicy(const SystemConfig &config)
+makePolicy(const SystemConfig &config, uvm::UvmDriver &driver)
 {
+    const auto uniform = [&driver](const policy::UniformRule &rule) {
+        return std::make_unique<policy::UniformPolicy>(driver, rule);
+    };
     switch (config.policy) {
       case PolicyKind::kOnTouch:
-        return std::make_unique<policy::OnTouchPolicy>();
+        return uniform(policy::kOnTouchRule);
       case PolicyKind::kAccessCounter:
-        return std::make_unique<policy::AccessCounterPolicy>();
+        return uniform(policy::kAccessCounterRule);
       case PolicyKind::kDuplication:
-        return std::make_unique<policy::DuplicationPolicy>();
+        return uniform(policy::kDuplicationRule);
       case PolicyKind::kFirstTouch:
-        return std::make_unique<policy::FirstTouchPolicy>();
+        return uniform(policy::kFirstTouchRule);
       case PolicyKind::kIdeal:
-        return std::make_unique<policy::IdealPolicy>();
+        return uniform(policy::kIdealRule);
       case PolicyKind::kGrit:
-        return std::make_unique<core::GritPolicy>(config.grit);
+        return std::make_unique<core::GritPolicy>(driver, config.grit);
       case PolicyKind::kGriffinDpc:
         return std::make_unique<baselines::GriffinDpcPolicy>(
-            config.griffin);
+            driver, config.griffin);
       case PolicyKind::kGps:
-        return std::make_unique<baselines::GpsPolicy>(config.gps);
+        return std::make_unique<baselines::GpsPolicy>(driver, config.gps);
     }
-    return std::make_unique<policy::OnTouchPolicy>();
+    return uniform(policy::kOnTouchRule);
 }
 
 }  // namespace
@@ -133,7 +132,7 @@ Simulator::Simulator(const SystemConfig &config,
                                                breakdown_,
                                                config_.geometry);
 
-    policy_ = makePolicy(config_);
+    policy_ = makePolicy(config_, *driver_);
     driver_->setPolicy(policy_.get());
 
     if (config_.chaos.any()) {
@@ -144,7 +143,8 @@ Simulator::Simulator(const SystemConfig &config,
                  "chaos enabled: " << config_.chaos.summary());
     }
     if (config_.audit)
-        auditor_ = std::make_unique<sim::InvariantAuditor>(*driver_);
+        auditor_ = std::make_unique<sim::InvariantAuditor>(*driver_,
+                                                          config_.policy);
 
     if (config_.timelineIntervalCycles > 0) {
         timeline_.emplace(config_.timelineIntervalCycles,

@@ -149,7 +149,6 @@ class Simulator
     /** Components, for tests and examples. */
     uvm::UvmDriver &driver() { return *driver_; }
     gpu::Gpu &gpuAt(unsigned g) { return *gpus_[g]; }
-    policy::PlacementPolicy &policy() { return *policy_; }
 
   private:
     struct LaneAccess

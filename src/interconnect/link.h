@@ -47,8 +47,6 @@ class Link
     std::uint64_t bytesMoved() const { return pipe_.bytesMoved(); }
     const std::string &name() const { return pipe_.name(); }
 
-    void reset() { pipe_.reset(); }
-
   private:
     sim::BandwidthResource pipe_;
     sim::Cycle latency_;

@@ -79,16 +79,6 @@ Topology::linkStats() const
     return stats;
 }
 
-void
-Topology::reset()
-{
-    resetLinks();
-    pcieUp_.reset();
-    pcieDown_.reset();
-    messages_ = 0;
-    messageBytes_ = 0;
-}
-
 sim::Cycle
 Topology::chaosAdjust(sim::Cycle now, sim::GpuId src, sim::GpuId dst,
                       std::uint64_t &bytes)

@@ -178,12 +178,6 @@ class Topology
     /** Attach the chaos fault injector; nullptr disables (default). */
     void setInjector(sim::FaultInjector *injector) { injector_ = injector; }
 
-    /**
-     * Forget all occupancy and accounting — links, message counters,
-     * control-plane bytes (a fresh simulation run).
-     */
-    void reset();
-
     /** Bounded exponential backoff while a chaos-flapped link is down. */
     static constexpr sim::Cycle kRetryBackoffCycles = 500;
     static constexpr unsigned kMaxLinkRetries = 8;
@@ -207,9 +201,6 @@ class Topology
     /** Route a host-bound transfer over the shared PCIe link. */
     sim::Cycle pcieTransfer(sim::Cycle now, sim::GpuId src,
                             std::uint64_t bytes);
-
-    /** Topology hook: reset every GPU-side link. */
-    virtual void resetLinks() = 0;
 
     /** Topology hook: GPU-side links for the linkStats() enumeration. */
     virtual void collectLinks(std::vector<const Link *> &out) const = 0;

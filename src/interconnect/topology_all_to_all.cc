@@ -72,15 +72,6 @@ AllToAllTopology::nvlinkBytes() const
 }
 
 void
-AllToAllTopology::resetLinks()
-{
-    for (auto &link : egress_)
-        link->reset();
-    for (auto &link : ingress_)
-        link->reset();
-}
-
-void
 AllToAllTopology::collectLinks(std::vector<const Link *> &out) const
 {
     for (const auto &link : egress_)

@@ -35,7 +35,6 @@ class AllToAllTopology : public Topology
     std::uint64_t nvlinkBytes() const override;
 
   protected:
-    void resetLinks() override;
     void collectLinks(std::vector<const Link *> &out) const override;
 
   private:

@@ -83,17 +83,6 @@ ChipletTopology::nvlinkBytes() const
 }
 
 void
-ChipletTopology::resetLinks()
-{
-    for (auto &link : egress_)
-        link->reset();
-    for (auto &link : ingress_)
-        link->reset();
-    for (auto &link : bridgeOut_)
-        link->reset();
-}
-
-void
 ChipletTopology::collectLinks(std::vector<const Link *> &out) const
 {
     for (const auto &link : egress_)

@@ -47,7 +47,6 @@ class ChipletTopology : public Topology
     }
 
   protected:
-    void resetLinks() override;
     void collectLinks(std::vector<const Link *> &out) const override;
 
   private:

@@ -100,15 +100,6 @@ RingTopology::nvlinkBytes() const
 }
 
 void
-RingTopology::resetLinks()
-{
-    for (auto &link : cw_)
-        link->reset();
-    for (auto &link : ccw_)
-        link->reset();
-}
-
-void
 RingTopology::collectLinks(std::vector<const Link *> &out) const
 {
     for (const auto &link : cw_)

@@ -41,7 +41,6 @@ class RingTopology : public Topology
     unsigned hops(sim::GpuId src, sim::GpuId dst) const;
 
   protected:
-    void resetLinks() override;
     void collectLinks(std::vector<const Link *> &out) const override;
 
   private:

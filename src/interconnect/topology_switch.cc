@@ -74,15 +74,6 @@ SwitchTopology::nvlinkBytes() const
 }
 
 void
-SwitchTopology::resetLinks()
-{
-    for (auto &link : egress_)
-        link->reset();
-    for (auto &link : ports_)
-        link->reset();
-}
-
-void
 SwitchTopology::collectLinks(std::vector<const Link *> &out) const
 {
     for (const auto &link : egress_)

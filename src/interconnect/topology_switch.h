@@ -39,7 +39,6 @@ class SwitchTopology : public Topology
     std::uint64_t nvlinkBytes() const override;
 
   protected:
-    void resetLinks() override;
     void collectLinks(std::vector<const Link *> &out) const override;
 
   private:

@@ -37,11 +37,4 @@ AccessCounterTable::clear(sim::PageId page)
     counts_.erase(groupOf(page));
 }
 
-void
-AccessCounterTable::reset()
-{
-    counts_.clear();
-    triggers_ = 0;
-}
-
 }  // namespace grit::mem

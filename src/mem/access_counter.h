@@ -62,8 +62,6 @@ class AccessCounterTable
     /** Migration triggers fired so far. */
     std::uint64_t triggers() const { return triggers_; }
 
-    void reset();
-
   private:
     unsigned pagesPerGroup_;
     unsigned threshold_;

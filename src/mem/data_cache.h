@@ -64,8 +64,6 @@ class DataCache
     std::uint64_t lineBytes() const { return lineBytes_; }
     const std::string &name() const { return name_; }
 
-    void resetStats() { hits_ = misses_ = 0; }
-
   private:
     /** Slot holding a live copy of @p line_id, or LiveWays::kNone. */
     std::size_t

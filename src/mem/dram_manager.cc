@@ -211,16 +211,4 @@ DramManager::frames() const
     return out;
 }
 
-void
-DramManager::clear()
-{
-    frames_.clear();
-    freeSlots_.clear();
-    order_.clear();
-    index_.clear();
-    evictions_ = 0;
-    replicas_ = 0;
-    regions_.clear();
-}
-
 }  // namespace grit::mem

@@ -104,8 +104,6 @@ class DramManager
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t replicaCount() const { return replicas_; }
 
-    void clear();
-
   private:
     struct RegionState
     {

@@ -112,8 +112,6 @@ class PageTable
     /** Number of entries with the valid bit set. */
     std::size_t validCount() const;
 
-    void clear() { entries_.clear(); }
-
   private:
     PteRecord &obtain(sim::PageId page);
 

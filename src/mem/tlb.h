@@ -75,8 +75,6 @@ class Tlb
      *  touch LRU). */
     std::vector<sim::PageId> livePages() const;
 
-    void resetStats() { hits_ = misses_ = 0; }
-
   private:
     /** Slot of @p page's first live copy in @p set, or LiveWays::kNone. */
     std::size_t

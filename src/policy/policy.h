@@ -3,10 +3,11 @@
  * Page-placement policy interface.
  *
  * The UVM driver owns the *mechanisms* (migrate, map-remote, duplicate,
- * collapse); a PlacementPolicy chooses among them per fault. Uniform
- * policies (Section II-B) return a constant choice; GRIT (Section V)
- * chooses per page from PTE scheme bits; baselines (Griffin, GPS) add
- * their own bookkeeping.
+ * collapse); a PlacementPolicy chooses among them per fault. A policy
+ * is built on the driver whose mechanisms it steers. The uniform
+ * schemes (Section II-B) are rows of data (policy/uniform.h); GRIT
+ * (Section V) chooses per page from PTE scheme bits; baselines
+ * (Griffin, GPS) add their own bookkeeping.
  */
 
 #ifndef GRIT_POLICY_POLICY_H_
@@ -56,32 +57,28 @@ struct FaultInfo
     unsigned replicaCount = 0;
 };
 
-/** Strategy deciding page placement on every UVM fault. */
-class PlacementPolicy
+/** A policy's answer to one fault. */
+struct FaultDecision
 {
-  public:
-    virtual ~PlacementPolicy() = default;
-
-    /** Human-readable policy name for reports. */
-    virtual const char *name() const = 0;
-
-    /** Wire the policy to the driver whose mechanisms it steers. */
-    virtual void attach(uvm::UvmDriver &driver) { driver_ = &driver; }
-
-    /** Choose the action resolving @p info. */
-    virtual FaultAction onFault(const FaultInfo &info, sim::Cycle now) = 0;
-
+    FaultAction action = FaultAction::kMigrate;
     /**
      * Extra fault-handling latency added by policy machinery (GRIT's
      * PA-Table / PA-Cache lookups). Charged to the Host category.
      */
-    virtual sim::Cycle
-    faultOverhead(const FaultInfo &info, sim::Cycle now)
-    {
-        (void)info;
-        (void)now;
-        return 0;
-    }
+    sim::Cycle overhead = 0;
+};
+
+/** Strategy deciding page placement on every UVM fault. */
+class PlacementPolicy
+{
+  public:
+    /** @param driver the driver whose mechanisms this policy steers. */
+    explicit PlacementPolicy(uvm::UvmDriver &driver) : driver_(driver) {}
+    virtual ~PlacementPolicy() = default;
+
+    /** Choose the action resolving @p info, with its overhead. */
+    virtual FaultDecision onFault(const FaultInfo &info,
+                                  sim::Cycle now) = 0;
 
     /**
      * Whether hardware remote-access counters should count accesses to
@@ -118,11 +115,8 @@ class PlacementPolicy
      */
     virtual mem::Scheme schemeOf(sim::PageId page) const = 0;
 
-    /** Clear per-run state. */
-    virtual void reset() {}
-
   protected:
-    uvm::UvmDriver *driver_ = nullptr;
+    uvm::UvmDriver &driver_;
 };
 
 }  // namespace grit::policy

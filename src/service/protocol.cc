@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <limits>
 #include <sstream>
 
 #include "harness/config.h"
@@ -45,6 +46,17 @@ parseEnvelope(const std::string &line)
         wireFail("unsupported wire version (want " +
                  std::to_string(kSchemaVersion) + ")");
     return v;
+}
+
+/** @p v's unsigned value, refusing one a 32-bit field would truncate. */
+unsigned
+asUint32(const stats::JsonValue &v, const char *name)
+{
+    const std::uint64_t value = v.asUint64();
+    if (value > std::numeric_limits<unsigned>::max())
+        wireFail(std::string(name) + " " + std::to_string(value) +
+                 " does not fit in 32 bits");
+    return static_cast<unsigned>(value);
 }
 
 ServiceCounters
@@ -112,11 +124,10 @@ requestFromLine(const std::string &line)
         r.client = v.at("client").asString();
         r.app = v.at("app").asString();
         r.policy = v.at("policy").asString();
-        r.numGpus =
-            static_cast<unsigned>(v.at("num_gpus").asUint64());
+        r.numGpus = asUint32(v.at("num_gpus"), "num_gpus");
         const stats::JsonValue &params = v.at("params");
-        r.params.footprintDivisor = static_cast<unsigned>(
-            params.at("footprint_divisor").asUint64());
+        r.params.footprintDivisor = asUint32(
+            params.at("footprint_divisor"), "footprint_divisor");
         r.params.intensity = params.at("intensity").asDouble();
         r.params.seed = params.at("seed").asUint64();
         r.params.numGpus = r.numGpus;
@@ -220,6 +231,10 @@ cellFromRequest(const RunRequest &request)
     if (request.numGpus == 0)
         throw sim::SimException(sim::ErrorCode::kBadArgument,
                                 "num_gpus must be at least 1",
+                                "grit-service request");
+    if (request.params.footprintDivisor == 0)
+        throw sim::SimException(sim::ErrorCode::kBadArgument,
+                                "footprint_divisor must be at least 1",
                                 "grit-service request");
 
     harness::SystemConfig config =

@@ -190,23 +190,4 @@ EventQueue::run(std::uint64_t limit)
     return executed;
 }
 
-void
-EventQueue::reset()
-{
-    for (Bucket &bucket : buckets_) {
-        bucket.items.clear();
-        bucket.head = 0;
-    }
-    std::fill(occupied_.begin(), occupied_.end(), 0);
-    far_.clear();
-    nearCount_ = 0;
-    pending_ = 0;
-    now_ = 0;
-    nextSeq_ = 0;
-    limitHit_ = false;
-    stalled_ = false;
-    cancelled_ = false;
-    diagnostic_.reset();
-}
-
 }  // namespace grit::sim

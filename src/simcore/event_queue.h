@@ -208,9 +208,6 @@ class EventQueue
     /** Execute at most one event. @return true if an event fired. */
     bool step();
 
-    /** Drop all pending events and reset time to zero. */
-    void reset();
-
     /** Calendar near-window length in cycles (per-cycle buckets). */
     static constexpr std::size_t kWindowBits = 12;
     static constexpr std::size_t kWindow = std::size_t{1} << kWindowBits;

@@ -52,14 +52,6 @@ BandwidthResource::nextFree() const
                                       channelFree_.size())];
 }
 
-void
-BandwidthResource::reset()
-{
-    std::fill(channelFree_.begin(), channelFree_.end(), 0);
-    busy_ = 0;
-    bytes_ = 0;
-}
-
 ServerPool::ServerPool(std::string name, unsigned servers)
     : name_(std::move(name)), freeAt_(std::max(1u, servers), 0)
 {
@@ -76,15 +68,6 @@ ServerPool::acquire(Cycle now, Cycle service)
     busy_ += service;
     queueDelay_ += start - now;
     return done;
-}
-
-void
-ServerPool::reset()
-{
-    std::fill(freeAt_.begin(), freeAt_.end(), 0);
-    requests_ = 0;
-    busy_ = 0;
-    queueDelay_ = 0;
 }
 
 }  // namespace grit::sim

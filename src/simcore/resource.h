@@ -69,9 +69,6 @@ class BandwidthResource
 
     const std::string &name() const { return name_; }
 
-    /** Forget all occupancy (new simulation run). */
-    void reset();
-
   private:
     std::string name_;
     double bytesPerCycle_;
@@ -118,8 +115,6 @@ class ServerPool
     Cycle queueDelay() const { return queueDelay_; }
 
     const std::string &name() const { return name_; }
-
-    void reset();
 
   private:
     std::string name_;

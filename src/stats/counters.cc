@@ -19,11 +19,4 @@ StatSet::items() const
     return out;
 }
 
-void
-StatSet::reset()
-{
-    for (auto &[name, counter] : counters_)
-        counter.reset();
-}
-
 }  // namespace grit::stats

@@ -9,7 +9,6 @@
 #ifndef GRIT_STATS_COUNTERS_H_
 #define GRIT_STATS_COUNTERS_H_
 
-#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -23,7 +22,6 @@ class Counter
   public:
     void inc(std::uint64_t n = 1) { value_ += n; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -47,9 +45,6 @@ class StatSet
     /** All (name, value) pairs in name order. */
     std::vector<std::pair<std::string, std::uint64_t>> items() const;
 
-    /** Zero every counter. */
-    void reset();
-
   private:
     std::map<std::string, Counter> counters_;
 };
@@ -69,24 +64,20 @@ class StatSet
 class CounterRef
 {
   public:
-    /** An unbound reference; bind it by assignment before inc(). */
-    CounterRef() = default;
-
     /** @p name must outlive the reference (a string literal). */
     CounterRef(StatSet &set, const char *name) : set_(&set), name_(name) {}
 
     void
     inc(std::uint64_t n = 1)
     {
-        assert(set_ != nullptr && "CounterRef incremented before binding");
         if (counter_ == nullptr)
             counter_ = &set_->counter(name_);
         counter_->inc(n);
     }
 
   private:
-    StatSet *set_ = nullptr;
-    const char *name_ = nullptr;
+    StatSet *set_;
+    const char *name_;
     Counter *counter_ = nullptr;
 };
 

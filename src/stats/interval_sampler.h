@@ -56,8 +56,6 @@ class IntervalSampler
 
     sim::Cycle intervalCycles() const { return intervalCycles_; }
 
-    void reset() { cells_.clear(); }
-
   private:
     sim::Cycle intervalCycles_;
     unsigned keys_;

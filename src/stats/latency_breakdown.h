@@ -63,8 +63,6 @@ class LatencyBreakdown
     /** Fraction of the total in @p kind; 0 when the total is zero. */
     double fraction(LatencyKind kind) const;
 
-    void reset() { cycles_.fill(0); }
-
   private:
     std::array<sim::Cycle, kLatencyKinds> cycles_{};
 };

@@ -24,11 +24,4 @@ FaultCoalescer::record(sim::GpuId gpu, sim::PageId page,
     inflight_[key(gpu, page)] = completion;
 }
 
-void
-FaultCoalescer::reset()
-{
-    inflight_.clear();
-    coalesced_ = 0;
-}
-
 }  // namespace grit::uvm

@@ -43,8 +43,6 @@ class FaultCoalescer
     /** Episodes absorbed by coalescing so far. */
     std::uint64_t coalesced() const { return coalesced_; }
 
-    void reset();
-
   private:
     static constexpr unsigned kGpuShift = 52;
 

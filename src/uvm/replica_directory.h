@@ -99,12 +99,6 @@ class ReplicaDirectory
      */
     const PageRecords &pages() const { return pages_; }
 
-    void clear()
-    {
-        pages_.clear();
-        totalReplicas_ = 0;
-    }
-
   private:
     PageRecords pages_;
     std::uint64_t totalReplicas_ = 0;

@@ -61,14 +61,6 @@ UvmDriver::timelineRecord(stats::TimelineKind kind, sim::Cycle now)
         timeline_->record(now, static_cast<unsigned>(kind));
 }
 
-void
-UvmDriver::setPolicy(policy::PlacementPolicy *policy)
-{
-    policy_ = policy;
-    if (policy_ != nullptr)
-        policy_->attach(*this);
-}
-
 gpu::Gpu &
 UvmDriver::gpuAt(sim::GpuId id)
 {
@@ -93,7 +85,7 @@ FaultOutcome
 UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
                        bool protection_fault, sim::Cycle now)
 {
-    assert(policy_ != nullptr && "no placement policy attached");
+    assert(policy_ != nullptr && "no placement policy selected");
 
     // Faults for a page already being serviced for this GPU coalesce
     // onto the in-flight episode, as the GMMU fault queues do.
@@ -118,8 +110,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     fi.owner = info.owner;
     fi.replicaCount = static_cast<unsigned>(info.replicas.size());
 
-    const policy::FaultAction action = policy_->onFault(fi, now);
-    const sim::Cycle overhead = policy_->faultOverhead(fi, now);
+    const auto [action, overhead] = policy_->onFault(fi, now);
 
     // Trans-FW short-circuit: a non-cold read fault resolving to a
     // remote mapping fetches the translation from the owning GPU over

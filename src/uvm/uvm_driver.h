@@ -60,9 +60,14 @@ struct UvmConfig
     sim::Cycle drainCycles = 1500;
     /** Drain cost with Griffin's asynchronous CU draining (ACUD). */
     sim::Cycle drainCyclesAcud = 150;
-    /** Enable ACUD (Section VI-C1). */
+    /** Enable Griffin's asynchronous CU draining, ACUD (Section VI-C1). */
     bool acud = false;
-    /** Enable Trans-FW remote translation forwarding (Section VI-C3). */
+    /**
+     * Enable Trans-FW (Li et al., HPCA 2023; Section VI-C3): a non-cold
+     * fault resolving to a remote mapping fetches the translation from
+     * the owning GPU over NVLink instead of round-tripping through the
+     * host driver over PCIe.
+     */
     bool transFw = false;
     /** Remote-GPU translation service time under Trans-FW. */
     sim::Cycle transFwCycles = 250;
@@ -122,10 +127,11 @@ class UvmDriver
               stats::LatencyBreakdown &breakdown,
               const mem::PageGeometry &geometry);
 
-    /** Select the placement policy (attaches it to this driver). */
-    void setPolicy(policy::PlacementPolicy *policy);
-
-    policy::PlacementPolicy *policy() { return policy_; }
+    /**
+     * Select the placement policy, which was built on this driver (not
+     * owned; must outlive every fault).
+     */
+    void setPolicy(policy::PlacementPolicy *policy) { policy_ = policy; }
 
     /**
      * Service a local page fault or page-protection fault raised by

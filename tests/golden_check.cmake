@@ -18,15 +18,7 @@ set(ENV{GRIT_INTENSITY} 0.2)
 # Optional extra NAME=VALUE environment settings (CMake list), used by
 # the chunk5000 variants to prove that replay through many small trace
 # chunks produces byte-identical JSON.
-if(DEFINED EXTRA_ENV)
-    foreach(kv IN LISTS EXTRA_ENV)
-        string(FIND "${kv}" "=" eq)
-        string(SUBSTRING "${kv}" 0 ${eq} k)
-        math(EXPR after "${eq} + 1")
-        string(SUBSTRING "${kv}" ${after} -1 v)
-        set(ENV{${k}} "${v}")
-    endforeach()
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/extra_env.cmake)
 
 separate_arguments(cmd_list UNIX_COMMAND "${CMD}")
 execute_process(COMMAND ${cmd_list} --json ${OUT}

@@ -1,5 +1,5 @@
 /** @file Unit tests for the comparison baselines: Griffin-DPC, GPS,
- *  Trans-FW helpers, and the tree-based neighborhood prefetcher. */
+ *  and the tree-based neighborhood prefetcher. */
 
 #include <gtest/gtest.h>
 
@@ -7,9 +7,7 @@
 
 #include "baselines/gps.h"
 #include "baselines/griffin.h"
-#include "baselines/transfw.h"
 #include "baselines/tree_prefetcher.h"
-#include "policy/on_touch.h"
 #include "test_util.h"
 
 namespace grit::baselines {
@@ -22,7 +20,7 @@ using test::MiniSystem;
 TEST(GriffinDpc, ColdMigratesThenMapsRemote)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<GriffinDpcPolicy>());
+    sys.usePolicy<GriffinDpcPolicy>();
     sys.driver->handleFault(0, 10, false, false, 0);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);
     sys.driver->handleFault(1, 10, false, false, 1000);
@@ -37,19 +35,17 @@ TEST(GriffinDpc, IntervalMigratesToDominantAccessor)
     config.minAccesses = 4;
     config.dominanceRatio = 2.0;
     MiniSystem sys(2);
-    auto policy = std::make_unique<GriffinDpcPolicy>(config);
-    GriffinDpcPolicy *dpc = policy.get();
-    sys.usePolicy(std::move(policy));
+    GriffinDpcPolicy &dpc = sys.usePolicy<GriffinDpcPolicy>(config);
 
     sys.driver->handleFault(0, 10, false, false, 0);  // GPU 0 owns
     // GPU 1 hammers the page remotely within the interval.
     for (int i = 0; i < 10; ++i)
-        dpc->onAccess(1, 10, false, true, 100 + i);
+        dpc.onAccess(1, 10, false, true, 100 + i);
     // Crossing the boundary triggers classification.
-    dpc->onAccess(1, 10, false, true, 1500);
+    dpc.onAccess(1, 10, false, true, 1500);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 1);
-    EXPECT_GE(dpc->migrationsIssued(), 1u);
-    EXPECT_GE(dpc->intervalsProcessed(), 1u);
+    EXPECT_GE(dpc.migrationsIssued(), 1u);
+    EXPECT_GE(dpc.intervalsProcessed(), 1u);
 }
 
 TEST(GriffinDpc, QuietPagesStayPut)
@@ -58,26 +54,13 @@ TEST(GriffinDpc, QuietPagesStayPut)
     config.intervalCycles = 1000;
     config.minAccesses = 16;
     MiniSystem sys(2);
-    auto policy = std::make_unique<GriffinDpcPolicy>(config);
-    GriffinDpcPolicy *dpc = policy.get();
-    sys.usePolicy(std::move(policy));
+    GriffinDpcPolicy &dpc = sys.usePolicy<GriffinDpcPolicy>(config);
 
     sys.driver->handleFault(0, 10, false, false, 0);
-    dpc->onAccess(1, 10, false, true, 100);  // below minAccesses
-    dpc->onAccess(1, 10, false, true, 1500);
+    dpc.onAccess(1, 10, false, true, 100);  // below minAccesses
+    dpc.onAccess(1, 10, false, true, 1500);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);
-    EXPECT_EQ(dpc->migrationsIssued(), 0u);
-}
-
-TEST(GriffinDpc, ResetClearsIntervalState)
-{
-    MiniSystem sys(2);
-    auto policy = std::make_unique<GriffinDpcPolicy>();
-    GriffinDpcPolicy *dpc = policy.get();
-    sys.usePolicy(std::move(policy));
-    dpc->onAccess(0, 1, false, false, 10);
-    dpc->reset();
-    EXPECT_EQ(dpc->intervalsProcessed(), 0u);
+    EXPECT_EQ(dpc.migrationsIssued(), 0u);
 }
 
 // ----------------------------------------------------------------------- GPS
@@ -85,7 +68,7 @@ TEST(GriffinDpc, ResetClearsIntervalState)
 TEST(Gps, SubscribesWithWritableReplica)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<GpsPolicy>());
+    sys.usePolicy<GpsPolicy>();
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     const mem::PteRecord *rec = sys.gpu(1).pageTable().find(10);
@@ -100,51 +83,25 @@ TEST(Gps, SubscribesWithWritableReplica)
 TEST(Gps, StoresBroadcastToSubscribers)
 {
     MiniSystem sys(3);
-    auto policy = std::make_unique<GpsPolicy>();
-    GpsPolicy *gps = policy.get();
-    sys.usePolicy(std::move(policy));
+    GpsPolicy &gps = sys.usePolicy<GpsPolicy>();
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->handleFault(2, 10, false, false, 200000);
 
-    const sim::Cycle overhead = gps->onAccess(1, 10, true, false, 300000);
+    const sim::Cycle overhead = gps.onAccess(1, 10, true, false, 300000);
     EXPECT_GT(overhead, 0u);
     // Pushes to the owner (GPU 0) and the other subscriber (GPU 2).
-    EXPECT_EQ(gps->broadcasts(), 2u);
+    EXPECT_EQ(gps.broadcasts(), 2u);
 }
 
 TEST(Gps, ReadsAndUnsharedWritesAreFree)
 {
     MiniSystem sys(2);
-    auto policy = std::make_unique<GpsPolicy>();
-    GpsPolicy *gps = policy.get();
-    sys.usePolicy(std::move(policy));
+    GpsPolicy &gps = sys.usePolicy<GpsPolicy>();
     sys.driver->handleFault(0, 10, false, false, 0);
-    EXPECT_EQ(gps->onAccess(0, 10, false, false, 100), 0u);  // read
-    EXPECT_EQ(gps->onAccess(0, 10, true, false, 200), 0u);   // no replicas
-    EXPECT_EQ(gps->broadcasts(), 0u);
-}
-
-// ------------------------------------------------------------------- TransFW
-
-TEST(TransFw, ConfigHelpers)
-{
-    uvm::UvmConfig config;
-    EXPECT_FALSE(config.transFw);
-    EXPECT_FALSE(config.acud);
-    applyTransFw(config);
-    applyAcud(config);
-    EXPECT_TRUE(config.transFw);
-    EXPECT_TRUE(config.acud);
-}
-
-TEST(TransFw, ForwardCounterReadsDriverStats)
-{
-    MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
-    EXPECT_EQ(transFwForwards(*sys.driver), 0u);
-    sys.stats.counter("uvm.transfw_forwards").inc(3);
-    EXPECT_EQ(transFwForwards(*sys.driver), 3u);
+    EXPECT_EQ(gps.onAccess(0, 10, false, false, 100), 0u);  // read
+    EXPECT_EQ(gps.onAccess(0, 10, true, false, 200), 0u);   // no replicas
+    EXPECT_EQ(gps.broadcasts(), 0u);
 }
 
 // ----------------------------------------------------------- TreePrefetcher
@@ -152,7 +109,7 @@ TEST(TransFw, ForwardCounterReadsDriverStats)
 TEST(TreePrefetcher, MajorityOccupancyPrefetchesSiblings)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     PrefetcherConfig config;
     config.pagesPerBlock = 2;
     config.blocksPerRoot = 4;  // root covers 8 pages
@@ -172,7 +129,7 @@ TEST(TreePrefetcher, MajorityOccupancyPrefetchesSiblings)
 TEST(TreePrefetcher, DoesNotStealResidentPages)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     PrefetcherConfig config;
     config.pagesPerBlock = 2;
     config.blocksPerRoot = 4;
@@ -188,7 +145,7 @@ TEST(TreePrefetcher, DoesNotStealResidentPages)
 TEST(TreePrefetcher, PerGpuTreesAreIndependent)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     PrefetcherConfig config;
     config.pagesPerBlock = 2;
     config.blocksPerRoot = 4;

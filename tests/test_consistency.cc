@@ -14,10 +14,6 @@
 #include "baselines/tree_prefetcher.h"
 #include "core/grit_policy.h"
 #include "harness/experiment.h"
-#include "policy/access_counter_policy.h"
-#include "policy/duplication.h"
-#include "policy/first_touch.h"
-#include "policy/on_touch.h"
 #include "simcore/rng.h"
 #include "test_util.h"
 
@@ -107,18 +103,20 @@ validate(MiniSystem &sys, sim::PageId max_page)
     return "";
 }
 
-/** Random fault/access storm against one policy, validating as it goes. */
+/**
+ * Random fault/access storm against a @p P built from @p args,
+ * validating as it goes.
+ */
+template <typename P, typename... Args>
 void
-stress(std::unique_ptr<policy::PlacementPolicy> policy,
-       bool with_prefetcher, std::uint64_t seed)
+stress(bool with_prefetcher, std::uint64_t seed, const Args &...args)
 {
     constexpr unsigned kGpus = 4;
     constexpr sim::PageId kPages = 64;
     constexpr std::uint64_t kCapacity = 12;  // heavy oversubscription
 
     MiniSystem sys(kGpus, kCapacity);
-    policy::PlacementPolicy *p = policy.get();
-    sys.usePolicy(std::move(policy));
+    policy::PlacementPolicy *p = &sys.usePolicy<P>(args...);
     std::unique_ptr<baselines::TreePrefetcher> prefetcher;
     if (with_prefetcher) {
         baselines::PrefetcherConfig config;
@@ -171,34 +169,34 @@ stress(std::unique_ptr<policy::PlacementPolicy> policy,
 
 TEST(Consistency, OnTouchStorm)
 {
-    stress(std::make_unique<policy::OnTouchPolicy>(), false, 1);
+    stress<policy::UniformPolicy>(false, 1, policy::kOnTouchRule);
 }
 
 TEST(Consistency, AccessCounterStorm)
 {
-    stress(std::make_unique<policy::AccessCounterPolicy>(), false, 2);
+    stress<policy::UniformPolicy>(false, 2, policy::kAccessCounterRule);
 }
 
 TEST(Consistency, DuplicationStorm)
 {
-    stress(std::make_unique<policy::DuplicationPolicy>(), false, 3);
+    stress<policy::UniformPolicy>(false, 3, policy::kDuplicationRule);
 }
 
 TEST(Consistency, FirstTouchStorm)
 {
-    stress(std::make_unique<policy::FirstTouchPolicy>(), false, 4);
+    stress<policy::UniformPolicy>(false, 4, policy::kFirstTouchRule);
 }
 
 TEST(Consistency, GritStorm)
 {
-    stress(std::make_unique<core::GritPolicy>(), false, 5);
+    stress<core::GritPolicy>(false, 5);
 }
 
 TEST(Consistency, GritLowThresholdStorm)
 {
     core::GritConfig config;
     config.faultThreshold = 2;
-    stress(std::make_unique<core::GritPolicy>(config), false, 6);
+    stress<core::GritPolicy>(false, 6, config);
 }
 
 TEST(Consistency, GriffinStorm)
@@ -206,29 +204,28 @@ TEST(Consistency, GriffinStorm)
     baselines::GriffinConfig config;
     config.intervalCycles = 5000;
     config.minAccesses = 4;
-    stress(std::make_unique<baselines::GriffinDpcPolicy>(config), false,
-           7);
+    stress<baselines::GriffinDpcPolicy>(false, 7, config);
 }
 
 TEST(Consistency, GpsStorm)
 {
-    stress(std::make_unique<baselines::GpsPolicy>(), false, 8);
+    stress<baselines::GpsPolicy>(false, 8);
 }
 
 TEST(Consistency, OnTouchWithPrefetcherStorm)
 {
     // The configuration that exposed the stale-replica-promotion bug.
-    stress(std::make_unique<policy::OnTouchPolicy>(), true, 9);
+    stress<policy::UniformPolicy>(true, 9, policy::kOnTouchRule);
 }
 
 TEST(Consistency, GritWithPrefetcherStorm)
 {
-    stress(std::make_unique<core::GritPolicy>(), true, 10);
+    stress<core::GritPolicy>(true, 10);
 }
 
 TEST(Consistency, DuplicationWithPrefetcherStorm)
 {
-    stress(std::make_unique<policy::DuplicationPolicy>(), true, 11);
+    stress<policy::UniformPolicy>(true, 11, policy::kDuplicationRule);
 }
 
 /** Seed sweep of the nastiest configuration. */
@@ -240,7 +237,7 @@ TEST_P(GritPrefetchSeeds, StaysConsistent)
 {
     core::GritConfig config;
     config.faultThreshold = 2;  // maximal scheme churn
-    stress(std::make_unique<core::GritPolicy>(config), true, GetParam());
+    stress<core::GritPolicy>(true, GetParam(), config);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GritPrefetchSeeds,

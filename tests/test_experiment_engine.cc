@@ -59,17 +59,17 @@ TEST(ExperimentEngine, ThreadCountDoesNotChangeResults)
 {
     const auto [apps, configs] = smallSweep();
 
+    const RunPlan plan = RunPlan::matrix(apps, configs, fastParams());
+
     ExperimentEngine::Options serial;
     serial.jobs = 1;
-    ExperimentEngine one(serial);
     const ResultMatrix m1 =
-        one.run(RunPlan::matrix(apps, configs, fastParams()));
+        ExperimentEngine(serial).runResilient(plan, {}).matrix;
 
     ExperimentEngine::Options parallel;
     parallel.jobs = 4;
-    ExperimentEngine four(parallel);
     const ResultMatrix m4 =
-        four.run(RunPlan::matrix(apps, configs, fastParams()));
+        ExperimentEngine(parallel).runResilient(plan, {}).matrix;
 
     ASSERT_EQ(m1.size(), 2u);
     ASSERT_EQ(m1.size(), m4.size());
@@ -82,29 +82,6 @@ TEST(ExperimentEngine, ThreadCountDoesNotChangeResults)
             expectSameResult(result, m4.at(row).at(label));
         }
     }
-}
-
-TEST(ExperimentEngine, RunMatchesResilientExecutor)
-{
-    // run() is a front end over runResilient(); both must produce the
-    // same matrix for the same plan.
-    const auto [apps, configs] = smallSweep();
-    const RunPlan plan = RunPlan::matrix(apps, configs, fastParams());
-
-    ExperimentEngine engine;  // auto jobs
-    const ResultMatrix direct = engine.run(plan);
-
-    ExperimentEngine resilient;
-    const SweepResult sweep =
-        resilient.runResilient(plan, ResilientOptions{});
-    EXPECT_TRUE(sweep.complete());
-
-    ASSERT_EQ(direct.size(), sweep.matrix.size());
-    for (const auto &[row, runs] : direct)
-        for (const auto &[label, result] : runs) {
-            SCOPED_TRACE(row + "/" + label);
-            expectSameResult(result, sweep.matrix.at(row).at(label));
-        }
 }
 
 TEST(ExperimentEngine, SharesTracesAcrossConfigs)
@@ -121,7 +98,8 @@ TEST(ExperimentEngine, SharesTracesAcrossConfigs)
         ExperimentEngine::Options options;
         options.jobs = jobs;
         ExperimentEngine engine(options);
-        engine.run(RunPlan::matrix(apps, configs, fastParams()));
+        engine.runResilient(RunPlan::matrix(apps, configs, fastParams()),
+                            ResilientOptions{});
         EXPECT_EQ(engine.traceCache().misses(), apps.size() * gpus);
         EXPECT_EQ(engine.traceCache().hits(),
                   apps.size() * gpus * (configs.size() - 1));

@@ -19,10 +19,8 @@ gritSystem(const GritConfig &config = {}, unsigned gpus = 2,
            std::uint64_t capacity = 0)
 {
     auto sys = std::make_unique<MiniSystem>(gpus, capacity);
-    auto policy = std::make_unique<GritPolicy>(config);
-    GritPolicy *raw = policy.get();
-    sys->usePolicy(std::move(policy));
-    return {std::move(sys), raw};
+    GritPolicy *grit = &sys->usePolicy<GritPolicy>(config);
+    return {std::move(sys), grit};
 }
 
 TEST(GritPolicy, StartsUnderOnTouch)
@@ -49,8 +47,8 @@ TEST(GritPolicy, ReadSharedPageConvertsToDuplication)
         t += 100000;
     }
     EXPECT_EQ(grit->schemeOf(10), mem::Scheme::kDuplication);
-    EXPECT_EQ(grit->schemeChanges(), 1u);
     EXPECT_EQ(sys->stats.get("grit.changes_to_duplication"), 1u);
+    EXPECT_EQ(sys->stats.get("grit.changes_to_access_counter"), 0u);
 
     // The triggering (fourth) fault already resolved under the new
     // scheme: GPU 1 received a replica instead of migrating the page.
@@ -105,7 +103,8 @@ TEST(GritPolicy, CapacityRefaultsDoNotAdvanceCounter)
     for (sim::PageId p = 1; p <= 3; ++p)
         EXPECT_EQ(grit->schemeOf(p), mem::Scheme::kOnTouch) << p;
     EXPECT_GT(sys->stats.get("grit.capacity_refaults"), 0u);
-    EXPECT_EQ(grit->schemeChanges(), 0u);
+    EXPECT_EQ(sys->stats.get("grit.changes_to_duplication"), 0u);
+    EXPECT_EQ(sys->stats.get("grit.changes_to_access_counter"), 0u);
 }
 
 TEST(GritPolicy, NapPropagatesToNeighbors)
@@ -122,7 +121,7 @@ TEST(GritPolicy, NapPropagatesToNeighbors)
         sys->driver->handleFault(1, p, false, false, t);
         t += 100000;
     }
-    EXPECT_GT(grit->napAdoptions(), 0u);
+    EXPECT_GT(sys->stats.get("grit.nap_adoptions"), 0u);
     // All eight pages of the group now share the scheme.
     for (sim::PageId p = 0; p < 8; ++p) {
         EXPECT_EQ(sys->driver->centralTable().scheme(p),
@@ -146,7 +145,7 @@ TEST(GritPolicy, NapDisabledLeavesNeighborsAlone)
         sys->driver->handleFault(1, p, false, false, t);
         t += 100000;
     }
-    EXPECT_EQ(grit->napAdoptions(), 0u);
+    EXPECT_EQ(sys->stats.get("grit.nap_adoptions"), 0u);
     EXPECT_EQ(sys->driver->centralTable().scheme(7), mem::Scheme::kNone);
 }
 
@@ -192,22 +191,11 @@ TEST(GritPolicy, FaultOverheadReflectsPaMachinery)
     info.gpu = 0;
     info.page = 10;
     info.coldTouch = true;  // counted fault (not a capacity refault)
-    grit->onFault(info, 0);
-    // Without the PA-Cache every fault pays PA-Table memory accesses.
-    EXPECT_GT(grit->faultOverhead(info, 0), 0u);
-}
-
-TEST(GritPolicy, ResetClearsLearnedState)
-{
-    GritConfig config;
-    config.faultThreshold = 2;
-    auto [sys, grit] = gritSystem(config);
-    sys->driver->handleFault(0, 10, false, false, 0);
-    sys->driver->handleFault(1, 10, false, false, 100000);
-    EXPECT_EQ(grit->schemeChanges(), 1u);
-    grit->reset();
-    EXPECT_EQ(grit->schemeChanges(), 0u);
-    EXPECT_EQ(grit->paTable().size(), 0u);
+    const policy::FaultDecision decision = grit->onFault(info, 0);
+    // Without the PA-Cache every fault pays PA-Table memory accesses;
+    // the page still starts under on-touch.
+    EXPECT_GT(decision.overhead, 0u);
+    EXPECT_EQ(decision.action, policy::FaultAction::kMigrate);
 }
 
 }  // namespace

@@ -147,10 +147,12 @@ TEST(Integration, GritBeatsAccessCounterAndDuplicationOnAverage)
         {"duplication", makeConfig(PolicyKind::kDuplication, 4)},
         {"grit", makeConfig(PolicyKind::kGrit, 4)},
     };
-    const auto matrix = ExperimentEngine().run(RunPlan::matrix(
+    const RunPlan plan = RunPlan::matrix(
         {workload::AppId::kBfs, workload::AppId::kGemm,
          workload::AppId::kFir, workload::AppId::kBs},
-        configs, params));
+        configs, params);
+    const ResultMatrix matrix =
+        ExperimentEngine().runResilient(plan, ResilientOptions{}).matrix;
     EXPECT_GT(meanImprovementPct(matrix, "access-counter", "grit"), 0.0);
     EXPECT_GT(meanImprovementPct(matrix, "duplication", "grit"), 0.0);
 }

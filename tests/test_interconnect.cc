@@ -112,20 +112,6 @@ TEST(AllToAll, NvlinkByteAccounting)
     EXPECT_EQ(fabric.nvlinkBytes(), 1000u);  // egress side accounting
 }
 
-TEST(AllToAll, ResetClearsOccupancyAndMessages)
-{
-    FabricConfig config;
-    config.numGpus = 2;
-    AllToAllTopology fabric(config);
-    fabric.transfer(0, 0, 1, 1 << 20);
-    fabric.message(0, 0, 1);
-    fabric.reset();
-    EXPECT_EQ(fabric.nvlinkBytes(), 0u);
-    EXPECT_EQ(fabric.messages(), 0u);
-    EXPECT_EQ(fabric.messageBytes(), 0u);
-    EXPECT_EQ(fabric.transfer(0, 0, 1, 300), 701u);
-}
-
 TEST(AllToAll, LinkStatsEnumeratesPorts)
 {
     FabricConfig config;

@@ -164,16 +164,6 @@ TEST(PaCache, LruWithinSet)
     EXPECT_EQ(table.find(0), nullptr);
 }
 
-TEST(PaCache, ClearResets)
-{
-    PaTable table;
-    PaCache cache(table);
-    cache.recordFault(3, false, 8);
-    cache.clear();
-    EXPECT_EQ(cache.occupancy(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-}
-
 /** Property sweep: triggers always fire at exactly the threshold. */
 class PaCacheThreshold : public ::testing::TestWithParam<std::uint32_t>
 {

@@ -14,7 +14,6 @@
 #include "mem/dram_manager.h"
 #include "mem/page_geometry.h"
 #include "mem/region_tracker.h"
-#include "policy/on_touch.h"
 #include "test_util.h"
 #include "workload/apps.h"
 
@@ -235,7 +234,8 @@ smallDynamicGeometry()
 void
 expectCleanAudit(test::MiniSystem &sys)
 {
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     const std::vector<sim::SimError> violations = auditor.audit();
     EXPECT_TRUE(violations.empty());
     for (const sim::SimError &v : violations)
@@ -245,7 +245,7 @@ expectCleanAudit(test::MiniSystem &sys)
 TEST(PromoteSplinter, FullyResidentHotRegionPromotes)
 {
     test::MiniSystem sys(2, 0, {}, smallDynamicGeometry());
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sim::Cycle now = 0;
     for (sim::PageId p = 0; p < 4; ++p)
         sys.driver->handleFault(0, p, true, false, now += 10000);
@@ -258,10 +258,34 @@ TEST(PromoteSplinter, FullyResidentHotRegionPromotes)
     expectCleanAudit(sys);
 }
 
+TEST(PromoteSplinter, AuditCatchesAHugeMappingDroppedBehindTheTracker)
+{
+    test::MiniSystem sys(2, 0, {}, smallDynamicGeometry());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
+    sim::Cycle now = 0;
+    for (sim::PageId p = 0; p < 4; ++p)
+        sys.driver->handleFault(0, p, true, false, now += 10000);
+    ASSERT_TRUE(sys.driver->regionTracker().promoted(0));
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
+    ASSERT_TRUE(auditor.audit().empty());
+
+    // Corrupt: drop gpu0's huge mapping without the driver's splinter,
+    // so the tracker and its ledger still count the region promoted.
+    sys.gpu(0).splinterRegion(0);
+    const std::vector<sim::SimError> violations = auditor.audit();
+    ASSERT_EQ(violations.size(), 2u);
+    EXPECT_EQ(violations[0].message,
+              "tracker says promoted but gpu0 has no huge mapping");
+    EXPECT_TRUE(violations[1].message.starts_with(
+        "promotion ledger out of balance"))
+        << violations[1].message;
+}
+
 TEST(PromoteSplinter, PartialResidencyNeverPromotes)
 {
     test::MiniSystem sys(2, 0, {}, smallDynamicGeometry());
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sim::Cycle now = 0;
     // Heat crosses the threshold but page 3 never becomes resident.
     for (int round = 0; round < 3; ++round)
@@ -275,7 +299,7 @@ TEST(PromoteSplinter, PartialResidencyNeverPromotes)
 TEST(PromoteSplinter, RemoteWriterSplintersAndChurnStaysCoherent)
 {
     test::MiniSystem sys(2, 0, {}, smallDynamicGeometry());
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     const mem::RegionTracker &tracker = sys.driver->regionTracker();
     sim::Cycle now = 0;
 
@@ -309,7 +333,7 @@ TEST(PromoteSplinter, RemoteWriterSplintersAndChurnStaysCoherent)
 TEST(PromoteSplinter, SplinterAllPromotedDropsEveryRegion)
 {
     test::MiniSystem sys(2, 0, {}, smallDynamicGeometry());
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sim::Cycle now = 0;
     for (sim::PageId p = 0; p < 4; ++p)
         sys.driver->handleFault(0, p, true, false, now += 10000);

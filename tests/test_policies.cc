@@ -6,11 +6,8 @@
 #include <algorithm>
 
 #include "core/scheme_decision.h"
-#include "policy/access_counter_policy.h"
-#include "policy/duplication.h"
-#include "policy/first_touch.h"
-#include "policy/ideal.h"
-#include "policy/on_touch.h"
+#include "policy/uniform.h"
+#include "test_util.h"
 
 namespace grit::policy {
 namespace {
@@ -29,20 +26,23 @@ faultAt(sim::GpuId gpu, sim::PageId page, bool write, bool cold)
 
 TEST(OnTouchPolicy, AlwaysMigrates)
 {
-    OnTouchPolicy policy;
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0),
+    test::MiniSystem sys;
+    UniformPolicy policy(*sys.driver, kOnTouchRule);
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0).action,
               FaultAction::kMigrate);
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, true), 0),
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, true), 0).action,
               FaultAction::kMigrate);
     EXPECT_EQ(policy.schemeOf(5), mem::Scheme::kOnTouch);
     EXPECT_FALSE(policy.countsRemote(5));
-    EXPECT_STREQ(policy.name(), "on-touch");
 }
 
 TEST(AccessCounterPolicy, MapsRemoteAndCounts)
 {
-    AccessCounterPolicy policy;
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0),
+    test::MiniSystem sys;
+    UniformPolicy policy(*sys.driver, kAccessCounterRule);
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, true), 0).action,
+              FaultAction::kMapRemote);
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0).action,
               FaultAction::kMapRemote);
     EXPECT_TRUE(policy.countsRemote(5));
     EXPECT_EQ(policy.schemeOf(5), mem::Scheme::kAccessCounter);
@@ -50,38 +50,55 @@ TEST(AccessCounterPolicy, MapsRemoteAndCounts)
 
 TEST(DuplicationPolicy, AlwaysDuplicates)
 {
-    DuplicationPolicy policy;
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0),
+    test::MiniSystem sys;
+    UniformPolicy policy(*sys.driver, kDuplicationRule);
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, true), 0).action,
               FaultAction::kDuplicate);
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, false), 0),
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0).action,
+              FaultAction::kDuplicate);
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, false), 0).action,
               FaultAction::kDuplicate);  // driver turns write into collapse
     EXPECT_EQ(policy.schemeOf(5), mem::Scheme::kDuplication);
+    EXPECT_FALSE(policy.countsRemote(5));
 }
 
 TEST(FirstTouchPolicy, PinsOnColdThenPeerAccess)
 {
-    FirstTouchPolicy policy;
-    EXPECT_EQ(policy.onFault(faultAt(0, 5, false, true), 0),
+    test::MiniSystem sys;
+    UniformPolicy policy(*sys.driver, kFirstTouchRule);
+    EXPECT_EQ(policy.onFault(faultAt(0, 5, false, true), 0).action,
               FaultAction::kMigrate);
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0),
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, false, false), 0).action,
               FaultAction::kMapRemote);
     EXPECT_FALSE(policy.countsRemote(5));  // pinned forever
+    EXPECT_EQ(policy.schemeOf(5), mem::Scheme::kAccessCounter);
 }
 
 TEST(IdealPolicy, ColdPaysThenFree)
 {
-    IdealPolicy policy;
-    EXPECT_EQ(policy.onFault(faultAt(0, 5, false, true), 0),
+    test::MiniSystem sys;
+    UniformPolicy policy(*sys.driver, kIdealRule);
+    EXPECT_EQ(policy.onFault(faultAt(0, 5, false, true), 0).action,
               FaultAction::kMigrate);
-    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, false), 0),
+    EXPECT_EQ(policy.onFault(faultAt(1, 5, true, false), 0).action,
               FaultAction::kIdealLocal);
+    EXPECT_EQ(policy.schemeOf(5), mem::Scheme::kNone);
+    EXPECT_FALSE(policy.countsRemote(5));
 }
 
 TEST(PolicyDefaults, NoOverheadNoAccessHook)
 {
-    OnTouchPolicy policy;
-    EXPECT_EQ(policy.faultOverhead(faultAt(0, 1, false, false), 0), 0u);
-    EXPECT_EQ(policy.onAccess(0, 1, false, false, 0), 0u);
+    test::MiniSystem sys;
+    for (const UniformRule &rule :
+         {kOnTouchRule, kAccessCounterRule, kDuplicationRule,
+          kFirstTouchRule, kIdealRule}) {
+        UniformPolicy policy(*sys.driver, rule);
+        EXPECT_EQ(policy.onFault(faultAt(0, 1, false, true), 0).overhead,
+                  0u);
+        EXPECT_EQ(policy.onFault(faultAt(1, 1, true, false), 0).overhead,
+                  0u);
+        EXPECT_EQ(policy.onAccess(0, 1, true, true, 0), 0u);
+    }
 }
 
 // ------------------------------------------------------- Scheme decision

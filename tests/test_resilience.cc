@@ -132,6 +132,16 @@ TEST(RunFingerprint, DigestIgnoresResilienceKnobsOnly)
     SystemConfig chaos = base;
     chaos.chaos = sim::ChaosSpec::parse("hang:at=100");
     EXPECT_NE(digest, configDigest(chaos));
+    // accesses_batched and the tlb.* counters are in the result.
+    SystemConfig unbatched = base;
+    unbatched.batchAccesses = false;
+    EXPECT_NE(digest, configDigest(unbatched));
+    SystemConfig pageStats = base;
+    pageStats.pageSizeStats = true;
+    EXPECT_NE(digest, configDigest(pageStats));
+    SystemConfig griffin = base;
+    griffin.griffin.minAccesses += 1;
+    EXPECT_NE(digest, configDigest(griffin));
 }
 
 TEST(RunFingerprint, CoversWorkloadIdentityAndParams)
@@ -164,8 +174,9 @@ TEST(RunJournalFormat, RunResultRoundTripsLosslessly)
     plan.addCell("GEMM", "grit", config, workload::AppId::kGemm,
                  fastParams());
     ExperimentEngine engine;
-    RunResult result =
-        engine.run(plan).at("GEMM").at("grit");
+    RunResult result = engine.runResilient(plan, ResilientOptions{})
+                           .matrix.at("GEMM")
+                           .at("grit");
     ASSERT_TRUE(result.timeline.has_value());
     result.partial = true;
     result.error.emplace(sim::ErrorCode::kDeadline, "budget exhausted",
@@ -239,7 +250,8 @@ TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
 {
     const RunPlan plan = smallPlan();
     ExperimentEngine reference;
-    const ResultMatrix expected = reference.run(plan);
+    const ResultMatrix expected =
+        reference.runResilient(plan, ResilientOptions{}).matrix;
 
     TempPath path("grit_resume_full.jsonl");
     RecordLog journal;
@@ -272,7 +284,8 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCells)
 {
     const RunPlan plan = smallPlan();
     ExperimentEngine reference;
-    const ResultMatrix expected = reference.run(plan);
+    const ResultMatrix expected =
+        reference.runResilient(plan, ResilientOptions{}).matrix;
 
     // Journal only half the sweep — the on-disk state a kill -9 leaves.
     TempPath path("grit_resume_partial.jsonl");

@@ -13,8 +13,6 @@
 #include "harness/experiment.h"
 #include "harness/invariant_auditor.h"
 #include "harness/simulator.h"
-#include "policy/duplication.h"
-#include "policy/on_touch.h"
 #include "simcore/fault_injector.h"
 #include "simcore/rng.h"
 #include "simcore/sim_error.h"
@@ -350,8 +348,9 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
 {
     for (std::uint64_t seed : {1ull, 7ull, 23ull}) {
         MiniSystem sys(4, /*capacity_pages=*/24);
-        sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
-        sim::InvariantAuditor auditor(*sys.driver);
+        sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
+        sim::InvariantAuditor auditor(*sys.driver,
+                                      harness::PolicyKind::kDuplication);
         sim::Rng rng(seed);
         sim::Cycle now = 1000;
 
@@ -420,11 +419,12 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
 TEST(InvariantAuditor, DetectsDeliberateDirectoryCorruption)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 10, false, false, 1000);
     sys.driver->handleFault(1, 20, false, false, 2000);
 
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     EXPECT_TRUE(auditor.audit().empty());
 
     // Corrupt: claim GPU 1 holds a replica it never allocated.
@@ -443,13 +443,14 @@ TEST(InvariantAuditor, DetectsDeliberateDirectoryCorruption)
 TEST(InvariantAuditor, DetectsPageTableResidencyDrift)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 5, false, false, 1000);
 
     // Corrupt: install a local PTE for a page with no frame behind it.
     sys.gpu(1).pageTable().install(99, mem::MappingKind::kLocal, 1,
                                    false);
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     const auto violations = auditor.audit();
     ASSERT_FALSE(violations.empty());
     EXPECT_EQ(violations.front().code, sim::ErrorCode::kInvariant);
@@ -470,11 +471,12 @@ reports(const std::vector<sim::SimError> &violations,
 TEST(InvariantAuditor, DetectsATlbEntryThatSurvivedItsPteShootdown)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 10, false, false, 1000);
     gpu::Gpu &g = sys.gpu(0);
     ASSERT_FALSE(g.translate(0, 10, false, 2000).fault);
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     EXPECT_TRUE(auditor.audit().empty());
 
     // Corrupt: drop the PTE without Gpu::invalidatePage's shootdown, so
@@ -491,10 +493,11 @@ TEST(InvariantAuditor, DetectsATlbEntryThatSurvivedItsPteShootdown)
 TEST(InvariantAuditor, DetectsAReplicaHolderListedTwice)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 10, false, false, 1000);
     sys.driver->duplicatePage(10, 1, 2000);
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     EXPECT_TRUE(auditor.audit().empty());
 
     // Corrupt: list GPU 1's (real, frame-backed) replica a second time.
@@ -508,7 +511,7 @@ TEST(InvariantAuditor, ShootdownFilterAuditHoldsAcrossDisplacement)
     // half its fills displace a live entry. The filter must drop those
     // and the audit, which checks it both ways, must stay clean.
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     gpu::Gpu &g = sys.gpu(0);
     const unsigned entries = g.config().l1TlbEntries;
     sim::Cycle now = 1000;
@@ -517,7 +520,8 @@ TEST(InvariantAuditor, ShootdownFilterAuditHoldsAcrossDisplacement)
     for (sim::PageId page = 0; page < 2 * entries; ++page)
         ASSERT_FALSE(g.translate(0, page, false, now).fault) << page;
 
-    sim::InvariantAuditor auditor(*sys.driver);
+    sim::InvariantAuditor auditor(*sys.driver,
+                                  harness::PolicyKind::kOnTouch);
     for (const sim::SimError &v : auditor.audit())
         ADD_FAILURE() << v.str();
     EXPECT_EQ(g.l1Holders().size(), entries);

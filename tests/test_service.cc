@@ -269,7 +269,7 @@ TEST(ServiceProtocol, ResponseLineRoundTripsEntryAndError)
 
 TEST(ServiceProtocol, MalformedLinesAreStructuredErrors)
 {
-    const std::vector<std::string> bad = {
+    std::vector<std::string> bad = {
         "",
         "not json",
         "[1,2,3]",
@@ -278,6 +278,14 @@ TEST(ServiceProtocol, MalformedLinesAreStructuredErrors)
         "{\"schema\":\"grit-service\",\"version\":99,\"op\":\"ping\"}",
         "{\"schema\":\"grit-service\",\"version\":1,\"op\":\"dance\"}",
     };
+    // A run line whose divisor does not fit in 32 bits is refused, not
+    // truncated to 0.
+    std::string wide = requestLine(runRequest("c", "GEMM", "grit"));
+    const std::string divisor = "\"footprint_divisor\":128";
+    ASSERT_NE(wide.find(divisor), std::string::npos) << wide;
+    wide.replace(wide.find(divisor), divisor.size(),
+                 "\"footprint_divisor\":4294967296");
+    bad.push_back(wide);
     for (const std::string &line : bad) {
         try {
             (void)requestFromLine(line);
@@ -319,6 +327,9 @@ TEST(ServiceProtocol, CellFromRequestValidatesAndFingerprints)
     Request badGpus = runRequest("c", "GEMM", "grit");
     badGpus.run.numGpus = 0;
     EXPECT_THROW((void)cellFromRequest(badGpus.run), sim::SimException);
+    Request badDivisor = runRequest("c", "GEMM", "grit");
+    badDivisor.run.params.footprintDivisor = 0;
+    EXPECT_THROW((void)cellFromRequest(badDivisor.run), sim::SimException);
 }
 
 // ---------------------------------------------------------------- backoff

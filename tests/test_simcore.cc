@@ -109,9 +109,6 @@ TEST(EventQueue, RunReportsLimitTrip)
     EXPECT_TRUE(q.limitHit());  // stopped with work pending
     q.run();
     EXPECT_FALSE(q.limitHit());  // drained cleanly
-    q.schedule(50, [] {});
-    q.reset();
-    EXPECT_FALSE(q.limitHit());
 }
 
 TEST(EventQueue, StepExecutesOneEvent)
@@ -124,17 +121,6 @@ TEST(EventQueue, StepExecutesOneEvent)
     EXPECT_EQ(count, 1);
     EXPECT_TRUE(q.step());
     EXPECT_FALSE(q.step());
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    q.run();
-    q.schedule(20, [] {});
-    q.reset();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.now(), 0u);
 }
 
 TEST(EventQueue, LimitTripRecordsDiagnosticNamingOldestTag)
@@ -250,21 +236,6 @@ TEST(EventQueue, WatchdogTolerantOfAdvancingTime)
     q.run();
     EXPECT_EQ(fired, 100);
     EXPECT_FALSE(q.stalled());
-    EXPECT_FALSE(q.diagnostic().has_value());
-}
-
-TEST(EventQueue, ResetClearsDiagnosticState)
-{
-    EventQueue q;
-    q.setWatchdog(10);
-    q.schedule(3, Storm{&q, 3}, "storm");
-    q.run();
-    ASSERT_TRUE(q.stalled());
-    q.reset();
-    EXPECT_FALSE(q.stalled());
-    EXPECT_FALSE(q.diagnostic().has_value());
-    q.schedule(1, [] {});
-    q.run();
     EXPECT_FALSE(q.diagnostic().has_value());
 }
 
@@ -583,16 +554,6 @@ TEST(BandwidthResource, SaturationQueuesAcrossChannels)
     EXPECT_EQ(pipe.acquire(0, 10), 20u);  // both channels busy
 }
 
-TEST(BandwidthResource, ResetClearsState)
-{
-    BandwidthResource pipe("p", 1.0, 1);
-    pipe.acquire(0, 100);
-    pipe.reset();
-    EXPECT_EQ(pipe.busyCycles(), 0u);
-    EXPECT_EQ(pipe.bytesMoved(), 0u);
-    EXPECT_EQ(pipe.acquire(0, 10), 10u);
-}
-
 // ------------------------------------------------------------------ ServerPool
 
 TEST(ServerPool, ParallelUpToServerCount)
@@ -613,15 +574,6 @@ TEST(ServerPool, LaterArrivalStartsImmediately)
     pool.acquire(0, 10);
     EXPECT_EQ(pool.acquire(50, 10), 60u);
     EXPECT_EQ(pool.queueDelay(), 0u);
-}
-
-TEST(ServerPool, ResetClearsState)
-{
-    ServerPool pool("s", 1);
-    pool.acquire(0, 1000);
-    pool.reset();
-    EXPECT_EQ(pool.acquire(0, 10), 10u);
-    EXPECT_EQ(pool.requests(), 1u);
 }
 
 /** Property sweep: a pool of N servers with per-request service S must

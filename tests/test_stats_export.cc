@@ -211,10 +211,13 @@ TEST(StatsExport, DocumentIsIdenticalForAnyWorkerCount)
     wide.jobs = 4;
 
     const auto plan = harness::RunPlan::matrix(apps, configs, params);
-    const std::string doc1 =
-        serialize(harness::ExperimentEngine(serial).run(plan), params);
-    const std::string doc4 =
-        serialize(harness::ExperimentEngine(wide).run(plan), params);
+    const auto sweep = [&plan](const harness::ExperimentEngine::Options &o) {
+        return harness::ExperimentEngine(o)
+            .runResilient(plan, harness::ResilientOptions{})
+            .matrix;
+    };
+    const std::string doc1 = serialize(sweep(serial), params);
+    const std::string doc4 = serialize(sweep(wide), params);
 
     EXPECT_FALSE(doc1.empty());
     EXPECT_EQ(doc1, doc4);

@@ -9,12 +9,13 @@
 #define GRIT_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gpu/gpu.h"
 #include "interconnect/topology.h"
 #include "mem/page_geometry.h"
-#include "policy/policy.h"
+#include "policy/uniform.h"
 #include "stats/counters.h"
 #include "stats/latency_breakdown.h"
 #include "uvm/uvm_driver.h"
@@ -52,12 +53,19 @@ class MiniSystem
             uvm_config, *fabric, views, stats, breakdown, geometry);
     }
 
-    /** Attach @p policy to the driver and keep it alive. */
-    void
-    usePolicy(std::unique_ptr<policy::PlacementPolicy> p)
+    /**
+     * Build a @p P on the driver from @p args, select it, and keep it
+     * alive; returns the policy for tests that drive its hooks.
+     */
+    template <typename P, typename... Args>
+    P &
+    usePolicy(Args &&...args)
     {
+        auto p = std::make_unique<P>(*driver, std::forward<Args>(args)...);
+        P &built = *p;
         policy = std::move(p);
         driver->setPolicy(policy.get());
+        return built;
     }
 
     gpu::Gpu &gpu(unsigned g) { return *gpus[g]; }

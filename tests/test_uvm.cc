@@ -3,10 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "policy/access_counter_policy.h"
-#include "policy/duplication.h"
-#include "policy/ideal.h"
-#include "policy/on_touch.h"
 #include "test_util.h"
 #include "uvm/fault.h"
 #include "uvm/replica_directory.h"
@@ -84,9 +80,6 @@ TEST(ReplicaDirectory, TotalReplicas)
     EXPECT_EQ(dir.totalReplicas(), 2u);
     dir.clearReplicas(1, 0);
     EXPECT_EQ(dir.totalReplicas(), 0u);
-    dir.addReplica(3, 0, 0);
-    dir.clear();
-    EXPECT_EQ(dir.totalReplicas(), 0u);
 }
 
 // ------------------------------------------------------------------ Cold fault
@@ -94,7 +87,7 @@ TEST(ReplicaDirectory, TotalReplicas)
 TEST(UvmDriver, ColdFaultMigratesFromHost)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
 
     const FaultOutcome out =
         sys.driver->handleFault(0, 10, false, false, 0);
@@ -110,7 +103,7 @@ TEST(UvmDriver, ColdFaultMigratesFromHost)
 TEST(UvmDriver, CoalescedFaultReturnsInflightCompletion)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     const FaultOutcome first =
         sys.driver->handleFault(0, 10, false, false, 0);
     const FaultOutcome second =
@@ -125,7 +118,7 @@ TEST(UvmDriver, CoalescedFaultReturnsInflightCompletion)
 TEST(UvmDriver, OnTouchPingPongMovesOwnership)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);
 
@@ -144,7 +137,7 @@ TEST(UvmDriver, OnTouchPingPongMovesOwnership)
 TEST(UvmDriver, AccessCounterPolicyMapsRemote)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::AccessCounterPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kAccessCounterRule);
     sys.driver->handleFault(0, 10, false, false, 0);  // cold: migrate
     sys.driver->handleFault(1, 10, false, false, 100000);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);  // stays put
@@ -160,7 +153,7 @@ TEST(UvmDriver, AccessCounterPolicyMapsRemote)
 TEST(UvmDriver, MigrationInvalidatesRemoteMappers)
 {
     MiniSystem sys(3);
-    sys.usePolicy(std::make_unique<policy::AccessCounterPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kAccessCounterRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->migratePage(10, 2, 200000,
@@ -174,7 +167,7 @@ TEST(UvmDriver, MigrationInvalidatesRemoteMappers)
 TEST(UvmDriver, CounterMigrationPullsGroupPages)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::AccessCounterPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kAccessCounterRule);
     // GPU 0 owns pages 0 and 1 (same 64 KB group).
     sys.driver->handleFault(0, 0, false, false, 0);
     sys.driver->handleFault(0, 1, false, false, 1000);
@@ -189,7 +182,7 @@ TEST(UvmDriver, CounterMigrationPullsGroupPages)
 TEST(UvmDriver, ReadFaultDuplicates)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);  // cold: own it
     sys.driver->handleFault(1, 10, false, false, 100000);
 
@@ -207,7 +200,7 @@ TEST(UvmDriver, ReadFaultDuplicates)
 TEST(UvmDriver, WriteCollapseMakesWriterExclusive)
 {
     MiniSystem sys(3);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->handleFault(2, 10, false, false, 200000);
@@ -229,7 +222,7 @@ TEST(UvmDriver, WriteCollapseMakesWriterExclusive)
 TEST(UvmDriver, CollapseByNonHolderFetchesData)
 {
     MiniSystem sys(3);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     // GPU 2 writes without holding any copy.
@@ -242,7 +235,7 @@ TEST(UvmDriver, CollapseByNonHolderFetchesData)
 TEST(UvmDriver, ReadAfterCollapseReduplicates)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->handleFault(1, 10, true, true, 200000);  // collapse
@@ -254,7 +247,7 @@ TEST(UvmDriver, ReadAfterCollapseReduplicates)
 TEST(UvmDriver, ResetDuplicationDropsReplicas)
 {
     MiniSystem sys(3);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->resetDuplication(10, 200000);
@@ -270,7 +263,7 @@ TEST(UvmDriver, ResetDuplicationDropsReplicas)
 TEST(UvmDriver, CapacityEvictionSpillsToHost)
 {
     MiniSystem sys(2, /*capacity_pages=*/2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 1, true, false, 0);
     sys.driver->handleFault(0, 2, true, false, 100000);
     sys.driver->handleFault(0, 3, true, false, 200000);  // evicts page 1
@@ -284,7 +277,7 @@ TEST(UvmDriver, CapacityEvictionSpillsToHost)
 TEST(UvmDriver, CleanSpillSkipsWriteback)
 {
     MiniSystem sys(2, /*capacity_pages=*/2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->handleFault(0, 1, false, false, 0);
     sys.driver->handleFault(0, 2, false, false, 100000);
     sys.driver->handleFault(0, 3, false, false, 200000);
@@ -295,7 +288,7 @@ TEST(UvmDriver, CleanSpillSkipsWriteback)
 TEST(UvmDriver, EvictedOwnerPromotesReplica)
 {
     MiniSystem sys(2, /*capacity_pages=*/2);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 1, false, false, 0);       // GPU0 owns 1
     sys.driver->handleFault(1, 1, false, false, 100000);  // GPU1 replica
     // Fill GPU 0 so page 1's owned frame is evicted there.
@@ -312,7 +305,7 @@ TEST(UvmDriver, EvictedOwnerPromotesReplica)
 TEST(UvmDriver, IdealInstallsLocalAtAllRequesters)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::IdealPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kIdealRule);
     sys.driver->handleFault(0, 10, false, false, 0);       // cold
     sys.driver->handleFault(1, 10, false, false, 100000);  // ideal-local
     EXPECT_TRUE(sys.gpu(0).pageTable().translates(10));
@@ -327,7 +320,7 @@ TEST(UvmDriver, TransFwShortCircuitsRemoteMapping)
     uvm::UvmConfig config;
     config.transFw = true;
     MiniSystem sys(2, 0, config);
-    sys.usePolicy(std::make_unique<policy::AccessCounterPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kAccessCounterRule);
     sys.driver->handleFault(0, 10, false, false, 0);  // cold via host
     sys.driver->handleFault(1, 10, false, false, 100000);
     EXPECT_EQ(sys.stats.get("uvm.transfw_forwards"), 1u);
@@ -340,7 +333,7 @@ TEST(UvmDriver, TransFwShortCircuitsRemoteMapping)
 TEST(UvmDriver, PrefetchPlacesHostPagesOnly)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     sys.driver->prefetchPage(10, 0, 0);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);
     EXPECT_TRUE(sys.gpu(0).pageTable().translates(10));
@@ -357,7 +350,7 @@ TEST(UvmDriver, PrefetchPromotingReplicaLeavesReplicaList)
     // leave the directory's replica list, or a later eviction promotes
     // a phantom heir.
     MiniSystem sys(2, /*capacity_pages=*/2);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     // Page 1: owner spills to host while GPU 1 keeps a replica... then
     // GPU 1 prefetches it (replica frame becomes the owned copy).
     sys.driver->handleFault(0, 1, false, false, 0);
@@ -384,7 +377,7 @@ TEST(UvmDriver, PrefetchPromotingReplicaLeavesReplicaList)
 TEST(UvmDriver, LatencyChargedToMatchingCategories)
 {
     MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::DuplicationPolicy>());
+    sys.usePolicy<policy::UniformPolicy>(policy::kDuplicationRule);
     sys.driver->handleFault(0, 10, false, false, 0);
     EXPECT_GT(sys.breakdown.get(stats::LatencyKind::kHost), 0u);
     EXPECT_GT(sys.breakdown.get(stats::LatencyKind::kPageDuplication),
