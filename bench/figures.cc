@@ -1253,7 +1253,7 @@ plan(const SweepFlags &flags, WorkloadParams &params)
             LabeledConfig labeled{std::string(ic::topologyKindName(kind)) +
                                       "/" + harness::policyKindName(scheme),
                                   flags.config(scheme)};
-            labeled.config.fabric.kind = kind;
+            labeled.config.topology = kind;
             labeled.config.fabricStats = true;
             configs.push_back(std::move(labeled));
         }

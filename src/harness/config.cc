@@ -49,13 +49,9 @@ SystemConfig::validate() const
         out.emplace_back(sim::ErrorCode::kConfigInvalid, message, where);
     };
 
-    if (numGpus == 0)
-        bad("at least one GPU is required", "numGpus");
-    if (fabric.numGpus != numGpus)
-        bad("fabric.numGpus (" + std::to_string(fabric.numGpus) +
-                ") disagrees with numGpus (" + std::to_string(numGpus) +
-                ")",
-            "fabric.numGpus");
+    if (numGpus == 0 || numGpus > kMaxGpus)
+        bad("the GPU count must be from 1 to " + std::to_string(kMaxGpus),
+            "numGpus");
     for (sim::SimError &err : geometry.validate("geometry"))
         out.push_back(std::move(err));
     if (memoryFraction < 0.0)
@@ -92,45 +88,6 @@ SystemConfig::validate() const
     if (uvm.hostMemGBs <= 0.0)
         bad("host memory bandwidth must be positive", "uvm.hostMemGBs");
 
-    if (fabric.nvlinkGBs <= 0.0)
-        bad("NVLink bandwidth must be positive", "fabric.nvlinkGBs");
-    if (fabric.pcieGBs <= 0.0)
-        bad("PCIe bandwidth must be positive", "fabric.pcieGBs");
-    if (fabric.nvlinkLatency == 0)
-        bad("NVLink latency must be positive", "fabric.nvlinkLatency");
-    if (fabric.pcieLatency == 0)
-        bad("PCIe latency must be positive", "fabric.pcieLatency");
-    // Topology-specific parameters are validated only for the selected
-    // kind: an unused model's knobs cannot invalidate a config.
-    if (fabric.kind == ic::TopologyKind::kSwitch) {
-        if (fabric.switchRadix == 0)
-            bad("the switch needs at least one crossbar port",
-                "fabric.switchRadix");
-        if (fabric.switchGBs <= 0.0)
-            bad("switch port bandwidth must be positive",
-                "fabric.switchGBs");
-        if (fabric.switchLatency == 0)
-            bad("switch traversal latency must be positive",
-                "fabric.switchLatency");
-    }
-    if (fabric.kind == ic::TopologyKind::kChiplet) {
-        if (fabric.gpusPerChiplet == 0)
-            bad("a chiplet needs at least one GPU",
-                "fabric.gpusPerChiplet");
-        if (fabric.chipletGBs <= 0.0)
-            bad("intra-chiplet bandwidth must be positive",
-                "fabric.chipletGBs");
-        if (fabric.chipletLatency == 0)
-            bad("intra-chiplet latency must be positive",
-                "fabric.chipletLatency");
-        if (fabric.interposerGBs <= 0.0)
-            bad("interposer bandwidth must be positive",
-                "fabric.interposerGBs");
-        if (fabric.interposerLatency == 0)
-            bad("interposer latency must be positive",
-                "fabric.interposerLatency");
-    }
-
     if (policy == PolicyKind::kGrit) {
         if (grit.faultThreshold == 0)
             bad("the GRIT fault threshold must be non-zero",
@@ -159,7 +116,6 @@ makeConfig(PolicyKind policy, unsigned num_gpus)
     SystemConfig config;
     config.numGpus = num_gpus;
     config.policy = policy;
-    config.fabric.numGpus = num_gpus;
     return config;
 }
 

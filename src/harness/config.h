@@ -49,6 +49,12 @@ const char *policyKindName(PolicyKind kind);
 /** Parse a policy name (case-insensitive; e.g. "grit", "on-touch"). */
 std::optional<PolicyKind> policyKindFromName(const std::string &name);
 
+/**
+ * The most GPUs a config may hold: eight times the largest count any
+ * figure runs. The fabric's forwarding table grows with its square.
+ */
+inline constexpr unsigned kMaxGpus = 64;
+
 /** Complete configuration of one simulated system. */
 struct SystemConfig
 {
@@ -73,12 +79,11 @@ struct SystemConfig
     gpu::GpuConfig gpu{};
     uvm::UvmConfig uvm{};
     /**
-     * Interconnect model: fabric.kind selects the topology (all-to-all
-     * by default; ring, switch, chiplet — docs/TOPOLOGY.md) and the
-     * rest are its parameters. Simulator builds the concrete model via
-     * ic::makeTopology.
+     * Interconnect model: all-to-all (Table I's fabric) by default;
+     * ring, switch or chiplet (docs/TOPOLOGY.md). The kind is the
+     * fabric's only setting; its link parameters are constants.
      */
-    ic::FabricConfig fabric{};
+    ic::TopologyKind topology = ic::TopologyKind::kAllToAll;
     core::GritConfig grit{};
     baselines::GriffinConfig griffin{};
     baselines::GpsConfig gps{};

@@ -80,7 +80,11 @@ class RunPlan
     std::vector<RunCell> cells_;
 };
 
-/** Resolved worker count: GRIT_JOBS env if set, else hardware threads. */
+/**
+ * Resolved worker count: GRIT_JOBS env if set, else hardware threads.
+ * @throws sim::SimException (kBadArgument) when GRIT_JOBS is not a whole
+ *         number from 1 to 4294967295.
+ */
 unsigned defaultJobs();
 
 /** Knobs of the resilient execution path (runResilient, runCell). */
@@ -152,14 +156,16 @@ class ExperimentEngine
         unsigned jobs = 0;
         /**
          * Trace-cache byte budget; 0 = take it from the
-         * GRIT_TRACE_CACHE_BYTES environment variable (absent or
-         * invalid = unbounded).
+         * GRIT_TRACE_CACHE_BYTES environment variable (absent or 0 =
+         * unbounded).
          */
         std::uint64_t traceCacheBytes = 0;
         /**
          * Accesses per trace chunk; 0 = the GRIT_TRACE_CHUNK
          * environment variable, else workload::kDefaultChunkAccesses.
          * Chunking is pure framing: results never depend on it.
+         * Construction throws sim::SimException (kBadArgument) when a
+         * variable it reads is not a whole number.
          */
         std::uint64_t traceChunkAccesses = 0;
     };

@@ -4,7 +4,6 @@
 #include <array>
 #include <iterator>
 
-#include "simcore/log.h"
 #include "simcore/sim_error.h"
 
 namespace grit::harness {
@@ -187,16 +186,8 @@ QuarantineSidecar::add(std::string_view line)
     // previous sidecar untouched for post-mortems.
     if (!out_.is_open())
         out_.open(path_, std::ios::binary | std::ios::trunc);
-    if (!out_) {
-        if (!warned_) {
-            warned_ = true;
-            GRIT_LOG(sim::LogLevel::kWarn,
-                     "cannot write quarantine sidecar " + path_ +
-                         "; corrupt records are skipped but not "
-                         "preserved");
-        }
-        return;
-    }
+    if (!out_)
+        return;  // corrupt records are skipped but not preserved
     out_.write(line.data(), static_cast<std::streamsize>(line.size()));
     out_.put('\n');
     out_.flush();

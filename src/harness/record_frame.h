@@ -142,7 +142,6 @@ class QuarantineSidecar
     std::string path_;
     std::ofstream out_;
     std::uint64_t count_ = 0;
-    bool warned_ = false;
 };
 
 /** What injectBitflips() damaged (for asserting scrub counters). */

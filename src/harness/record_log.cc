@@ -8,7 +8,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "simcore/log.h"
 #include "stats/json_value.h"
 #include "stats/json_writer.h"
 
@@ -148,7 +147,6 @@ RecordLog::scrubLocked()
             continue;
         ++scrub_.scanned;
         const UnframedRecord record = unframeRecord(line);
-        std::string reason = record.reason;
         if (record.kind == RecordKind::kFramed) {
             try {
                 JournalEntry entry =
@@ -162,25 +160,18 @@ RecordLog::scrubLocked()
                 index_.emplace(entries_.back().fingerprint,
                                &entries_.back());
                 continue;
-            } catch (const sim::SimException &e) {
-                reason = e.error().message;
+            } catch (const sim::SimException &) {
+                // A framed line that is no entry: quarantined below.
             }
         }
         ++scrub_.quarantined;
         quarantine.add(line);
-        GRIT_LOG(sim::LogLevel::kWarn,
-                 "record log " + path_ + ": quarantined record " +
-                     std::to_string(scrub_.scanned) + " (" + reason +
-                     ") -> " + quarantine.path());
     }
 
     // Cut an unterminated torn tail so the next append starts on a
     // clean line boundary instead of concatenating onto torn bytes.
     if (reader.tornTail()) {
         ++scrub_.truncated;
-        GRIT_LOG(sim::LogLevel::kWarn,
-                 "record log " + path_ + ": truncating torn tail at byte " +
-                     std::to_string(reader.terminatedBytes()));
         if (::ftruncate(fd_, static_cast<off_t>(
                                  reader.terminatedBytes())) != 0)
             logFail(std::string("cannot truncate torn tail: ") +

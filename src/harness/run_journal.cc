@@ -147,21 +147,7 @@ configDigest(const SystemConfig &config)
     d.word(u.promoteCycles);
     d.word(u.splinterCycles);
 
-    const ic::FabricConfig &f = config.fabric;
-    d.text(ic::topologyKindName(f.kind));
-    d.word(std::uint64_t{f.numGpus});
-    d.word(f.nvlinkGBs);
-    d.word(f.nvlinkLatency);
-    d.word(f.pcieGBs);
-    d.word(f.pcieLatency);
-    d.word(std::uint64_t{f.switchRadix});
-    d.word(f.switchGBs);
-    d.word(f.switchLatency);
-    d.word(std::uint64_t{f.gpusPerChiplet});
-    d.word(f.chipletGBs);
-    d.word(f.chipletLatency);
-    d.word(f.interposerGBs);
-    d.word(f.interposerLatency);
+    d.text(ic::topologyKindName(config.topology));
     d.word(config.fabricStats);
     d.word(config.pageSizeStats);
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "policy/uniform.h"
-#include "simcore/log.h"
 
 namespace grit::harness {
 
@@ -113,9 +112,8 @@ Simulator::Simulator(const SystemConfig &config,
         gpu_config.dramCapacityPages = 0;
     }
 
-    ic::FabricConfig fabric_config = config_.fabric;
-    fabric_config.numGpus = config_.numGpus;
-    fabric_ = ic::makeTopology(fabric_config);
+    fabric_ = std::make_unique<ic::Topology>(config_.topology,
+                                             config_.numGpus);
 
     // The geometry is passed down by reference: config_ is a member
     // declared first (destroyed last), so the referent outlives every
@@ -139,8 +137,6 @@ Simulator::Simulator(const SystemConfig &config,
         injector_ = std::make_unique<sim::FaultInjector>(config_.chaos);
         fabric_->setInjector(injector_.get());
         driver_->setInjector(injector_.get());
-        GRIT_LOG(sim::LogLevel::kInfo,
-                 "chaos enabled: " << config_.chaos.summary());
     }
     if (config_.audit)
         auditor_ = std::make_unique<sim::InvariantAuditor>(*driver_,
@@ -244,8 +240,6 @@ Simulator::runAudit()
     static constexpr std::size_t kMaxFindings = 32;
     const std::vector<sim::SimError> found = auditor_->audit();
     for (const sim::SimError &err : found) {
-        GRIT_LOG(sim::LogLevel::kError,
-                 "workload " << workload_.meta.name << ": " << err.str());
         if (auditFindings_.size() < kMaxFindings)
             auditFindings_.push_back(err.str());
     }

@@ -228,13 +228,19 @@ cellFromRequest(const RunRequest &request)
                 "\" (try grit, on-touch, access-counter, duplication, "
                 "first-touch, ideal, griffin-dpc, gps)",
             "grit-service request");
-    if (request.numGpus == 0)
+    if (request.numGpus == 0 || request.numGpus > harness::kMaxGpus)
         throw sim::SimException(sim::ErrorCode::kBadArgument,
-                                "num_gpus must be at least 1",
+                                "num_gpus must be from 1 to " +
+                                    std::to_string(harness::kMaxGpus),
                                 "grit-service request");
     if (request.params.footprintDivisor == 0)
         throw sim::SimException(sim::ErrorCode::kBadArgument,
                                 "footprint_divisor must be at least 1",
+                                "grit-service request");
+    if (!(request.params.intensity >= 0.0 &&
+          request.params.intensity <= workload::kMaxIntensity))
+        throw sim::SimException(sim::ErrorCode::kBadArgument,
+                                "intensity must be from 0 to 1e6",
                                 "grit-service request");
 
     harness::SystemConfig config =

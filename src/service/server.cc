@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include <sys/socket.h>
@@ -9,7 +10,6 @@
 
 #include "harness/run_journal.h"
 #include "service/socket.h"
-#include "simcore/log.h"
 
 namespace grit::service {
 
@@ -26,6 +26,12 @@ Server::~Server()
 void
 Server::start()
 {
+    if (options_.workers > kMaxWorkers)
+        throw sim::SimException(
+            sim::ErrorCode::kBadArgument,
+            "at most " + std::to_string(kMaxWorkers) +
+                " workers, got " + std::to_string(options_.workers),
+            "grit-service");
     if (!options_.storePath.empty())
         store_.open(options_.storePath, {kStoreSchema, kStoreVersion, {}});
     for (unsigned i = 0; i < std::max(1u, options_.workers); ++i)
@@ -125,12 +131,7 @@ Server::handle(const Request &request)
                 "no result store configured (--store); nothing to "
                 "compact",
                 "grit-service"));
-        const harness::RecordLog::CompactionStats stats =
-            store_.compact();
-        GRIT_LOG(sim::LogLevel::kInfo,
-                 "store compacted: kept " << stats.kept << " of "
-                                          << stats.recordsIn
-                                          << " record(s)");
+        store_.compact();
     } else if (request.op != "stats") {
         return handleRun(request.run);
     }
@@ -284,12 +285,8 @@ Server::execute(Job &job)
         try {
             store_.append(entry);
             persisted = true;
-        } catch (const std::exception &e) {
-            GRIT_LOG(sim::LogLevel::kError,
-                     "result store append failed for "
-                         << entry.row << "/" << entry.label << ": "
-                         << e.what()
-                         << " (responding persisted:false)");
+        } catch (const std::exception &) {
+            // persisted stays false.
         }
     }
 

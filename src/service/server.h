@@ -61,13 +61,17 @@ class Server
     static constexpr const char *kStoreSchema = "grit-result-store";
     static constexpr unsigned kStoreVersion = 1;
 
+    /** The most executor threads start() launches. */
+    static constexpr unsigned kMaxWorkers = 1024;
+
     struct Options
     {
         /** Unix socket to listen on; empty = in-process only. */
         std::string socketPath;
         /** Result-store file; empty = no persistence (memory only). */
         std::string storePath;
-        /** Executor threads draining the admission queue. */
+        /** Executor threads draining the admission queue (at most
+         *  kMaxWorkers). */
         unsigned workers = 1;
         /** Admission-queue bound; beyond it requests are shed. */
         std::size_t queueCapacity = 64;
@@ -96,7 +100,9 @@ class Server
     /**
      * Open the store, bind the socket (when configured), and launch
      * the worker pool and accept loop.
-     * @throws sim::SimException on store/socket failure.
+     * @throws sim::SimException on store/socket failure, or
+     *         (kBadArgument, before any thread starts) when
+     *         Options::workers exceeds kMaxWorkers.
      */
     void start();
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "simcore/log.h"
 
 namespace grit::sim {
 
@@ -147,7 +146,6 @@ EventQueue::run(std::uint64_t limit)
             if (std::optional<SimError> reason = cancelCheck_()) {
                 cancelled_ = true;
                 diagnostic_ = std::move(reason);
-                GRIT_LOG(LogLevel::kError, diagnostic_->str());
                 break;
             }
         }
@@ -174,7 +172,6 @@ EventQueue::run(std::uint64_t limit)
              << pending_ << " pending)";
         diagnostic_ = SimError(ErrorCode::kNoProgress, what.str(),
                                "event-queue watchdog");
-        GRIT_LOG(LogLevel::kError, diagnostic_->str());
     } else if (pending_ > 0 && executed >= limit) {
         limitHit_ = true;
         std::ostringstream what;
@@ -185,7 +182,6 @@ EventQueue::run(std::uint64_t limit)
              << nextWhen();
         diagnostic_ = SimError(ErrorCode::kEventLimit, what.str(),
                                "event-queue safety valve");
-        GRIT_LOG(LogLevel::kError, diagnostic_->str());
     }
     return executed;
 }

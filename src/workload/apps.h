@@ -72,6 +72,12 @@ struct WorkloadParams
 };
 
 /**
+ * The largest intensity the entry points accept: the largest base
+ * iteration count (48) scaled by it stays far below 2^32.
+ */
+inline constexpr double kMaxIntensity = 1e6;
+
+/**
  * Metadata shell for @p app under @p params: everything but the
  * traces (name, suite, pattern, scaled footprint). Cheap — no
  * generation happens.

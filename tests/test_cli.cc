@@ -117,14 +117,25 @@ TEST(Cli, MalformedAndMissingValuesThrow)
 {
     Cli cli("prog", "title");
     unsigned jobs = 0;
+    std::uint64_t budget = 0;
     double deadline = 0.0;
     bool audit = false;
     cli.flag("--jobs", &jobs, "N", "workers");
+    cli.flag("--event-budget", &budget, "N", "event budget");
     cli.flag("--deadline", &deadline, "SEC", "wall budget");
     cli.flag("--audit", &audit, "audits on");
 
     EXPECT_THROW(parse(cli, {"--jobs", "four"}), sim::SimException);
     EXPECT_THROW(parse(cli, {"--jobs=4x"}), sim::SimException);
+    // No sign, and nothing a strtoul wrap or truncation would bring
+    // back into range.
+    EXPECT_THROW(parse(cli, {"--jobs", "-1"}), sim::SimException);
+    EXPECT_THROW(parse(cli, {"--jobs", "4294967296"}), sim::SimException);
+    EXPECT_THROW(parse(cli, {"--event-budget", "-5"}), sim::SimException);
+    EXPECT_THROW(parse(cli, {"--event-budget", "18446744073709551616"}),
+                 sim::SimException);
+    EXPECT_EQ(jobs, 0u);
+    EXPECT_EQ(budget, 0u);
     EXPECT_THROW(parse(cli, {"--deadline", "fast"}), sim::SimException);
     EXPECT_THROW(parse(cli, {"--jobs"}), sim::SimException);  // no value
     EXPECT_THROW(parse(cli, {"--audit=yes"}),

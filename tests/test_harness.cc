@@ -33,8 +33,8 @@ TEST(SystemConfig, TableIDefaults)
     EXPECT_EQ(config.gpu.l2CacheBytes, 256u * 1024u);   // 256 KB L2
     EXPECT_EQ(config.gpu.l2CacheWays, 16u);
     EXPECT_EQ(config.gpu.counterThreshold, 256u);       // counters
-    EXPECT_DOUBLE_EQ(config.fabric.nvlinkGBs, 300.0);   // NVLink-v2
-    EXPECT_DOUBLE_EQ(config.fabric.pcieGBs, 32.0);      // PCIe-v4
+    // NVLink-v2 mesh + PCIe-v4 host link (AllToAll.* pins the timing).
+    EXPECT_EQ(config.topology, ic::TopologyKind::kAllToAll);
 
     // GRIT defaults (Section V).
     EXPECT_EQ(config.grit.faultThreshold, 4u);

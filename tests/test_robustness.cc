@@ -177,6 +177,8 @@ TEST(ConfigValidate, CatchesEachBrokenKnob)
     SystemConfig c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.numGpus = 0;
     expectBad(c, "numGpus");
+    c.numGpus = 65;
+    expectBad(c, "numGpus");
 
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.geometry.baseSize = 0;
@@ -204,16 +206,6 @@ TEST(ConfigValidate, CatchesEachBrokenKnob)
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.gpu.gmmu.walkCacheEntries = 0;
     expectBad(c, "gpu.gmmu.walkCacheEntries");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.fabric.nvlinkGBs = 0.0;
-    expectBad(c, "fabric.nvlinkGBs");
-    c.fabric.nvlinkGBs = -1.0;
-    expectBad(c, "fabric.nvlinkGBs");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.fabric.pcieLatency = 0;
-    expectBad(c, "fabric.pcieLatency");
 
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
     c.uvm.servers = 0;

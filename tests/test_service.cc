@@ -330,6 +330,12 @@ TEST(ServiceProtocol, CellFromRequestValidatesAndFingerprints)
     Request badDivisor = runRequest("c", "GEMM", "grit");
     badDivisor.run.params.footprintDivisor = 0;
     EXPECT_THROW((void)cellFromRequest(badDivisor.run), sim::SimException);
+    Request negative = runRequest("c", "GEMM", "grit");
+    negative.run.params.intensity = -1.0;
+    EXPECT_THROW((void)cellFromRequest(negative.run), sim::SimException);
+    Request tooManyGpus = runRequest("c", "GEMM", "grit");
+    tooManyGpus.run.numGpus = 65;
+    EXPECT_THROW((void)cellFromRequest(tooManyGpus.run), sim::SimException);
 }
 
 // ---------------------------------------------------------------- backoff
@@ -858,6 +864,19 @@ TEST(ServiceServer, CompactWithoutStoreIsStructuredError)
     ASSERT_TRUE(response.error.has_value());
     EXPECT_EQ(response.error->code, sim::ErrorCode::kBadArgument);
     server.stop();
+}
+
+TEST(ServiceServer, RefusesMoreWorkersThanItsBound)
+{
+    Server::Options options;
+    options.workers = 1025;  // one past the bound
+    Server server(std::move(options));
+    try {
+        server.start();
+        ADD_FAILURE() << "a 1025-worker server started";
+    } catch (const sim::SimException &e) {
+        EXPECT_EQ(e.error().code, sim::ErrorCode::kBadArgument);
+    }
 }
 
 TEST(ServiceServer, OversizedLineGetsStructuredErrorAndConnectionLives)

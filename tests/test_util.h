@@ -34,12 +34,10 @@ class MiniSystem
                         std::uint64_t capacity_pages = 0,
                         uvm::UvmConfig uvm_config = {},
                         mem::PageGeometry geo = {})
-        : geometry(geo)
+        : geometry(geo),
+          fabric(std::make_unique<ic::Topology>(
+              ic::TopologyKind::kAllToAll, num_gpus))
     {
-        ic::FabricConfig fabric_config;
-        fabric_config.numGpus = num_gpus;
-        fabric = ic::makeTopology(fabric_config);
-
         gpu::GpuConfig gpu_config;
         gpu_config.lanes = 4;  // keep L1 TLB count small
         gpu_config.dramCapacityPages = capacity_pages;
