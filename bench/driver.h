@@ -53,8 +53,8 @@ void installSignalHandlers();
 /**
  * Workload parameters for bench runs: GRIT_FOOTPRINT_DIVISOR,
  * GRIT_INTENSITY and GRIT_SEED override the defaults. Each value must
- * parse whole, and the divisor must lie in [1, 2^32-1]; anything else
- * throws SimException (kBadArgument).
+ * parse whole, the divisor must lie in [1, 2^32-1] and the intensity
+ * in [0, 1e6]; anything else throws SimException (kBadArgument).
  */
 workload::WorkloadParams benchParams();
 
