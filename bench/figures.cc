@@ -1305,11 +1305,11 @@ plan(const SweepFlags &flags, WorkloadParams &params)
         {"on-touch", flags.config(PolicyKind::kOnTouch)}};
     for (unsigned threshold : {64u, 256u, 1024u}) {
         harness::SystemConfig ac = flags.config(PolicyKind::kAccessCounter);
-        ac.gpu.counterThreshold = threshold;
+        ac.counterThreshold = threshold;
         configs.push_back({"ac-" + std::to_string(threshold), ac});
 
         harness::SystemConfig grit_cfg = flags.config(PolicyKind::kGrit);
-        grit_cfg.gpu.counterThreshold = threshold;
+        grit_cfg.counterThreshold = threshold;
         configs.push_back({"grit-" + std::to_string(threshold), grit_cfg});
     }
     return appSweep(configs, params);

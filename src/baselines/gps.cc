@@ -6,9 +6,15 @@
 
 namespace grit::baselines {
 
-GpsPolicy::GpsPolicy(uvm::UvmDriver &driver, const GpsConfig &config)
+namespace {
+
+/** Payload of one broadcast store: one cache line. */
+constexpr std::uint64_t kStoreBytes = sim::kLineSize;
+
+}  // namespace
+
+GpsPolicy::GpsPolicy(uvm::UvmDriver &driver)
     : PlacementPolicy(driver),
-      config_(config),
       storeBroadcastsCtr_(driver.stats(), "gps.store_broadcasts")
 {
 }
@@ -45,7 +51,7 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
     auto push = [&](sim::GpuId target) {
         if (target == gpu || target < 0)
             return;
-        driver_.fabric().transfer(now, gpu, target, config_.storeBytes);
+        driver_.fabric().transfer(now, gpu, target, kStoreBytes);
         const sim::Cycle flight =
             driver_.fabric().flightLatency(gpu, target);
         slot_done = std::max(

@@ -23,18 +23,11 @@
 
 namespace grit::baselines {
 
-/** GPS configuration. */
-struct GpsConfig
-{
-    /** Payload of one broadcast store (cache line). */
-    std::uint64_t storeBytes = sim::kLineSize;
-};
-
 /** The GPS publish-subscribe policy. */
 class GpsPolicy : public policy::PlacementPolicy
 {
   public:
-    explicit GpsPolicy(uvm::UvmDriver &driver, const GpsConfig &config = {});
+    explicit GpsPolicy(uvm::UvmDriver &driver);
 
     policy::FaultDecision onFault(const policy::FaultInfo &info,
                                   sim::Cycle now) override;
@@ -54,7 +47,6 @@ class GpsPolicy : public policy::PlacementPolicy
     std::uint64_t broadcasts() const { return broadcasts_; }
 
   private:
-    GpsConfig config_;
     std::uint64_t broadcasts_ = 0;
     stats::CounterRef storeBroadcastsCtr_;
 };

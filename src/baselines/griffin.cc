@@ -7,6 +7,15 @@
 
 namespace grit::baselines {
 
+namespace {
+
+/** Dominance ratio over the current owner's accesses. */
+constexpr double kDominanceRatio = 2.0;
+/** Bytes of access-profile metadata shipped per tracked page. */
+constexpr std::uint64_t kProfileBytesPerPage = 8;
+
+}  // namespace
+
 GriffinDpcPolicy::GriffinDpcPolicy(uvm::UvmDriver &driver,
                                    const GriffinConfig &config)
     : PlacementPolicy(driver), config_(config)
@@ -51,8 +60,7 @@ GriffinDpcPolicy::processInterval(sim::Cycle now)
 
     // Each GPU ships its access profile to the host over PCIe — the
     // CPU-GPU communication overhead GRIT's host-side tracking avoids.
-    const std::uint64_t profile_bytes =
-        counts_.size() * config_.profileBytesPerPage;
+    const std::uint64_t profile_bytes = counts_.size() * kProfileBytesPerPage;
     if (profile_bytes > 0) {
         for (unsigned g = 0; g < driver_.numGpus(); ++g) {
             driver_.fabric().transfer(now, static_cast<sim::GpuId>(g),
@@ -73,7 +81,7 @@ GriffinDpcPolicy::processInterval(sim::Cycle now)
         const std::uint32_t owner_count =
             owner >= 0 ? row[static_cast<std::size_t>(owner)] : 0;
         if (static_cast<double>(dominant_count) <
-            config_.dominanceRatio * static_cast<double>(owner_count))
+            kDominanceRatio * static_cast<double>(owner_count))
             continue;
         driver_.migratePage(page, dominant, now,
                              stats::LatencyKind::kPageMigration);

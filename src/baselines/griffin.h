@@ -26,17 +26,13 @@
 
 namespace grit::baselines {
 
-/** Griffin-DPC configuration. */
+/** Griffin-DPC's classification cadence (tests shrink it). */
 struct GriffinConfig
 {
     /** Classification interval (cycles). */
     sim::Cycle intervalCycles = 100000;
     /** Minimum interval accesses by the dominant GPU to migrate. */
     std::uint32_t minAccesses = 16;
-    /** Dominance ratio over the current owner's accesses. */
-    double dominanceRatio = 2.0;
-    /** Bytes of access-profile metadata shipped per tracked page. */
-    std::uint64_t profileBytesPerPage = 8;
 };
 
 /** Griffin's Dynamic Page Classification policy. */

@@ -5,6 +5,13 @@
 
 namespace grit::baselines {
 
+namespace {
+
+/** Node occupancy fraction that triggers prefetch. */
+constexpr double kThreshold = 0.5;
+
+}  // namespace
+
 TreePrefetcher::TreePrefetcher(uvm::UvmDriver &driver,
                                const PrefetcherConfig &config)
     : driver_(driver), config_(config)
@@ -91,7 +98,7 @@ TreePrefetcher::onPlaced(sim::GpuId gpu, sim::PageId page, sim::Cycle now)
         if (resident >= capacity)
             continue;  // node already full; check the parent
         if (static_cast<double>(resident) >
-            config_.threshold * static_cast<double>(capacity)) {
+            kThreshold * static_cast<double>(capacity)) {
             ++triggers_;
             prefetchSpan(gpu, root_first_page, start, end, now);
         }

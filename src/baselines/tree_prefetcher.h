@@ -24,15 +24,13 @@
 
 namespace grit::baselines {
 
-/** Tree prefetcher configuration. */
+/** Tree prefetcher geometry (the Simulator sizes the blocks). */
 struct PrefetcherConfig
 {
     /** Pages per leaf basic block (64 KB of 4 KB pages). */
     unsigned pagesPerBlock = 16;
     /** Leaf blocks per tree root (2 MB / 64 KB). */
     unsigned blocksPerRoot = 32;
-    /** Node occupancy fraction that triggers prefetch. */
-    double threshold = 0.5;
 };
 
 /** The UVM-driver neighborhood prefetcher. */

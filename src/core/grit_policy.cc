@@ -31,8 +31,8 @@ GritPolicy::GritPolicy(uvm::UvmDriver &driver, const GritConfig &config)
 {
     assert(config_.faultThreshold > 0);
     if (config_.paCacheEnabled) {
-        paCache_ = std::make_unique<PaCache>(
-            paTable_, config_.paCacheEntries, config_.paCacheWays);
+        paCache_ = std::make_unique<PaCache>(paTable_, kPaCacheEntries,
+                                             kPaCacheWays);
     }
 }
 
@@ -82,25 +82,24 @@ GritPolicy::paLatency(const PaAccessResult &result, sim::Cycle now)
 {
     sim::Cycle duration = 0;
     if (config_.paCacheEnabled && result.cacheHit) {
-        duration = config_.paCacheHitCycles;
+        duration = kPaCacheHitCycles;
     } else {
         // PA-Table touches are host-memory accesses: charge their
         // serial latency, and occupy host memory bandwidth for the
         // utilization accounting (off the latency path to keep the
         // composed-latency model stable).
-        duration = static_cast<sim::Cycle>(config_.paTableAccessesOnMiss) *
-                   driver_.config().hostMemAccessCycles;
-        for (unsigned i = 0; i < config_.paTableAccessesOnMiss; ++i)
-            driver_.hostMemAccess(now, config_.paEntryBytes);
+        duration = sim::Cycle{kPaTableAccessesOnMiss} *
+                   uvm::kHostMemAccessCycles;
+        for (unsigned i = 0; i < kPaTableAccessesOnMiss; ++i)
+            driver_.hostMemAccess(now, kPaEntryBytes);
     }
     if (result.wroteBack) {
         // Write-backs occupy bandwidth but sit off the critical path.
-        driver_.hostMemAccess(now, config_.paEntryBytes);
+        driver_.hostMemAccess(now, kPaEntryBytes);
     }
     // Most of the PA access hides behind the centralized PT walk.
-    return duration > config_.paHiddenSlackCycles
-               ? duration - config_.paHiddenSlackCycles
-               : 0;
+    return duration > kPaHiddenSlackCycles ? duration - kPaHiddenSlackCycles
+                                           : 0;
 }
 
 policy::FaultDecision

@@ -20,7 +20,27 @@
 
 namespace grit::core {
 
-/** GRIT configuration knobs (defaults match the paper). */
+// The PA machinery's cost model (Section V-C).
+inline constexpr unsigned kPaCacheEntries = 64;
+inline constexpr unsigned kPaCacheWays = 4;
+/** PA-Cache hit latency. */
+inline constexpr sim::Cycle kPaCacheHitCycles = 4;
+/**
+ * Fault-latency slack that hides PA accesses behind the centralized
+ * page-table walk (Section V-C: the PA lookup usually finishes before
+ * the walk does).
+ */
+inline constexpr sim::Cycle kPaHiddenSlackCycles = 150;
+/** Host-memory accesses a PA-Table touch performs (read + update). */
+inline constexpr unsigned kPaTableAccessesOnMiss = 2;
+/** Bytes per PA-Table memory access (one 48-bit entry, padded). */
+inline constexpr std::uint64_t kPaEntryBytes = 8;
+
+static_assert(kPaCacheWays > 0 && kPaCacheEntries > 0 &&
+                  kPaCacheEntries % kPaCacheWays == 0,
+              "PA-Cache entries must be a non-zero multiple of its ways");
+
+/** What the GRIT figures vary (defaults match the paper). */
 struct GritConfig
 {
     /** Faults before a scheme change triggers (Section V-B; default 4). */
@@ -29,22 +49,6 @@ struct GritConfig
     bool paCacheEnabled = true;
     /** Enable Neighboring-Aware Prediction. */
     bool napEnabled = true;
-
-    unsigned paCacheEntries = 64;
-    unsigned paCacheWays = 4;
-
-    /** PA-Cache hit latency. */
-    sim::Cycle paCacheHitCycles = 4;
-    /**
-     * Fault-latency slack that hides PA accesses behind the centralized
-     * page-table walk (Section V-C: the PA lookup usually finishes
-     * before the walk does).
-     */
-    sim::Cycle paHiddenSlackCycles = 150;
-    /** Host-memory accesses a PA-Table touch performs (read + update). */
-    unsigned paTableAccessesOnMiss = 2;
-    /** Bytes per PA-Table memory access (one 48-bit entry, padded). */
-    std::uint64_t paEntryBytes = 8;
 };
 
 /** Fine-GRained dynamIc page placemenT. */
@@ -65,7 +69,6 @@ class GritPolicy : public policy::PlacementPolicy
     // Introspection for tests and benches.
     const PaTable &paTable() const { return paTable_; }
     const PaCache *paCache() const { return paCache_.get(); }
-    const GritConfig &config() const { return config_; }
 
   private:
     /** PA access when the PA-Cache is disabled (table-only ablation). */

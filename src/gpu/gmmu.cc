@@ -4,10 +4,7 @@
 
 namespace grit::gpu {
 
-Gmmu::Gmmu(const GmmuConfig &config)
-    : config_(config),
-      walkers_("gmmu.walkers", config.walkers),
-      pwc_(config.walkCacheEntries)
+Gmmu::Gmmu() : walkers_("gmmu.walkers", kWalkers), pwc_(kWalkCacheEntries)
 {
 }
 
@@ -16,7 +13,7 @@ Gmmu::walk(sim::PageId page, sim::Cycle now)
 {
     const unsigned accesses = pwc_.walkAccesses(page);
     const sim::Cycle service =
-        static_cast<sim::Cycle>(accesses) * config_.walkLevelLatency;
+        static_cast<sim::Cycle>(accesses) * kWalkLevelLatency;
     const sim::Cycle completion = walkers_.acquire(now, service);
     pwc_.recordWalk(accesses);
     pwc_.fill(page);

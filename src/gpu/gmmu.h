@@ -2,7 +2,8 @@
  * @file
  * GPU memory-management unit: shared page-table walkers plus the
  * page-walk cache (Table I: 8 walkers shared per GPU, 100-cycle latency
- * per level, 128-entry walk cache, 64-entry walk queue).
+ * per level, 128-entry walk cache). Table I's 64-entry walk queue is
+ * not modelled: a walk waits for a free walker, never for a queue slot.
  */
 
 #ifndef GRIT_GPU_GMMU_H_
@@ -20,14 +21,15 @@ class TraceRecorder;
 
 namespace grit::gpu {
 
-/** GMMU configuration. */
-struct GmmuConfig
-{
-    unsigned walkers = 8;            //!< shared page-table walkers
-    sim::Cycle walkLevelLatency = 100;  //!< per-level memory access
-    unsigned walkCacheEntries = 128;
-    unsigned walkQueueEntries = 64;  //!< bounded walk queue
-};
+/** Page-table walkers shared by the GPU's lanes (Table I). */
+inline constexpr unsigned kWalkers = 8;
+/** Memory access per page-table level a walk reads (Table I). */
+inline constexpr sim::Cycle kWalkLevelLatency = 100;
+/** Page-walk cache entries (Table I). */
+inline constexpr unsigned kWalkCacheEntries = 128;
+
+static_assert(kWalkers > 0, "the GMMU needs a page-table walker");
+static_assert(kWalkCacheEntries > 0, "the walk cache needs an entry");
 
 /** Result of a local page-table walk. */
 struct WalkResult
@@ -40,12 +42,12 @@ struct WalkResult
 class Gmmu
 {
   public:
-    explicit Gmmu(const GmmuConfig &config);
+    Gmmu();
 
     /**
      * Perform a page-table walk for @p page starting no earlier than
-     * @p now. Queuing on the walker pool (and, when the walk queue is
-     * saturated, on queue slots) is reflected in the completion time.
+     * @p now. Queuing on the walker pool is reflected in the completion
+     * time.
      */
     WalkResult walk(sim::PageId page, sim::Cycle now);
 
@@ -64,7 +66,6 @@ class Gmmu
     }
 
   private:
-    GmmuConfig config_;
     sim::ServerPool walkers_;
     mem::PageWalkCache pwc_;
     sim::TraceRecorder *trace_ = nullptr;

@@ -16,8 +16,7 @@ makeL1Tlbs(sim::GpuId id, const GpuConfig &config)
     for (unsigned lane = 0; lane < config.lanes; ++lane) {
         tlbs.emplace_back("gpu" + std::to_string(id) + ".l1tlb." +
                               std::to_string(lane),
-                          config.l1TlbEntries, config.l1TlbWays,
-                          config.l1TlbLatency);
+                          kL1TlbEntries, kL1TlbWays, kL1TlbLatency);
     }
     return tlbs;
 }
@@ -41,13 +40,11 @@ Gpu::Gpu(sim::GpuId id, const GpuConfig &config,
       linesPerPage_(
           static_cast<unsigned>(geometry.baseSize / sim::kLineSize)),
       l1Tlbs_(makeL1Tlbs(id, config)),
-      l2Tlb_("gpu" + std::to_string(id) + ".l2tlb", config.l2TlbEntries,
-             config.l2TlbWays, config.l2TlbLatency),
-      gmmu_(config.gmmu),
-      l2Cache_("gpu" + std::to_string(id) + ".l2cache",
-               config.l2CacheBytes, config.l2CacheWays, sim::kLineSize,
-               config.l2CacheLatency),
-      dramPipe_("gpu" + std::to_string(id) + ".dram", config.dramGBs),
+      l2Tlb_("gpu" + std::to_string(id) + ".l2tlb", kL2TlbEntries,
+             kL2TlbWays, kL2TlbLatency),
+      l2Cache_("gpu" + std::to_string(id) + ".l2cache", kL2CacheBytes,
+               kL2CacheWays, sim::kLineSize, kL2CacheLatency),
+      dramPipe_("gpu" + std::to_string(id) + ".dram", kDramGBs),
       nvlinkSlots_("gpu" + std::to_string(id) + ".nvslots",
                    config.nvlinkSlots),
       pcieSlots_("gpu" + std::to_string(id) + ".pcieslots",
@@ -73,10 +70,10 @@ Gpu::translate(unsigned lane, sim::PageId page, bool write, sim::Cycle now)
     // inside it shares the TLB entry and the (single) walk.
     const sim::PageId key = translationKey(page);
 
-    sim::Cycle at = now + config_.l1TlbLatency;
+    sim::Cycle at = now + kL1TlbLatency;
     const bool l1_hit = l1Tlbs_[lane].lookup(key);
     if (!l1_hit) {
-        at += config_.l2TlbLatency;
+        at += kL2TlbLatency;
         const bool l2_hit = l2Tlb_.lookup(key);
         if (!l2_hit) {
             // GMMU page-table walk after the L2 TLB miss.
@@ -189,7 +186,7 @@ Gpu::flushForInvalidation(sim::Cycle now, sim::Cycle drain_cycles)
 sim::Cycle
 Gpu::dramAccess(sim::Cycle now, std::uint64_t bytes)
 {
-    return dramPipe_.acquire(now, bytes) + config_.dramLatency;
+    return dramPipe_.acquire(now, bytes) + kDramLatency;
 }
 
 sim::Cycle

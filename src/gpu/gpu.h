@@ -30,32 +30,38 @@
 
 namespace grit::gpu {
 
-/** Per-GPU configuration (Table I defaults). */
+// Table I's per-GPU memory hierarchy.
+inline constexpr unsigned kL1TlbEntries = 32;
+inline constexpr unsigned kL1TlbWays = 32;  //!< fully associative
+inline constexpr sim::Cycle kL1TlbLatency = 1;
+inline constexpr unsigned kL2TlbEntries = 512;
+inline constexpr unsigned kL2TlbWays = 16;
+inline constexpr sim::Cycle kL2TlbLatency = 10;
+inline constexpr std::uint64_t kL2CacheBytes = 256 * 1024;
+inline constexpr unsigned kL2CacheWays = 16;
+inline constexpr sim::Cycle kL2CacheLatency = 40;
+inline constexpr double kDramGBs = 900.0;  //!< local HBM bandwidth
+inline constexpr sim::Cycle kDramLatency = 200;
+
+static_assert(kL1TlbWays > 0 && kL1TlbEntries > 0 &&
+                  kL1TlbEntries % kL1TlbWays == 0,
+              "L1 TLB entries must be a non-zero multiple of its ways");
+static_assert(kL2TlbWays > 0 && kL2TlbEntries > 0 &&
+                  kL2TlbEntries % kL2TlbWays == 0,
+              "L2 TLB entries must be a non-zero multiple of its ways");
+static_assert(kDramGBs > 0.0, "local DRAM bandwidth must be positive");
+
+/**
+ * What a GPU's construction varies: the Simulator sets the capacity
+ * and the counter threshold, and unit tests shrink the rest.
+ */
 struct GpuConfig
 {
     unsigned lanes = 64;  //!< concurrent access lanes (one per CU)
 
-    unsigned l1TlbEntries = 32;
-    unsigned l1TlbWays = 32;  //!< fully associative
-    sim::Cycle l1TlbLatency = 1;
-
-    unsigned l2TlbEntries = 512;
-    unsigned l2TlbWays = 16;
-    sim::Cycle l2TlbLatency = 10;
-
-    GmmuConfig gmmu{};
-
-    std::uint64_t l2CacheBytes = 256 * 1024;
-    unsigned l2CacheWays = 16;
-    sim::Cycle l2CacheLatency = 40;
-
-    double dramGBs = 900.0;      //!< local HBM bandwidth
-    sim::Cycle dramLatency = 200;
     std::uint64_t dramCapacityPages = 0;  //!< 0 = unlimited
 
     unsigned counterThreshold = 256;  //!< access-counter trigger
-
-    sim::Cycle laneIssueInterval = 8;  //!< compute gap between accesses
 
     /**
      * Outstanding remote transactions towards peer GPUs (the RDMA
@@ -103,7 +109,6 @@ class Gpu
         const mem::PageGeometry &geometry);
 
     sim::GpuId id() const { return id_; }
-    const GpuConfig &config() const { return config_; }
     const mem::PageGeometry &geometry() const { return *geometry_; }
 
     unsigned lanes() const { return config_.lanes; }
@@ -247,7 +252,7 @@ class Gpu
      * holds it. Set on every fill, erased once the key is shot down,
      * cleared on full flushes; with exactHolders() a lane's bit is also
      * cleared when its L1 TLB displaces the key and holds no second
-     * copy, so the filter holds at most lanes x l1TlbEntries keys. A
+     * copy, so the filter holds at most lanes x kL1TlbEntries keys. A
      * key absent from the index is provably in no L1 TLB, so
      * invalidatePage() skips the per-lane set scans — the dominant cost
      * of remote invalidations — without changing any TLB state

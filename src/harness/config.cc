@@ -57,51 +57,12 @@ SystemConfig::validate() const
     if (memoryFraction < 0.0)
         bad("memory fraction cannot be negative", "memoryFraction");
 
-    if (gpu.lanes == 0)
-        bad("a GPU needs at least one access lane", "gpu.lanes");
-    if (gpu.dramGBs <= 0.0)
-        bad("local DRAM bandwidth must be positive", "gpu.dramGBs");
-    if (gpu.l1TlbWays == 0 || gpu.l1TlbEntries == 0 ||
-        gpu.l1TlbEntries % gpu.l1TlbWays != 0)
-        bad("L1 TLB entries must be a non-zero multiple of its ways",
-            "gpu.l1Tlb");
-    if (gpu.l2TlbWays == 0 || gpu.l2TlbEntries == 0 ||
-        gpu.l2TlbEntries % gpu.l2TlbWays != 0)
-        bad("L2 TLB entries must be a non-zero multiple of its ways",
-            "gpu.l2Tlb");
-    if (gpu.gmmu.walkers == 0)
-        bad("the GMMU needs at least one page-table walker",
-            "gpu.gmmu.walkers");
-    if (gpu.gmmu.walkCacheEntries == 0)
-        bad("the page-walk cache needs at least one entry",
-            "gpu.gmmu.walkCacheEntries");
-    if (gpu.counterThreshold == 0)
+    if (counterThreshold == 0)
         bad("the access-counter threshold must be non-zero",
-            "gpu.counterThreshold");
-    if (gpu.nvlinkSlots == 0 || gpu.pcieSlots == 0 || gpu.faultSlots == 0)
-        bad("remote-transaction and fault slots must be non-zero",
-            "gpu.slots");
-
-    if (uvm.servers == 0)
-        bad("the UVM driver needs at least one fault-servicing context",
-            "uvm.servers");
-    if (uvm.hostMemGBs <= 0.0)
-        bad("host memory bandwidth must be positive", "uvm.hostMemGBs");
-
-    if (policy == PolicyKind::kGrit) {
-        if (grit.faultThreshold == 0)
-            bad("the GRIT fault threshold must be non-zero",
-                "grit.faultThreshold");
-        if (grit.paCacheEnabled &&
-            (grit.paCacheWays == 0 || grit.paCacheEntries == 0 ||
-             grit.paCacheEntries % grit.paCacheWays != 0))
-            bad("PA-Cache entries must be a non-zero multiple of its "
-                "ways",
-                "grit.paCache");
-    }
-
-    if (!audit && auditIntervalCycles != 0)
-        bad("auditIntervalCycles is set but audit is disabled", "audit");
+            "counterThreshold");
+    if (policy == PolicyKind::kGrit && grit.faultThreshold == 0)
+        bad("the GRIT fault threshold must be non-zero",
+            "grit.faultThreshold");
 
     if (wallDeadlineSec < 0.0 || wallDeadlineSec != wallDeadlineSec)
         bad("the wall-clock deadline cannot be negative or NaN",

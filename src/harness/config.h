@@ -1,7 +1,9 @@
 /**
  * @file
- * Top-level system configuration: Table I defaults plus policy
- * selection and feature flags, aggregated from the per-module configs.
+ * Top-level system configuration: the values a run varies (policy,
+ * GPU count, page geometry, the swept model parameters, feature and
+ * reporting flags, watchdogs). Every other Table I value is a named
+ * constant next to the code that reads it.
  */
 
 #ifndef GRIT_HARNESS_CONFIG_H_
@@ -13,11 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/gps.h"
-#include "baselines/griffin.h"
-#include "baselines/tree_prefetcher.h"
 #include "core/grit_policy.h"
-#include "gpu/gpu.h"
 #include "interconnect/topology.h"
 #include "mem/page_geometry.h"
 #include "simcore/fault_injector.h"
@@ -76,7 +74,14 @@ struct SystemConfig
 
     PolicyKind policy = PolicyKind::kOnTouch;
 
-    gpu::GpuConfig gpu{};
+    /**
+     * Remote accesses to a 64 KB group that trigger the hardware
+     * access counter's migration (Table I: 256; the counter-threshold
+     * ablation sweeps it).
+     */
+    unsigned counterThreshold = 256;
+
+    /** ACUD (Fig. 26) and Trans-FW (Fig. 28). */
     uvm::UvmConfig uvm{};
     /**
      * Interconnect model: all-to-all (Table I's fabric) by default;
@@ -84,13 +89,11 @@ struct SystemConfig
      * fabric's only setting; its link parameters are constants.
      */
     ic::TopologyKind topology = ic::TopologyKind::kAllToAll;
+    /** GRIT's fault threshold, PA-Cache and NAP (Figs. 20 and 21). */
     core::GritConfig grit{};
-    baselines::GriffinConfig griffin{};
-    baselines::GpsConfig gps{};
 
     /** Attach the tree-based neighborhood prefetcher (Section VI-E). */
     bool prefetch = false;
-    baselines::PrefetcherConfig prefetcher{};
 
     /**
      * Run a lane's next access inline inside its predecessor's event
@@ -123,7 +126,10 @@ struct SystemConfig
      */
     sim::ChaosSpec chaos{};
 
-    /** Run cross-layer invariant audits (sim::InvariantAuditor). */
+    /**
+     * Audit the cross-layer invariants (sim::InvariantAuditor) once the
+     * run has drained.
+     */
     bool audit = false;
 
     /**
@@ -141,12 +147,6 @@ struct SystemConfig
      * reason as fabricStats; the fig_pagesize sweep turns it on.
      */
     bool pageSizeStats = false;
-
-    /**
-     * Period of in-run audits; 0 audits only at end of run. Only
-     * meaningful with audit = true.
-     */
-    sim::Cycle auditIntervalCycles = 0;
 
     /**
      * Per-run wall-clock deadline in seconds; 0 disables. Polled as a

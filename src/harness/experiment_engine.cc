@@ -1,6 +1,7 @@
 #include "harness/experiment_engine.h"
 
 #include <atomic>
+#include <chrono>
 #include <climits>
 #include <exception>
 #include <optional>
@@ -144,6 +145,21 @@ ExperimentEngine::runCell(const RunCell &cell,
     entry.row = cell.row;
     entry.label = cell.label;
     for (entry.attempts = 1;; ++entry.attempts) {
+        // The watchdogs bound the whole attempt: the counting pass that
+        // sizes a generated trace polls them, and the deadline counts
+        // from here, not from the first simulated event.
+        const auto started = std::chrono::steady_clock::now();
+        workload::StopPoll poll;
+        if (config.wallDeadlineSec > 0.0 || config.cancelFlag != nullptr) {
+            poll = [&config, &cell, started] {
+                if (std::optional<sim::SimError> stop =
+                        watchdogStop(config, started)) {
+                    stop->message += " while counting the trace";
+                    stop->context = cell.row + "/" + cell.label;
+                    throw sim::SimException(*stop);
+                }
+            };
+        }
         std::optional<sim::SimError> error;
         RunResult result;
         try {
@@ -153,8 +169,8 @@ ExperimentEngine::runCell(const RunCell &cell,
                     ? workload::streamWorkload(cell.workload,
                                                chunkAccesses_)
                     : cache_.openWorkload(cell.app, cell.params,
-                                          chunkAccesses_));
-            result = simulator.run(options.salvagePartial);
+                                          chunkAccesses_, poll));
+            result = simulator.run(options.salvagePartial, started);
             if (result.partial)
                 error = result.error
                             ? *result.error

@@ -28,7 +28,7 @@
 
 namespace grit::sim {
 
-/** Periodic / end-of-run consistency checker. */
+/** End-of-run consistency checker. */
 class InvariantAuditor
 {
   public:

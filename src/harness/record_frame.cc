@@ -4,21 +4,12 @@
 #include <array>
 #include <iterator>
 
+#include "simcore/rng.h"
 #include "simcore/sim_error.h"
 
 namespace grit::harness {
 
 namespace {
-
-/** splitmix64 finalizer: the repo's standard stateless mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /**
  * Slice-by-8 lookup tables for the Castagnoli polynomial (reflected
@@ -225,7 +216,7 @@ injectBitflips(const std::string &path, std::uint64_t seed,
     for (std::size_t i = 0; i < picks; ++i) {
         const std::size_t j =
             i + static_cast<std::size_t>(
-                    mix64(seed ^ (i + 1)) % (eligible.size() - i));
+                    sim::mix64(seed ^ (i + 1)) % (eligible.size() - i));
         std::swap(eligible[i], eligible[j]);
     }
 

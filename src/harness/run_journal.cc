@@ -4,22 +4,13 @@
 #include <sstream>
 
 #include "harness/experiment_engine.h"
+#include "simcore/rng.h"
 #include "stats/timeline.h"
 #include "workload/apps.h"
 
 namespace grit::harness {
 
 namespace {
-
-/** splitmix64 finalizer: the repo's standard stateless mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /** Running digest: order-sensitive fold of 64-bit words. */
 class Digest
@@ -28,7 +19,7 @@ class Digest
     void
     word(std::uint64_t v)
     {
-        state_ = mix64(state_ ^ mix64(v));
+        state_ = sim::mix64(state_ ^ sim::mix64(v));
     }
     void word(double v) { word(std::bit_cast<std::uint64_t>(v)); }
     void word(bool v) { word(std::uint64_t{v}); }
@@ -104,72 +95,15 @@ configDigest(const SystemConfig &config)
     d.word(config.batchAccesses);
     d.word(config.timelineIntervalCycles);
     d.word(config.audit);
-    d.word(config.auditIntervalCycles);
-
-    const gpu::GpuConfig &g = config.gpu;
-    d.word(std::uint64_t{g.lanes});
-    d.word(std::uint64_t{g.l1TlbEntries});
-    d.word(std::uint64_t{g.l1TlbWays});
-    d.word(g.l1TlbLatency);
-    d.word(std::uint64_t{g.l2TlbEntries});
-    d.word(std::uint64_t{g.l2TlbWays});
-    d.word(g.l2TlbLatency);
-    d.word(g.l2CacheBytes);
-    d.word(std::uint64_t{g.l2CacheWays});
-    d.word(g.l2CacheLatency);
-    d.word(g.dramGBs);
-    d.word(g.dramLatency);
-    d.word(g.dramCapacityPages);
-    d.word(std::uint64_t{g.counterThreshold});
-    d.word(g.laneIssueInterval);
-    d.word(std::uint64_t{g.nvlinkSlots});
-    d.word(std::uint64_t{g.pcieSlots});
-    d.word(std::uint64_t{g.faultSlots});
-    d.word(std::uint64_t{g.gmmu.walkers});
-    d.word(g.gmmu.walkLevelLatency);
-    d.word(std::uint64_t{g.gmmu.walkCacheEntries});
-    d.word(std::uint64_t{g.gmmu.walkQueueEntries});
-
-    const uvm::UvmConfig &u = config.uvm;
-    d.word(u.serviceCycles);
-    d.word(u.collapseServiceCycles);
-    d.word(std::uint64_t{u.servers});
-    d.word(u.remapCycles);
-    d.word(u.drainCycles);
-    d.word(u.drainCyclesAcud);
-    d.word(u.acud);
-    d.word(u.transFw);
-    d.word(u.transFwCycles);
-    d.word(u.invalidatePteCycles);
-    d.word(u.hostMemGBs);
-    d.word(u.hostMemAccessCycles);
-    d.word(u.messageBytes);
-    d.word(u.promoteCycles);
-    d.word(u.splinterCycles);
-
+    d.word(std::uint64_t{config.counterThreshold});
+    d.word(config.uvm.acud);
+    d.word(config.uvm.transFw);
     d.text(ic::topologyKindName(config.topology));
     d.word(config.fabricStats);
     d.word(config.pageSizeStats);
-
-    const core::GritConfig &gr = config.grit;
-    d.word(std::uint64_t{gr.faultThreshold});
-    d.word(gr.paCacheEnabled);
-    d.word(gr.napEnabled);
-    d.word(std::uint64_t{gr.paCacheEntries});
-    d.word(std::uint64_t{gr.paCacheWays});
-    d.word(gr.paCacheHitCycles);
-    d.word(gr.paHiddenSlackCycles);
-    d.word(std::uint64_t{gr.paTableAccessesOnMiss});
-    d.word(gr.paEntryBytes);
-
-    d.word(config.griffin.intervalCycles);
-    d.word(std::uint64_t{config.griffin.minAccesses});
-    d.word(config.griffin.dominanceRatio);
-    d.word(config.griffin.profileBytesPerPage);
-    d.word(config.gps.storeBytes);
-    d.word(std::uint64_t{config.prefetcher.pagesPerBlock});
-    d.word(std::uint64_t{config.prefetcher.blocksPerRoot});
-    d.word(config.prefetcher.threshold);
+    d.word(std::uint64_t{config.grit.faultThreshold});
+    d.word(config.grit.paCacheEnabled);
+    d.word(config.grit.napEnabled);
 
     const sim::ChaosSpec &c = config.chaos;
     d.word(c.seed);

@@ -38,8 +38,9 @@ inline constexpr const char *kJournalSchema = "grit-run-journal";
 inline constexpr unsigned kJournalVersion = 2;
 
 /**
- * Order-independent digest of the SystemConfig knobs a sweep varies
- * (policy, topology, capacities, chaos numerics). Deliberately excludes
+ * Digest of every SystemConfig value a run's results depend on (policy,
+ * GPU count, geometry, the swept model values, feature and reporting
+ * flags, the chaos spec). Deliberately excludes
  * the resilience controls (wallDeadlineSec, eventBudget, cancelFlag)
  * and non-owning pointers: resuming with a different deadline must
  * still match the journaled fingerprints.

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <string>
 
+#include "baselines/gps.h"
+#include "baselines/griffin.h"
 #include "policy/uniform.h"
 
 namespace grit::harness {
@@ -24,6 +26,12 @@ constexpr std::uint64_t kEventLimitSlack = 1024;
 
 /** Liveness watchdog (kNoProgress): events at one simulated cycle. */
 constexpr std::uint64_t kWatchdogSameCycleEvents = 2'000'000;
+
+/** Audit findings a result keeps (audit.violations counts them all). */
+constexpr std::size_t kMaxAuditFindings = 32;
+
+/** Compute gap between a lane's consecutive accesses. */
+constexpr sim::Cycle kLaneIssueInterval = 8;
 
 /** The placement policy @p config names, built on @p driver. */
 std::unique_ptr<policy::PlacementPolicy>
@@ -46,15 +54,38 @@ makePolicy(const SystemConfig &config, uvm::UvmDriver &driver)
       case PolicyKind::kGrit:
         return std::make_unique<core::GritPolicy>(driver, config.grit);
       case PolicyKind::kGriffinDpc:
-        return std::make_unique<baselines::GriffinDpcPolicy>(
-            driver, config.griffin);
+        return std::make_unique<baselines::GriffinDpcPolicy>(driver);
       case PolicyKind::kGps:
-        return std::make_unique<baselines::GpsPolicy>(driver, config.gps);
+        return std::make_unique<baselines::GpsPolicy>(driver);
     }
     return uniform(policy::kOnTouchRule);
 }
 
 }  // namespace
+
+std::optional<sim::SimError>
+watchdogStop(const SystemConfig &config,
+             std::chrono::steady_clock::time_point started)
+{
+    if (config.cancelFlag != nullptr) {
+        const int sig = config.cancelFlag->load(std::memory_order_relaxed);
+        if (sig != 0)
+            return sim::SimError(sim::ErrorCode::kInterrupted,
+                                 "cooperative cancel requested (signal " +
+                                     std::to_string(sig) + ")");
+    }
+    if (config.wallDeadlineSec > 0.0) {
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - started)
+                                   .count();
+        if (elapsed > config.wallDeadlineSec)
+            return sim::SimError(sim::ErrorCode::kDeadline,
+                                 "wall-clock deadline (" +
+                                     std::to_string(config.wallDeadlineSec) +
+                                     " s) exceeded");
+    }
+    return std::nullopt;
+}
 
 double
 RunResult::oversubscriptionRate() const
@@ -99,7 +130,8 @@ Simulator::Simulator(const SystemConfig &config,
 
     // Per-GPU DRAM capacity: memoryFraction of the footprint, split
     // evenly (Table I's 70 % oversubscription model).
-    gpu::GpuConfig gpu_config = config_.gpu;
+    gpu::GpuConfig gpu_config;
+    gpu_config.counterThreshold = config_.counterThreshold;
     if (config_.memoryFraction > 0.0) {
         const std::uint64_t footprint_pages =
             (workload_.meta.footprintBytes() + page_size - 1) / page_size;
@@ -108,8 +140,6 @@ Simulator::Simulator(const SystemConfig &config,
                                config_.numGpus;
         gpu_config.dramCapacityPages =
             std::max<std::uint64_t>(8, static_cast<std::uint64_t>(per_gpu));
-    } else {
-        gpu_config.dramCapacityPages = 0;
     }
 
     fabric_ = std::make_unique<ic::Topology>(config_.topology,
@@ -155,7 +185,7 @@ Simulator::Simulator(const SystemConfig &config,
     }
 
     if (config_.prefetch) {
-        baselines::PrefetcherConfig pf = config_.prefetcher;
+        baselines::PrefetcherConfig pf;
         // Keep the 64 KB-block / 2 MB-root geometry under any page size.
         pf.pagesPerBlock = std::max<unsigned>(
             1, static_cast<unsigned>(sim::kCounterGroupBytes / page_size));
@@ -234,21 +264,6 @@ Simulator::hangSpin()
     queue_.schedule(queue_.now(), [this] { hangSpin(); }, "chaos-hang");
 }
 
-void
-Simulator::runAudit()
-{
-    static constexpr std::size_t kMaxFindings = 32;
-    const std::vector<sim::SimError> found = auditor_->audit();
-    for (const sim::SimError &err : found) {
-        if (auditFindings_.size() < kMaxFindings)
-            auditFindings_.push_back(err.str());
-    }
-    if (config_.auditIntervalCycles > 0 && !drained()) {
-        queue_.schedule(queue_.now() + config_.auditIntervalCycles,
-                        [this] { runAudit(); }, "audit");
-    }
-}
-
 bool
 Simulator::canInline(sim::Cycle next_at) const
 {
@@ -272,7 +287,7 @@ Simulator::runLane(unsigned g, unsigned lane, sim::Cycle now)
             beginAccess(g, lane, access, 0, now);
         if (!done)
             return;  // faulted; the replay event owns this lane now
-        const sim::Cycle next_at = *done + config_.gpu.laneIssueInterval;
+        const sim::Cycle next_at = *done + kLaneIssueInterval;
         if (burst + 1 >= kMaxInlineBurst || !canInline(next_at)) {
             queue_.schedule(
                 next_at,
@@ -347,8 +362,7 @@ Simulator::beginAccess(unsigned g, unsigned lane, const LaneAccess &a,
             [this, g, lane, access] {
                 const sim::Cycle done = *beginAccess(
                     g, lane, access, 1, queue_.now());
-                const sim::Cycle next_at =
-                    done + config_.gpu.laneIssueInterval;
+                const sim::Cycle next_at = done + kLaneIssueInterval;
                 if (canInline(next_at)) {
                     accessesBatched_ += 1;
                     runLane(g, lane, next_at);
@@ -391,7 +405,7 @@ Simulator::finishAccess(unsigned g, sim::Cycle ready, sim::GpuId loc,
     // not cache remote memory — that is CARVE's contribution, not the
     // baseline), so every remote touch crosses the fabric.
     if (!remote && gpu.cacheAccess(line_id)) {
-        t += gpu.config().l2CacheLatency;
+        t += gpu::kL2CacheLatency;
     } else {
         if (!remote) {
             t = gpu.dramAccess(t, sim::kLineSize);
@@ -411,7 +425,7 @@ Simulator::finishAccess(unsigned g, sim::Cycle ready, sim::GpuId loc,
             // throughput in a way MLP cannot hide.
             sim::Cycle flight =
                 fabric_->flightLatency(static_cast<sim::GpuId>(g), loc) +
-                config_.gpu.dramLatency;
+                gpu::kDramLatency;
             if (loc >= 0)
                 gpus_[static_cast<unsigned>(loc)]->dramAccess(
                     t, sim::kLineSize);
@@ -441,12 +455,13 @@ Simulator::finishAccess(unsigned g, sim::Cycle ready, sim::GpuId loc,
 }
 
 RunResult
-Simulator::run(bool salvage_partial)
+Simulator::run(bool salvage_partial,
+               std::chrono::steady_clock::time_point started)
 {
     // Seed every lane of every GPU.
     for (unsigned g = 0; g < config_.numGpus; ++g) {
         const unsigned lanes = std::min<std::uint64_t>(
-            config_.gpu.lanes, cursors_[g].total);
+            gpus_[g]->lanes(), cursors_[g].total);
         for (unsigned lane = 0; lane < lanes; ++lane)
             queue_.schedule(
                 0,
@@ -469,10 +484,6 @@ Simulator::run(bool salvage_partial)
         queue_.schedule(config_.chaos.hang.at, [this] { hangSpin(); },
                         "chaos-hang");
     }
-    if (auditor_ && config_.auditIntervalCycles > 0) {
-        queue_.schedule(config_.auditIntervalCycles,
-                        [this] { runAudit(); }, "audit");
-    }
 
     std::uint64_t limit =
         kEventsPerAccessLimit * (totalAccesses_ + kEventLimitSlack);
@@ -482,34 +493,14 @@ Simulator::run(bool salvage_partial)
         budget_binding = true;
     }
     if (config_.wallDeadlineSec > 0.0 || config_.cancelFlag != nullptr) {
-        const auto start = std::chrono::steady_clock::now();
-        const double deadline = config_.wallDeadlineSec;
-        const std::atomic<int> *flag = config_.cancelFlag;
         queue_.setCancelCheck(
-            [this, start, deadline, flag]() -> std::optional<sim::SimError> {
-                if (flag != nullptr) {
-                    const int sig = flag->load(std::memory_order_relaxed);
-                    if (sig != 0)
-                        return sim::SimError(
-                            sim::ErrorCode::kInterrupted,
-                            "cooperative cancel requested (signal " +
-                                std::to_string(sig) + ") at cycle " +
-                                std::to_string(queue_.now()));
-                }
-                if (deadline > 0.0) {
-                    const double elapsed =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                    if (elapsed > deadline)
-                        return sim::SimError(
-                            sim::ErrorCode::kDeadline,
-                            "wall-clock deadline (" +
-                                std::to_string(deadline) +
-                                " s) exceeded at cycle " +
-                                std::to_string(queue_.now()));
-                }
-                return std::nullopt;
+            [this, started]() -> std::optional<sim::SimError> {
+                std::optional<sim::SimError> stop =
+                    watchdogStop(config_, started);
+                if (stop)
+                    stop->message += " at cycle " +
+                                     std::to_string(queue_.now());
+                return stop;
             });
     }
     queue_.setWatchdog(kWatchdogSameCycleEvents);
@@ -532,13 +523,16 @@ Simulator::run(bool salvage_partial)
         truncated = std::move(err);
     }
 
+    RunResult result;
     // Skip the end-of-run audit on truncated runs: mid-flight state
     // (migrations in progress) legitimately violates quiescent
     // invariants and would drown the real diagnostic.
-    if (auditor_ && !truncated)
-        runAudit();
-
-    RunResult result;
+    if (auditor_ && !truncated) {
+        for (const sim::SimError &err : auditor_->audit()) {
+            if (result.auditFindings.size() < kMaxAuditFindings)
+                result.auditFindings.push_back(err.str());
+        }
+    }
     result.eventsExecuted = events_executed;
     result.accessesBatched = accessesBatched_;
     result.cycles = finish_;
@@ -625,7 +619,6 @@ Simulator::run(bool salvage_partial)
     }
     result.counters = stats_.items();
     result.timeline = timeline_;
-    result.auditFindings = auditFindings_;
     if (truncated) {
         result.partial = true;
         result.error = std::move(truncated);

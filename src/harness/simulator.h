@@ -15,12 +15,14 @@
 #define GRIT_HARNESS_SIMULATOR_H_
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "baselines/tree_prefetcher.h"
 #include "harness/config.h"
 #include "harness/invariant_auditor.h"
 #include "simcore/event_queue.h"
@@ -107,6 +109,16 @@ struct RunResult
     double oversubscriptionRate() const;
 };
 
+/**
+ * The stop @p config's cooperative-cancel flag or wall-clock deadline
+ * (counted from @p started) requests now: kInterrupted naming the
+ * signal, or kDeadline; nullopt while the run may go on. The caller
+ * appends where the run stopped to the message.
+ */
+std::optional<sim::SimError>
+watchdogStop(const SystemConfig &config,
+             std::chrono::steady_clock::time_point started);
+
 /** One simulation instance (configure, run once, read results). */
 class Simulator
 {
@@ -143,8 +155,13 @@ class Simulator
      *  - true: the counters-so-far are still collected and returned
      *    with RunResult::partial set and RunResult::error carrying the
      *    diagnostic — the salvage path quarantined sweeps rely on.
+     * The wall-clock deadline counts from @p started, so a caller that
+     * prepared the workload under the same deadline passes its own
+     * start.
      */
-    RunResult run(bool salvage_partial = false);
+    RunResult run(bool salvage_partial = false,
+                  std::chrono::steady_clock::time_point started =
+                      std::chrono::steady_clock::now());
 
     /** Components, for tests and examples. */
     uvm::UvmDriver &driver() { return *driver_; }
@@ -202,9 +219,6 @@ class Simulator
     /** Self-rescheduling same-cycle livelock (chaos `hang` clause). */
     void hangSpin();
 
-    /** One invariant audit; logs and collects any violations. */
-    void runAudit();
-
     /**
      * Translate (attempt @p attempt) at cycle @p now and, when the
      * access completes, return its completion time. A fresh fault
@@ -243,7 +257,6 @@ class Simulator
     std::unique_ptr<baselines::TreePrefetcher> prefetcher_;
     std::unique_ptr<sim::FaultInjector> injector_;
     std::unique_ptr<sim::InvariantAuditor> auditor_;
-    std::vector<std::string> auditFindings_;
 
     /** Per-run event timeline, engaged when the config samples one. */
     std::optional<stats::IntervalSampler> timeline_;

@@ -14,6 +14,20 @@
 
 namespace grit::sim {
 
+/**
+ * The splitmix64 finalizer: the repo's one stateless 64-bit mixer
+ * (chaos decisions, run fingerprints, bit-flip positions, backoff
+ * jitter).
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
 /** xoshiro256** by Blackman & Vigna (public domain reference algorithm). */
 class Rng
 {

@@ -27,9 +27,9 @@ UvmDriver::invalidateRemoteMappings(sim::PageId page, sim::Cycle now)
         g.pageTable().invalidate(page);
         g.invalidatePage(page);
         sim::Cycle t = fabric_.message(now, sim::kHostId, mapper,
-                                       config_.messageBytes);
-        t += config_.invalidatePteCycles;
-        t = fabric_.message(t, mapper, sim::kHostId, config_.messageBytes);
+                                       kMessageBytes);
+        t += kInvalidatePteCycles;
+        t = fabric_.message(t, mapper, sim::kHostId, kMessageBytes);
         done = std::max(done, t);
         remoteInvalidationsCtr_.inc();
     }
@@ -46,11 +46,11 @@ UvmDriver::dropReplicas(sim::PageId page, sim::Cycle now,
     for (sim::GpuId holder : info.replicas) {
         gpu::Gpu &g = gpuAt(holder);
         sim::Cycle t = fabric_.message(now, sim::kHostId, holder,
-                                       config_.messageBytes);
+                                       kMessageBytes);
         t = g.flushForInvalidation(t, drainCost());
         g.pageTable().invalidate(page);
         g.dram().erase(page);
-        t = fabric_.message(t, holder, sim::kHostId, config_.messageBytes);
+        t = fabric_.message(t, holder, sim::kHostId, kMessageBytes);
         done = std::max(done, t);
         replicaInvalidationsCtr_.inc();
     }
@@ -102,7 +102,7 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
                 }
             }
         }
-        return now + config_.invalidatePteCycles;
+        return now + kInvalidatePteCycles;
     }
 
     // An owned page was evicted; translations to this copy are stale.
@@ -125,7 +125,7 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
         gpuAt(heir).pageTable().install(victim.page,
                                         mem::MappingKind::kLocal, heir,
                                         !write_protected, write_protected);
-        return now + config_.invalidatePteCycles;
+        return now + kInvalidatePteCycles;
     }
 
     // Spill to host memory. Clean pages drop without a writeback; the
@@ -206,12 +206,11 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     // Invalidate and flush the previous owner.
     if (from >= 0) {
         gpu::Gpu &owner = gpuAt(from);
-        sim::Cycle f = fabric_.message(t, sim::kHostId, from,
-                                       config_.messageBytes);
+        sim::Cycle f = fabric_.message(t, sim::kHostId, from, kMessageBytes);
         f = owner.flushForInvalidation(f, drainCost());
         owner.pageTable().invalidate(page);
         owner.dram().erase(page);
-        t = fabric_.message(f, from, sim::kHostId, config_.messageBytes);
+        t = fabric_.message(f, from, sim::kHostId, kMessageBytes);
     }
 
     // Move the data and allocate the destination frame.
@@ -222,7 +221,7 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     info.touched = true;
     gpuAt(to).pageTable().install(page, mem::MappingKind::kLocal, to,
                                   /*writable=*/true);
-    t += config_.remapCycles;
+    t += kRemapCycles;
 
     breakdown_.add(kind, t - start);
     (from >= 0 ? migrationsCtr_ : hostMigrationsCtr_).inc();
@@ -264,9 +263,8 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     // subscriptions skip this: stores broadcast instead of collapsing.
     if (!writable_replicas && info.replicas.empty() && from >= 0) {
         gpu::Gpu &owner = gpuAt(from);
-        sim::Cycle p = fabric_.message(t, sim::kHostId, from,
-                                       config_.messageBytes);
-        p += config_.invalidatePteCycles;
+        sim::Cycle p = fabric_.message(t, sim::kHostId, from, kMessageBytes);
+        p += kInvalidatePteCycles;
         if (mem::PteRecord *rec = owner.pageTable().find(page)) {
             if (rec->pte.valid()) {
                 rec->pte.setWritable(false);
@@ -279,7 +277,7 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
 
     directory_.addReplica(page, to, t);
     info.touched = true;
-    t += config_.remapCycles;
+    t += kRemapCycles;
 
     breakdown_.add(stats::LatencyKind::kPageDuplication, t - start);
     duplicationsCtr_.inc();
@@ -343,11 +341,11 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
             continue;
         gpu::Gpu &g = gpuAt(holder);
         sim::Cycle h = fabric_.message(now, sim::kHostId, holder,
-                                       config_.messageBytes);
+                                       kMessageBytes);
         h = g.flushForInvalidation(h, drainCost());
         g.pageTable().invalidate(page);
         g.dram().erase(page);
-        h = fabric_.message(h, holder, sim::kHostId, config_.messageBytes);
+        h = fabric_.message(h, holder, sim::kHostId, kMessageBytes);
         t = std::max(t, h);
     }
 
@@ -373,7 +371,7 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
     info.touched = true;
     gpuAt(writer).pageTable().install(page, mem::MappingKind::kLocal,
                                       writer, /*writable=*/true);
-    t += config_.remapCycles;
+    t += kRemapCycles;
 
     breakdown_.add(stats::LatencyKind::kWriteCollapse, t - start);
     collapsesCtr_.inc();

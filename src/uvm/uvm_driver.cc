@@ -41,8 +41,8 @@ UvmDriver::UvmDriver(const UvmConfig &config, ic::Topology &fabric,
       breakdown_(breakdown),
       geometry_(&geometry),
       regions_(geometry),
-      servers_("uvm.servers", config.servers),
-      hostMem_("uvm.hostmem", config.hostMemGBs)
+      servers_("uvm.servers", kServers),
+      hostMem_("uvm.hostmem", kHostMemGBs)
 {
     assert(!gpus_.empty());
 }
@@ -78,7 +78,7 @@ UvmDriver::totalFaults() const
 sim::Cycle
 UvmDriver::hostMemAccess(sim::Cycle now, std::uint64_t bytes)
 {
-    return hostMem_.acquire(now, bytes) + config_.hostMemAccessCycles;
+    return hostMem_.acquire(now, bytes) + kHostMemAccessCycles;
 }
 
 FaultOutcome
@@ -118,10 +118,9 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     if (config_.transFw && !cold && !protection_fault &&
         action == policy::FaultAction::kMapRemote && info.owner >= 0 &&
         info.owner != gpu) {
-        sim::Cycle at = fabric_.message(now, gpu, info.owner,
-                                        config_.messageBytes);
-        at += config_.transFwCycles + overhead;
-        at = fabric_.message(at, info.owner, gpu, config_.messageBytes);
+        sim::Cycle at = fabric_.message(now, gpu, info.owner, kMessageBytes);
+        at += kTransFwCycles + overhead;
+        at = fabric_.message(at, info.owner, gpu, kMessageBytes);
         const sim::Cycle done = mapRemote(page, gpu, at);
         breakdown_.add(stats::LatencyKind::kHost, done - now);
         transfwForwardsCtr_.inc();
@@ -133,13 +132,12 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
 
     // Fault descriptor to the host, driver software servicing (plus any
     // policy machinery such as GRIT's PA-Table lookup).
-    sim::Cycle at = fabric_.message(now, gpu, sim::kHostId,
-                                    config_.messageBytes);
+    sim::Cycle at = fabric_.message(now, gpu, sim::kHostId, kMessageBytes);
     // A write that must invalidate live copies elsewhere (replicas, or
     // an owner losing the page) is a true write collapse and costs the
     // driver the full invalidate-everyone coordination; a write fault
     // on a spilled page with no other holders is just a placement.
-    sim::Cycle service = config_.serviceCycles + overhead;
+    sim::Cycle service = kServiceCycles + overhead;
     // Chaos: a perturbation window may inflate driver servicing time.
     if (injector_ != nullptr) {
         const sim::Cycle chaos_extra = injector_->extraServiceCycles(at);
@@ -155,7 +153,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
         (!cold && write && action == policy::FaultAction::kDuplicate &&
          other_holders);
     if (collapses)
-        service += config_.collapseServiceCycles;
+        service += kCollapseServiceCycles;
     at = servers_.acquire(at, service);
     breakdown_.add(stats::LatencyKind::kHost, at - now);
 
@@ -195,7 +193,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
                     /*writable=*/true);
                 gpuAt(gpu).dram().touch(page);
                 refillsCtr_.inc();
-                done = at + config_.remapCycles;
+                done = at + kRemapCycles;
             } else {
                 done = duplicatePage(page, gpu, at,
                                      /*writable_replicas=*/true);
@@ -220,7 +218,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
         done = maybePromote(gpu, page, done);
 
     // Fault replay notification back to the GPU.
-    done = fabric_.message(done, sim::kHostId, gpu, config_.messageBytes);
+    done = fabric_.message(done, sim::kHostId, gpu, kMessageBytes);
     if (trace_)
         trace_->record("fault", "uvm", now, done - now, gpu, page);
     coalescer_.record(gpu, page, done);
@@ -243,7 +241,7 @@ UvmDriver::mapRemote(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
                                    info.owner, /*writable=*/true);
     info.addRemoteMapper(gpu);
     remoteMapsCtr_.inc();
-    return now + config_.remapCycles;
+    return now + kRemapCycles;
 }
 
 sim::Cycle
@@ -258,7 +256,7 @@ UvmDriver::refillMapping(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
                                    /*read_only_replica=*/write_protected);
     gpuAt(gpu).dram().touch(page);
     refillsCtr_.inc();
-    return now + config_.remapCycles;
+    return now + kRemapCycles;
 }
 
 sim::Cycle
@@ -325,13 +323,12 @@ UvmDriver::maybePromote(sim::GpuId gpu, sim::PageId page, sim::Cycle now)
     regions_.markPromoted(region, gpu);
     timelineRecord(stats::TimelineKind::kMigration, now);
     if (trace_)
-        trace_->record("promote", "uvm", now, config_.promoteCycles, gpu,
+        trace_->record("promote", "uvm", now, kPromoteCycles, gpu,
                        geometry_->regionFirstPage(region));
 
     // PTE rewrite plus the shootdown notification to the GPU.
-    sim::Cycle at = fabric_.message(now, sim::kHostId, gpu,
-                                    config_.messageBytes);
-    at += config_.promoteCycles;
+    sim::Cycle at = fabric_.message(now, sim::kHostId, gpu, kMessageBytes);
+    at += kPromoteCycles;
     breakdown_.add(stats::LatencyKind::kHost, at - now);
     return at;
 }
@@ -349,14 +346,13 @@ UvmDriver::splinterRegion(sim::PageId region, sim::Cycle now,
     g.dram().unpinRegion(region);
     regions_.markSplintered(region, reason);
     if (trace_)
-        trace_->record("splinter", "uvm", now, config_.splinterCycles,
+        trace_->record("splinter", "uvm", now, kSplinterCycles,
                        holder, geometry_->regionFirstPage(region));
 
     // Huge-PTE shootdown at the holder plus driver rewrite work; the
     // base PTEs underneath are still valid, so no data moves.
-    sim::Cycle at = fabric_.message(now, sim::kHostId, holder,
-                                    config_.messageBytes);
-    at += config_.splinterCycles;
+    sim::Cycle at = fabric_.message(now, sim::kHostId, holder, kMessageBytes);
+    at += kSplinterCycles;
     breakdown_.add(stats::LatencyKind::kHost, at - now);
     return at;
 }

@@ -42,24 +42,49 @@ class IntervalSampler;
 
 namespace grit::uvm {
 
-/** UVM driver cost/behaviour configuration. */
+// The driver's cost model (Table I and Section II-B).
+
+/** Software fault-servicing time on the host per fault. */
+inline constexpr sim::Cycle kServiceCycles = 1500;
+/**
+ * Additional driver work servicing a page-protection fault (write
+ * collapse coordination across every replica holder).
+ */
+inline constexpr sim::Cycle kCollapseServiceCycles = 6000;
+/** Concurrent fault-servicing contexts in the driver. */
+inline constexpr unsigned kServers = 16;
+/** PTE update + fault replay after a resolution. */
+inline constexpr sim::Cycle kRemapCycles = 300;
+/** CU pipeline drain + cache/TLB flush during an invalidation. */
+inline constexpr sim::Cycle kDrainCycles = 1500;
+/** Drain cost with Griffin's asynchronous CU draining (ACUD). */
+inline constexpr sim::Cycle kDrainCyclesAcud = 150;
+/** Remote-GPU translation service time under Trans-FW. */
+inline constexpr sim::Cycle kTransFwCycles = 250;
+/** Shooting down one remote PTE mapping. */
+inline constexpr sim::Cycle kInvalidatePteCycles = 100;
+/** Host memory bandwidth available to PA-Table style structures. */
+inline constexpr double kHostMemGBs = 100.0;
+/** Host memory access latency (PA-Table reads/writebacks). */
+inline constexpr sim::Cycle kHostMemAccessCycles = 150;
+/** Control-message payload (fault descriptors, invalidations). */
+inline constexpr std::uint64_t kMessageBytes = 64;
+/**
+ * Driver work promoting a fully-resident region to a huge mapping
+ * (PTE rewrite + TLB shootdown of the base entries). Only charged
+ * when PageGeometry::hugePages is on.
+ */
+inline constexpr sim::Cycle kPromoteCycles = 1200;
+/** Driver work splintering a huge mapping back to base pages. */
+inline constexpr sim::Cycle kSplinterCycles = 1800;
+
+static_assert(kServers > 0,
+              "the driver needs at least one fault-servicing context");
+static_assert(kHostMemGBs > 0.0, "host memory bandwidth must be positive");
+
+/** The driver features a run switches on (Figs. 26 and 28). */
 struct UvmConfig
 {
-    /** Software fault-servicing time on the host per fault. */
-    sim::Cycle serviceCycles = 1500;
-    /**
-     * Additional driver work servicing a page-protection fault (write
-     * collapse coordination across every replica holder).
-     */
-    sim::Cycle collapseServiceCycles = 6000;
-    /** Concurrent fault-servicing contexts in the driver. */
-    unsigned servers = 16;
-    /** PTE update + fault replay after a resolution. */
-    sim::Cycle remapCycles = 300;
-    /** CU pipeline drain + cache/TLB flush during an invalidation. */
-    sim::Cycle drainCycles = 1500;
-    /** Drain cost with Griffin's asynchronous CU draining (ACUD). */
-    sim::Cycle drainCyclesAcud = 150;
     /** Enable Griffin's asynchronous CU draining, ACUD (Section VI-C1). */
     bool acud = false;
     /**
@@ -69,24 +94,6 @@ struct UvmConfig
      * host driver over PCIe.
      */
     bool transFw = false;
-    /** Remote-GPU translation service time under Trans-FW. */
-    sim::Cycle transFwCycles = 250;
-    /** Shooting down one remote PTE mapping. */
-    sim::Cycle invalidatePteCycles = 100;
-    /** Host memory bandwidth available to PA-Table style structures. */
-    double hostMemGBs = 100.0;
-    /** Host memory access latency (PA-Table reads/writebacks). */
-    sim::Cycle hostMemAccessCycles = 150;
-    /** Control-message payload (fault descriptors, invalidations). */
-    std::uint64_t messageBytes = 64;
-    /**
-     * Driver work promoting a fully-resident region to a huge mapping
-     * (PTE rewrite + TLB shootdown of the base entries). Only charged
-     * when PageGeometry::hugePages is on.
-     */
-    sim::Cycle promoteCycles = 1200;
-    /** Driver work splintering a huge mapping back to base pages. */
-    sim::Cycle splinterCycles = 1800;
 };
 
 /** Result of servicing one fault episode. */
@@ -116,7 +123,7 @@ class UvmDriver
 {
   public:
     /**
-     * @param config  cost model.
+     * @param config  the ACUD and Trans-FW switches.
      * @param fabric  interconnect topology (shared with the GPUs).
      * @param gpus    non-owning views of all GPUs, indexed by GpuId.
      * @param stats   run-wide counters.
@@ -220,7 +227,6 @@ class UvmDriver
     gpu::Gpu &gpuAt(sim::GpuId id);
     unsigned numGpus() const { return static_cast<unsigned>(gpus_.size()); }
     ic::Topology &fabric() { return fabric_; }
-    const UvmConfig &config() const { return config_; }
     const mem::PageGeometry &geometry() const { return *geometry_; }
 
     /** Region promote/splinter bookkeeping (inert without hugePages). */
@@ -265,12 +271,10 @@ class UvmDriver
     sim::FaultInjector *injector() { return injector_; }
 
   private:
-    friend class MigrationMechanics;
-
     /** Drain cost considering ACUD. */
     sim::Cycle drainCost() const
     {
-        return config_.acud ? config_.drainCyclesAcud : config_.drainCycles;
+        return config_.acud ? kDrainCyclesAcud : kDrainCycles;
     }
 
     /**

@@ -102,7 +102,7 @@ TraceCache::evictLocked(const ChunkKey *keep)
 }
 
 std::vector<std::uint64_t>
-TraceCache::accessCounts(const Key &key)
+TraceCache::accessCounts(const Key &key, const StopPoll &poll)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -112,7 +112,7 @@ TraceCache::accessCounts(const Key &key)
     }
     // Counting pass outside the lock: cheap (RNG + arithmetic, no
     // storage) and deterministic, so a racing duplicate is harmless.
-    CountingSink sink(key.params.numGpus);
+    CountingSink sink(key.params.numGpus, poll);
     generateTrace(key.app, key.params, sink);
     std::lock_guard<std::mutex> lock(mu_);
     return counts_.try_emplace(key, sink.counts()).first->second;
@@ -191,11 +191,11 @@ TraceCache::openStream(AppId app, const WorkloadParams &params,
 
 StreamedWorkload
 TraceCache::openWorkload(AppId app, const WorkloadParams &params,
-                         std::uint64_t chunk_accesses)
+                         std::uint64_t chunk_accesses, const StopPoll &poll)
 {
     StreamedWorkload sw;
     sw.meta = workloadShell(app, params);
-    sw.accesses = accessCounts(Key{app, params});
+    sw.accesses = accessCounts(Key{app, params}, poll);
     sw.streams.reserve(params.numGpus);
     for (unsigned g = 0; g < params.numGpus; ++g)
         sw.streams.push_back(openStream(app, params, g, chunk_accesses));

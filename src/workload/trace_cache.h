@@ -68,10 +68,13 @@ class TraceCache
     /**
      * The whole workload as the simulator replays it: the metadata
      * shell, one chunk-cached stream per GPU, and the exact per-GPU
-     * access counts (from a memoized counting pass).
+     * access counts (from a memoized counting pass). @p poll, when
+     * set, runs every kStopPollAccesses accesses of that pass; what it
+     * throws abandons the pass, propagates, and caches no counts.
      */
     StreamedWorkload openWorkload(AppId app, const WorkloadParams &params,
-                                  std::uint64_t chunk_accesses);
+                                  std::uint64_t chunk_accesses,
+                                  const StopPoll &poll = {});
 
     /**
      * Cap resident chunk bytes; the least recently used chunks are
@@ -164,8 +167,9 @@ class TraceCache
      */
     void evictLocked(const ChunkKey *keep);
 
-    /** Memoized counting pass for (app, params). */
-    std::vector<std::uint64_t> accessCounts(const Key &key);
+    /** Memoized counting pass for (app, params), polling @p poll. */
+    std::vector<std::uint64_t> accessCounts(const Key &key,
+                                            const StopPoll &poll);
 
     mutable std::mutex mu_;
     std::unordered_map<ChunkKey, ChunkEntry, ChunkKeyHash> chunks_;

@@ -64,7 +64,9 @@ namespace {
  * The producer-side sink: keeps one GPU's accesses, skip-counts the
  * prefix a seek requested, frames the rest into chunks, and parks them
  * in the stream's bounded buffer (blocking when the consumer lags;
- * aborting via StopGeneration when the stream shuts down).
+ * aborting via StopGeneration when the stream shuts down, which it
+ * checks at every chunk and, while it skip-counts, every
+ * kStopPollAccesses skipped accesses).
  */
 class ChunkingSink : public TraceSink
 {
@@ -88,7 +90,9 @@ class ChunkingSink : public TraceSink
         if (gpu != gpu_)
             return;
         if (skip_ > 0) {
-            --skip_;
+            if ((--skip_ & (kStopPollAccesses - 1)) == 0 &&
+                st_.stop_requested())
+                throw StopGeneration{};
             ++position_;
             return;
         }

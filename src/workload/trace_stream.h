@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "workload/trace.h"
@@ -81,22 +82,43 @@ class VectorSink : public TraceSink
     std::vector<GpuTrace> traces_;
 };
 
+/**
+ * Accesses between two stop checks of a pass that yields nothing while
+ * it runs: the counting pass and a producer's skip-count. 2^16 is
+ * about a millisecond of generation.
+ */
+inline constexpr std::uint64_t kStopPollAccesses = std::uint64_t{1} << 16;
+
+/**
+ * Called every kStopPollAccesses accesses of a counting pass; throws
+ * (e.g. a sim::SimException) to abandon the pass.
+ */
+using StopPoll = std::function<void()>;
+
 /** Counts per-GPU accesses without storing them (stream sizing pass). */
 class CountingSink : public TraceSink
 {
   public:
-    explicit CountingSink(unsigned num_gpus) : counts_(num_gpus, 0) {}
+    /** @param poll run every kStopPollAccesses accesses, when set. */
+    explicit CountingSink(unsigned num_gpus, StopPoll poll = {})
+        : counts_(num_gpus, 0), poll_(std::move(poll))
+    {
+    }
 
     void
     emit(unsigned gpu, const Access &) override
     {
         counts_[gpu] += 1;
+        if (poll_ && (++seen_ & (kStopPollAccesses - 1)) == 0)
+            poll_();
     }
 
     const std::vector<std::uint64_t> &counts() const { return counts_; }
 
   private:
     std::vector<std::uint64_t> counts_;
+    StopPoll poll_;
+    std::uint64_t seen_ = 0;
 };
 
 /** A run that emits one workload's full multi-GPU trace into a sink. */

@@ -33,7 +33,6 @@ TEST(GriffinDpc, IntervalMigratesToDominantAccessor)
     GriffinConfig config;
     config.intervalCycles = 1000;
     config.minAccesses = 4;
-    config.dominanceRatio = 2.0;
     MiniSystem sys(2);
     GriffinDpcPolicy &dpc = sys.usePolicy<GriffinDpcPolicy>(config);
 

@@ -1,11 +1,10 @@
 /** @file Unit tests for the GPU model: translation path, flushes, GMMU,
- *  TB scheduler, and remote/fault slots. */
+ *  and remote/fault slots. */
 
 #include <gtest/gtest.h>
 
 #include "gpu/gmmu.h"
 #include "gpu/gpu.h"
-#include "gpu/tb_scheduler.h"
 #include "mem/page_geometry.h"
 
 namespace grit::gpu {
@@ -29,7 +28,7 @@ testGeometry()
 
 TEST(Gmmu, ColdWalkCostsFourLevels)
 {
-    Gmmu gmmu(GmmuConfig{});
+    Gmmu gmmu;
     const WalkResult walk = gmmu.walk(100, 0);
     EXPECT_EQ(walk.accesses, 4u);
     EXPECT_EQ(walk.completion, 400u);  // 4 levels x 100 cycles
@@ -37,7 +36,7 @@ TEST(Gmmu, ColdWalkCostsFourLevels)
 
 TEST(Gmmu, WarmWalkHitsWalkCache)
 {
-    Gmmu gmmu(GmmuConfig{});
+    Gmmu gmmu;
     gmmu.walk(100, 0);
     const WalkResult walk = gmmu.walk(100, 1000);
     EXPECT_EQ(walk.accesses, 1u);
@@ -46,7 +45,7 @@ TEST(Gmmu, WarmWalkHitsWalkCache)
 
 TEST(Gmmu, WalkersParallelUpToEight)
 {
-    Gmmu gmmu(GmmuConfig{});
+    Gmmu gmmu;
     sim::Cycle last = 0;
     for (unsigned i = 0; i < 9; ++i) {
         // Distinct top-level regions: all cold walks.
@@ -144,7 +143,7 @@ TEST(Gpu, HolderFilterIsExactAndBoundedUpTo64Lanes)
     for (sim::PageId page = 0; page < 4000; ++page)
         gpu.fillTlbs(static_cast<unsigned>(page % 4), page);
     EXPECT_LE(gpu.l1Holders().size(),
-              std::size_t{config.lanes} * config.l1TlbEntries);
+              std::size_t{config.lanes} * kL1TlbEntries);
     for (const auto &[key, mask] : gpu.l1Holders()) {
         ASSERT_NE(mask, 0u);
         for (unsigned lane = 0; lane < config.lanes; ++lane)
@@ -159,12 +158,11 @@ TEST(Gpu, HolderFilterKeepsTheBitWhileASecondCopyLives)
     // then displaces the older copy: the lane still holds 7, so the
     // shootdown must still reach it.
     Gpu gpu(0, smallConfig(), testGeometry());
-    const unsigned entries = smallConfig().l1TlbEntries;
     gpu.fillTlbs(0, 1);
     gpu.fillTlbs(0, 7);
     gpu.invalidatePage(1);
     gpu.fillTlbs(0, 7);  // second copy, in the dead slot
-    for (sim::PageId page = 100; page < 100 + entries - 1; ++page)
+    for (sim::PageId page = 100; page < 100 + kL1TlbEntries - 1; ++page)
         gpu.fillTlbs(0, page);  // the last fill displaces the older copy
     ASSERT_TRUE(l1Holds(gpu, 0, 7));
     const std::uint64_t *mask = gpu.l1Holders().find(7);
@@ -186,7 +184,7 @@ TEST(Gpu, InvalidateReachesEveryLaneWhenFilterBitsAlias)
     constexpr sim::PageId kPage = 1000;
     gpu.fillTlbs(69, kPage);
     gpu.fillTlbs(5, kPage);
-    for (sim::PageId page = 0; page < config.l1TlbEntries; ++page)
+    for (sim::PageId page = 0; page < kL1TlbEntries; ++page)
         gpu.fillTlbs(5, page);  // pushes kPage out of lane 5
     ASSERT_FALSE(l1Holds(gpu, 5, kPage));
     ASSERT_TRUE(l1Holds(gpu, 69, kPage));
@@ -201,7 +199,7 @@ TEST(Gpu, DramAccessAddsLatency)
 {
     Gpu gpu(0, smallConfig(), testGeometry());
     const sim::Cycle done = gpu.dramAccess(0, 64);
-    EXPECT_GE(done, gpu.config().dramLatency);
+    EXPECT_GE(done, kDramLatency);
 }
 
 TEST(Gpu, RemoteSlotsThrottleThroughput)
@@ -242,57 +240,6 @@ TEST(Gpu, LinesPerPageFollowsGeometry)
     static const mem::PageGeometry huge_base{2 * 1024 * 1024};
     EXPECT_EQ(Gpu(1, config, huge_base).linesPerPage(), 32768u);
 }
-
-// ---------------------------------------------------------------- TbScheduler
-
-TEST(TbScheduler, ContiguousPartition)
-{
-    TbScheduler sched(100, 4);
-    EXPECT_EQ(sched.blockCount(0), 25u);
-    EXPECT_EQ(sched.firstBlock(0), 0u);
-    EXPECT_EQ(sched.firstBlock(3), 75u);
-    EXPECT_EQ(sched.gpuFor(0), 0);
-    EXPECT_EQ(sched.gpuFor(24), 0);
-    EXPECT_EQ(sched.gpuFor(25), 1);
-    EXPECT_EQ(sched.gpuFor(99), 3);
-}
-
-TEST(TbScheduler, UnevenDivisionFillsEarlierGpusFirst)
-{
-    TbScheduler sched(10, 4);  // 3,3,2,2
-    EXPECT_EQ(sched.blockCount(0), 3u);
-    EXPECT_EQ(sched.blockCount(2), 2u);
-    EXPECT_EQ(sched.gpuFor(2), 0);
-    EXPECT_EQ(sched.gpuFor(3), 1);
-    EXPECT_EQ(sched.gpuFor(6), 2);
-    EXPECT_EQ(sched.gpuFor(9), 3);
-}
-
-/** Property: gpuFor inverts firstBlock/blockCount for any geometry. */
-class TbSchedulerProperty
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
-{
-};
-
-TEST_P(TbSchedulerProperty, PartitionIsConsistent)
-{
-    const auto [blocks, gpus] = GetParam();
-    TbScheduler sched(blocks, gpus);
-    std::uint64_t total = 0;
-    for (unsigned g = 0; g < gpus; ++g) {
-        const std::uint64_t first = sched.firstBlock(g);
-        const std::uint64_t count = sched.blockCount(g);
-        total += count;
-        for (std::uint64_t tb = first; tb < first + count; ++tb)
-            EXPECT_EQ(sched.gpuFor(tb), static_cast<sim::GpuId>(g));
-    }
-    EXPECT_EQ(total, blocks);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, TbSchedulerProperty,
-    ::testing::Combine(::testing::Values(1ull, 7ull, 64ull, 1000ull),
-                       ::testing::Values(1u, 2u, 4u, 8u, 16u)));
 
 }  // namespace
 }  // namespace grit::gpu

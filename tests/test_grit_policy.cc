@@ -185,16 +185,16 @@ TEST(GritPolicy, FaultOverheadReflectsPaMachinery)
 {
     GritConfig config;
     config.paCacheEnabled = false;
-    config.paHiddenSlackCycles = 0;
     auto [sys, grit] = gritSystem(config);
     policy::FaultInfo info;
     info.gpu = 0;
     info.page = 10;
     info.coldTouch = true;  // counted fault (not a capacity refault)
     const policy::FaultDecision decision = grit->onFault(info, 0);
-    // Without the PA-Cache every fault pays PA-Table memory accesses;
-    // the page still starts under on-touch.
-    EXPECT_GT(decision.overhead, 0u);
+    // Without the PA-Cache every fault pays two PA-Table host-memory
+    // accesses, less the slack the page-table walk hides: 2 x 150 - 150
+    // cycles. The page still starts under on-touch.
+    EXPECT_EQ(decision.overhead, 150u);
     EXPECT_EQ(decision.action, policy::FaultAction::kMigrate);
 }
 

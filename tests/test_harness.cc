@@ -19,29 +19,52 @@ TEST(SystemConfig, TableIDefaults)
     EXPECT_DOUBLE_EQ(config.memoryFraction, 0.70);
 
     // Table I rows.
-    EXPECT_EQ(config.gpu.lanes, 64u);                   // 64 CUs
-    EXPECT_EQ(config.gpu.l1TlbEntries, 32u);            // L1 TLB
-    EXPECT_EQ(config.gpu.l1TlbWays, 32u);
-    EXPECT_EQ(config.gpu.l1TlbLatency, 1u);
-    EXPECT_EQ(config.gpu.l2TlbEntries, 512u);           // L2 TLB
-    EXPECT_EQ(config.gpu.l2TlbWays, 16u);
-    EXPECT_EQ(config.gpu.l2TlbLatency, 10u);
-    EXPECT_EQ(config.gpu.gmmu.walkers, 8u);             // 8 walkers
-    EXPECT_EQ(config.gpu.gmmu.walkLevelLatency, 100u);  // 100 cy/level
-    EXPECT_EQ(config.gpu.gmmu.walkCacheEntries, 128u);  // walk cache
-    EXPECT_EQ(config.gpu.gmmu.walkQueueEntries, 64u);   // walk queue
-    EXPECT_EQ(config.gpu.l2CacheBytes, 256u * 1024u);   // 256 KB L2
-    EXPECT_EQ(config.gpu.l2CacheWays, 16u);
-    EXPECT_EQ(config.gpu.counterThreshold, 256u);       // counters
+    EXPECT_EQ(gpu::GpuConfig{}.lanes, 64u);       // 64 CUs
+    EXPECT_EQ(gpu::kL1TlbEntries, 32u);           // L1 TLB
+    EXPECT_EQ(gpu::kL1TlbWays, 32u);
+    EXPECT_EQ(gpu::kL1TlbLatency, 1u);
+    EXPECT_EQ(gpu::kL2TlbEntries, 512u);          // L2 TLB
+    EXPECT_EQ(gpu::kL2TlbWays, 16u);
+    EXPECT_EQ(gpu::kL2TlbLatency, 10u);
+    EXPECT_EQ(gpu::kWalkers, 8u);                 // 8 walkers
+    EXPECT_EQ(gpu::kWalkLevelLatency, 100u);      // 100 cy/level
+    EXPECT_EQ(gpu::kWalkCacheEntries, 128u);      // walk cache
+    EXPECT_EQ(gpu::kL2CacheBytes, 256u * 1024u);  // 256 KB L2
+    EXPECT_EQ(gpu::kL2CacheWays, 16u);
+    EXPECT_EQ(gpu::kL2CacheLatency, 40u);
+    EXPECT_DOUBLE_EQ(gpu::kDramGBs, 900.0);       // HBM
+    EXPECT_EQ(gpu::kDramLatency, 200u);
+    EXPECT_EQ(config.counterThreshold, 256u);     // counters
     // NVLink-v2 mesh + PCIe-v4 host link (AllToAll.* pins the timing).
     EXPECT_EQ(config.topology, ic::TopologyKind::kAllToAll);
+
+    // UVM driver costs (Section II-B).
+    EXPECT_EQ(uvm::kServiceCycles, 1500u);
+    EXPECT_EQ(uvm::kCollapseServiceCycles, 6000u);
+    EXPECT_EQ(uvm::kServers, 16u);
+    EXPECT_EQ(uvm::kRemapCycles, 300u);
+    EXPECT_EQ(uvm::kDrainCycles, 1500u);
+    EXPECT_EQ(uvm::kDrainCyclesAcud, 150u);
+    EXPECT_EQ(uvm::kTransFwCycles, 250u);
+    EXPECT_EQ(uvm::kInvalidatePteCycles, 100u);
+    EXPECT_DOUBLE_EQ(uvm::kHostMemGBs, 100.0);
+    EXPECT_EQ(uvm::kHostMemAccessCycles, 150u);
+    EXPECT_EQ(uvm::kMessageBytes, 64u);
+    EXPECT_EQ(uvm::kPromoteCycles, 1200u);
+    EXPECT_EQ(uvm::kSplinterCycles, 1800u);
+    EXPECT_FALSE(config.uvm.acud);
+    EXPECT_FALSE(config.uvm.transFw);
 
     // GRIT defaults (Section V).
     EXPECT_EQ(config.grit.faultThreshold, 4u);
     EXPECT_TRUE(config.grit.paCacheEnabled);
     EXPECT_TRUE(config.grit.napEnabled);
-    EXPECT_EQ(config.grit.paCacheEntries, 64u);
-    EXPECT_EQ(config.grit.paCacheWays, 4u);
+    EXPECT_EQ(core::kPaCacheEntries, 64u);
+    EXPECT_EQ(core::kPaCacheWays, 4u);
+    EXPECT_EQ(core::kPaCacheHitCycles, 4u);
+    EXPECT_EQ(core::kPaHiddenSlackCycles, 150u);
+    EXPECT_EQ(core::kPaTableAccessesOnMiss, 2u);
+    EXPECT_EQ(core::kPaEntryBytes, 8u);
 }
 
 TEST(PolicyKindNames, RoundTrip)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <memory>
 #include <sstream>
@@ -139,9 +140,9 @@ TEST(RunFingerprint, DigestIgnoresResilienceKnobsOnly)
     SystemConfig pageStats = base;
     pageStats.pageSizeStats = true;
     EXPECT_NE(digest, configDigest(pageStats));
-    SystemConfig griffin = base;
-    griffin.griffin.minAccesses += 1;
-    EXPECT_NE(digest, configDigest(griffin));
+    SystemConfig counter = base;
+    counter.counterThreshold += 1;
+    EXPECT_NE(digest, configDigest(counter));
 }
 
 TEST(RunFingerprint, CoversWorkloadIdentityAndParams)
@@ -524,6 +525,62 @@ TEST(ResilientSweep, InterruptedCellIsNeverJournaled)
     // Nothing landed in the journal, so a resume runs the cell fresh.
     EXPECT_EQ(journal.size(), 0u);
     flag.store(0);
+}
+
+// ------------------------------------------------- watchdogs over counting
+
+/**
+ * A BFS cell of about 312M accesses: the pass that counts its trace
+ * alone takes seconds, so runCell returns within the bounds below only
+ * if that pass polls the watchdogs.
+ */
+RunCell
+longCountingCell()
+{
+    workload::WorkloadParams params;
+    params.footprintDivisor = 128;
+    params.intensity = 1000;
+    RunPlan plan;
+    plan.add(workload::AppId::kBfs, {"grit", makeConfig(PolicyKind::kGrit, 4)},
+             params);
+    return plan.cells().front();
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+TEST(ResilientCell, CancelFlagStopsTheCountingPass)
+{
+    static std::atomic<int> flag{SIGTERM};
+    const RunCell cell = longCountingCell();
+    ResilientOptions options;
+    options.cancelFlag = &flag;
+    ExperimentEngine engine;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(
+        engine.runCell(cell, runFingerprint(cell), options).has_value());
+    EXPECT_LT(secondsSince(start), 0.5);
+}
+
+TEST(ResilientCell, DeadlineStopsTheCountingPass)
+{
+    const RunCell cell = longCountingCell();
+    ResilientOptions options;
+    options.wallDeadlineSec = 0.05;
+    ExperimentEngine engine;
+    const auto start = std::chrono::steady_clock::now();
+    const std::optional<JournalEntry> entry =
+        engine.runCell(cell, runFingerprint(cell), options);
+    EXPECT_LT(secondsSince(start), 0.5);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->status, "failed");
+    ASSERT_TRUE(entry->error.has_value());
+    EXPECT_EQ(entry->error->code, sim::ErrorCode::kDeadline);
 }
 
 // ------------------------------------------------------------ trace cache

@@ -196,32 +196,12 @@ TEST(ConfigValidate, CatchesEachBrokenKnob)
     expectBad(c, "geometry.promoteFaultThreshold");
 
     c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.gpu.lanes = 0;
-    expectBad(c, "gpu.lanes");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.gpu.l2TlbEntries = 100;  // not a multiple of 16 ways
-    expectBad(c, "gpu.l2Tlb");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.gpu.gmmu.walkCacheEntries = 0;
-    expectBad(c, "gpu.gmmu.walkCacheEntries");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.uvm.servers = 0;
-    expectBad(c, "uvm.servers");
+    c.counterThreshold = 0;
+    expectBad(c, "counterThreshold");
 
     c = harness::makeConfig(PolicyKind::kGrit, 4);
     c.grit.faultThreshold = 0;
     expectBad(c, "grit.faultThreshold");
-
-    c = harness::makeConfig(PolicyKind::kGrit, 4);
-    c.grit.paCacheWays = 0;
-    expectBad(c, "grit.paCache");
-
-    c = harness::makeConfig(PolicyKind::kOnTouch, 4);
-    c.auditIntervalCycles = 1000;  // audit itself left off
-    expectBad(c, "audit");
 }
 
 TEST(ConfigValidate, SimulatorConstructionRejectsBrokenConfig)
@@ -231,7 +211,7 @@ TEST(ConfigValidate, SimulatorConstructionRejectsBrokenConfig)
     params.intensity = 0.05;
     harness::SystemConfig config =
         harness::makeConfig(harness::PolicyKind::kOnTouch, 4);
-    config.gpu.lanes = 0;
+    config.counterThreshold = 0;
     try {
         harness::runApp(workload::AppId::kBfs, config, params);
         FAIL() << "expected SimException";
@@ -505,7 +485,7 @@ TEST(InvariantAuditor, ShootdownFilterAuditHoldsAcrossDisplacement)
     MiniSystem sys(2);
     sys.usePolicy<policy::UniformPolicy>(policy::kOnTouchRule);
     gpu::Gpu &g = sys.gpu(0);
-    const unsigned entries = g.config().l1TlbEntries;
+    const unsigned entries = gpu::kL1TlbEntries;
     sim::Cycle now = 1000;
     for (sim::PageId page = 0; page < 2 * entries; ++page, now += 500)
         sys.driver->handleFault(0, page, false, false, now);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -134,6 +135,28 @@ TEST(GeneratedTraceStream, SeekReplaysFromAnyChunkBoundary)
     ASSERT_NE(chunk, nullptr);
     EXPECT_EQ(chunk->index, 3u);
     expectSameTrace(chunk->accesses, first_pass[3]->accesses);
+}
+
+TEST(GeneratedTraceStream, DestroyedPromptlyWhileSkipCounting)
+{
+    // Opened at chunk 1000 of a BFS trace of about 312M accesses, the
+    // producer skip-counts 65M of GPU 0's accesses (seconds of
+    // generation) before it frames a chunk. The destructor must stop
+    // it, not wait the skip out.
+    WorkloadParams params = smallParams();
+    params.intensity = 1000;
+    const auto start = std::chrono::steady_clock::now();
+    {
+        GeneratedTraceStream stream(
+            [params](TraceSink &sink) {
+                generateTrace(AppId::kBfs, params, sink);
+            },
+            0, kDefaultChunkAccesses, 4, /*first_chunk=*/1000);
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              0.5);
 }
 
 TEST(GeneratedTraceStream, CoversDnnAndScaleGenerators)
