@@ -38,7 +38,7 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
         return 0;
 
     const uvm::PageInfo *info = driver_.directory().find(page);
-    if (info == nullptr || info->replicas.empty())
+    if (info == nullptr || info->replicas().empty())
         return 0;
 
     // Proactively push the store to every other copy of the page. Each
@@ -58,8 +58,8 @@ GpsPolicy::onAccess(sim::GpuId gpu, sim::PageId page, bool write,
             slot_done, sender.remoteSlot(now, flight, /*to_host=*/false));
         ++broadcasts_;
     };
-    push(info->owner);
-    for (sim::GpuId subscriber : info->replicas)
+    push(info->owner());
+    for (sim::GpuId subscriber : info->replicas())
         push(subscriber);
 
     storeBroadcastsCtr_.inc();

@@ -91,7 +91,7 @@ Gpu::translate(unsigned lane, sim::PageId page, bool write, sim::Cycle now)
         out.readyAt = at;
         return out;
     }
-    if (write && rec->readOnlyReplica) {
+    if (write && rec->readOnlyReplica()) {
         out.protectionFault = true;
         out.readyAt = at;
         return out;

@@ -18,9 +18,11 @@
 #include "core/grit_policy.h"
 #include "interconnect/topology.h"
 #include "mem/page_geometry.h"
+#include "mem/pte.h"
 #include "simcore/fault_injector.h"
 #include "simcore/sim_error.h"
 #include "simcore/types.h"
+#include "uvm/replica_directory.h"
 #include "uvm/uvm_driver.h"
 
 namespace grit::sim {
@@ -52,6 +54,12 @@ std::optional<PolicyKind> policyKindFromName(const std::string &name);
  * figure runs. The fabric's forwarding table grows with its square.
  */
 inline constexpr unsigned kMaxGpus = 64;
+
+// The per-page records hold GPU ids compactly: a PTE's 7 location bits
+// read -2 to 125, and the residency directory keeps int8_t ids.
+static_assert(kMaxGpus <= mem::Pte::kMaxLocation + 1u &&
+                  kMaxGpus <= uvm::PageInfo::kMaxGpus,
+              "a GPU id must fit the PTE and directory encodings");
 
 /** Complete configuration of one simulated system. */
 struct SystemConfig

@@ -64,35 +64,36 @@ InvariantAuditor::auditDirectory(std::vector<SimError> &out) const
 
     for (const auto &[page, info] : dir.pages()) {
         const std::string where = pageStr(page);
-        replica_sum += info.replicas.size();
+        const uvm::PageInfo::GpuList replicas = info.replicas();
+        const GpuId owner = info.owner();
+        replica_sum += replicas.size();
 
         // The authoritative owner's copy must occupy an owned frame.
-        if (info.owner >= 0) {
-            const mem::DramManager &dram = driver_.gpuAt(info.owner).dram();
+        if (owner >= 0) {
+            const mem::DramManager &dram = driver_.gpuAt(owner).dram();
             if (!dram.resident(page)) {
                 out.push_back(violation(
-                    "directory owner gpu" + std::to_string(info.owner) +
+                    "directory owner gpu" + std::to_string(owner) +
                         " has no resident frame",
                     where));
             } else if (dram.kindOf(page) != mem::FrameKind::kOwned) {
                 out.push_back(violation(
-                    "owner frame at gpu" + std::to_string(info.owner) +
+                    "owner frame at gpu" + std::to_string(owner) +
                         " is marked replica",
                     where));
             }
         }
 
         // Every replica holder must back the replica with a frame.
-        for (sim::GpuId r : info.replicas) {
-            if (r == info.owner) {
+        for (sim::GpuId r : replicas) {
+            if (r == owner) {
                 out.push_back(violation("owner gpu" + std::to_string(r) +
                                             " appears in its own replica "
                                             "list",
                                         where));
                 continue;
             }
-            if (std::count(info.replicas.begin(), info.replicas.end(),
-                           r) > 1) {
+            if (std::count(replicas.begin(), replicas.end(), r) > 1) {
                 out.push_back(violation(
                     "gpu" + std::to_string(r) + " listed twice as replica",
                     where));
@@ -112,21 +113,20 @@ InvariantAuditor::auditDirectory(std::vector<SimError> &out) const
         }
 
         // Remote mappers must hold a live remote PTE at the owner.
-        for (sim::GpuId m : info.remoteMappers) {
+        for (sim::GpuId m : info.remoteMappers()) {
             const mem::PteRecord *rec =
                 driver_.gpuAt(m).pageTable().find(page);
             if (rec == nullptr || !rec->pte.valid() ||
-                rec->kind != mem::MappingKind::kRemote) {
+                rec->kind() != mem::MappingKind::kRemote) {
                 out.push_back(violation(
                     "remote mapper gpu" + std::to_string(m) +
                         " holds no valid remote PTE",
                     where));
-            } else if (rec->location != info.owner) {
+            } else if (rec->location() != owner) {
                 out.push_back(violation(
                     "remote PTE at gpu" + std::to_string(m) +
-                        " points at " + std::to_string(rec->location) +
-                        " but the owner is " +
-                        std::to_string(info.owner),
+                        " points at " + std::to_string(rec->location()) +
+                        " but the owner is " + std::to_string(owner),
                     where));
             }
         }
@@ -156,7 +156,7 @@ InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
             const std::string where = who + " " + pageStr(page);
             const uvm::PageInfo *info = dir.find(page);
 
-            if (rec.kind == mem::MappingKind::kLocal) {
+            if (rec.kind() == mem::MappingKind::kLocal) {
                 if (ideal_)
                     continue;
                 if (!gpu.dram().resident(page)) {
@@ -164,7 +164,7 @@ InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
                         "valid local PTE but the page is not resident",
                         where));
                 } else if (info == nullptr ||
-                           (info->owner != static_cast<GpuId>(g) &&
+                           (info->owner() != static_cast<GpuId>(g) &&
                             !info->hasReplica(static_cast<GpuId>(g)))) {
                     out.push_back(violation(
                         "valid local PTE but the directory lists this "
@@ -172,7 +172,7 @@ InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
                         where));
                 }
             } else {  // kRemote
-                if (rec.location == static_cast<GpuId>(g)) {
+                if (rec.location() == static_cast<GpuId>(g)) {
                     out.push_back(violation(
                         "remote PTE points at its own GPU", where));
                     continue;
@@ -183,12 +183,12 @@ InvariantAuditor::auditPageTables(std::vector<SimError> &out) const
                         "valid remote PTE but the directory does not "
                         "list this GPU as a remote mapper",
                         where));
-                } else if (rec.location != info->owner) {
+                } else if (rec.location() != info->owner()) {
                     out.push_back(violation(
                         "remote PTE location " +
-                            std::to_string(rec.location) +
+                            std::to_string(rec.location()) +
                             " disagrees with directory owner " +
-                            std::to_string(info->owner),
+                            std::to_string(info->owner()),
                         where));
                 }
             }
@@ -226,10 +226,10 @@ InvariantAuditor::auditDramAccounting(std::vector<SimError> &out) const
                 continue;
             }
             if (frame.kind == mem::FrameKind::kOwned) {
-                if (info->owner != id) {
+                if (info->owner() != id) {
                     out.push_back(violation(
                         "owned frame but the directory owner is " +
-                            std::to_string(info->owner),
+                            std::to_string(info->owner()),
                         where));
                 }
             } else {
@@ -371,14 +371,15 @@ InvariantAuditor::auditRegions(std::vector<SimError> &out) const
             const PageId page = first + i;
             const std::string pwhere = where + " " + pageStr(page);
             const uvm::PageInfo *info = dir.find(page);
-            if (info == nullptr || !info->touched ||
-                info->owner != holder) {
+            if (info == nullptr || !info->touched() ||
+                info->owner() != holder) {
                 out.push_back(violation(
                     "promoted region page is not owned by " + who,
                     pwhere));
                 continue;
             }
-            if (!info->replicas.empty() || !info->remoteMappers.empty()) {
+            if (!info->replicas().empty() ||
+                !info->remoteMappers().empty()) {
                 out.push_back(violation(
                     "promoted region page is shared (replicas or remote "
                     "mappers exist)",
@@ -386,8 +387,8 @@ InvariantAuditor::auditRegions(std::vector<SimError> &out) const
             }
             const mem::PteRecord *rec = gpu.pageTable().find(page);
             if (rec == nullptr || !rec->pte.valid() ||
-                rec->kind != mem::MappingKind::kLocal ||
-                !rec->pte.writable() || rec->readOnlyReplica) {
+                rec->kind() != mem::MappingKind::kLocal ||
+                !rec->pte.writable() || rec->readOnlyReplica()) {
                 out.push_back(violation(
                     "promoted region page lacks a valid writable local "
                     "PTE underneath the huge mapping",

@@ -315,7 +315,7 @@ Simulator::beginAccess(unsigned g, unsigned lane, const LaneAccess &a,
         const mem::PteRecord *rec = gpu.pageTable().find(a.page);
         sim::GpuId loc;
         if (rec != nullptr && rec->pte.valid()) {
-            loc = rec->location;
+            loc = rec->location();
             gpu.fillTlbs(lane, a.page);
         } else {
             loc = driver_->directory().ownerOf(a.page);
@@ -379,7 +379,7 @@ Simulator::beginAccess(unsigned g, unsigned lane, const LaneAccess &a,
     }
 
     const sim::GpuId loc = out.rec != nullptr
-                               ? out.rec->location
+                               ? out.rec->location()
                                : static_cast<sim::GpuId>(g);
     const sim::Cycle done = finishAccess(g, out.readyAt, loc, a);
     finish_ = std::max(finish_, done);
@@ -399,7 +399,7 @@ Simulator::finishAccess(unsigned g, sim::Cycle ready, sim::GpuId loc,
     const bool remote = loc != static_cast<sim::GpuId>(g);
 
     if (a.write)
-        driver_->directory().info(a.page).dirty = true;
+        driver_->directory().info(a.page).setDirty(true);
 
     // Remote data is not cached in the local L2 (baseline NUMA GPUs do
     // not cache remote memory — that is CARVE's contribution, not the

@@ -35,9 +35,9 @@ PageTable::install(sim::PageId page, MappingKind kind, sim::GpuId location,
     rec.pte.setValid(true);
     rec.pte.setWritable(writable);
     rec.pte.setAccessed(true);
-    rec.kind = kind;
-    rec.location = location;
-    rec.readOnlyReplica = read_only_replica;
+    rec.pte.setRemote(kind == MappingKind::kRemote);
+    rec.pte.setLocation(location);
+    rec.pte.setReadOnlyReplica(read_only_replica);
     return rec;
 }
 
@@ -46,8 +46,8 @@ PageTable::invalidate(sim::PageId page)
 {
     if (PteRecord *rec = find(page)) {
         rec->pte.setValid(false);
-        rec->readOnlyReplica = false;
-        rec->location = sim::kNoGpu;
+        rec->pte.setReadOnlyReplica(false);
+        rec->pte.setLocation(sim::kNoGpu);
     }
 }
 

@@ -28,19 +28,32 @@ enum class MappingKind : std::uint8_t {
     kRemote,  //!< translation points at another processor's DRAM
 };
 
-/** A page-table record: packed PTE plus simulator-level routing info. */
+/**
+ * A page-table record: one packed PTE word. The routing a translation
+ * needs sits in the PTE's software-available bits (see Pte).
+ */
 struct PteRecord
 {
     Pte pte;
-    MappingKind kind = MappingKind::kLocal;
+
+    MappingKind
+    kind() const
+    {
+        return pte.remote() ? MappingKind::kRemote : MappingKind::kLocal;
+    }
+
     /** Where the data lives (this GPU for kLocal; owner for kRemote). */
-    sim::GpuId location = sim::kNoGpu;
+    sim::GpuId location() const { return pte.location(); }
+
     /**
      * Replica mappings produced by page duplication are read-only; a
      * write hitting one raises a page-protection fault (Section II-B3).
      */
-    bool readOnlyReplica = false;
+    bool readOnlyReplica() const { return pte.readOnlyReplica(); }
+    void setReadOnlyReplica(bool v) { pte.setReadOnlyReplica(v); }
 };
+
+static_assert(sizeof(PteRecord) == 8, "a page-table record is one word");
 
 /**
  * A page table: virtual page -> PteRecord.

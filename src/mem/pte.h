@@ -5,12 +5,14 @@
  * Reproduces Figure 14 of the paper: an x86-64-style 4 KB PTE whose
  * software-available bits 9-10 carry the page-placement scheme (Table IV)
  * and whose unused bits 52-53 carry the Neighboring-Aware-Prediction page
- * group size (Table V).
+ * group size (Table V). The simulator keeps its own routing state in
+ * bits the same way: bit 11 and bits 54-61.
  */
 
 #ifndef GRIT_MEM_PTE_H_
 #define GRIT_MEM_PTE_H_
 
+#include <cassert>
 #include <cstdint>
 
 #include "simcore/types.h"
@@ -60,6 +62,9 @@ GroupBits groupBitsFor(unsigned pages);
 class Pte
 {
   public:
+    /** Largest location the routing bits hold (sim::kNoGpu is the least). */
+    static constexpr sim::GpuId kMaxLocation = 125;
+
     Pte() = default;
     explicit Pte(std::uint64_t raw) : raw_(raw) {}
 
@@ -123,6 +128,32 @@ class Pte
         raw_ = (raw_ & ~(std::uint64_t{0x3} << 52)) |
                (static_cast<std::uint64_t>(bits) << 52);
     }
+
+    /** Remote-mapping routing bit 11, next to the scheme bits. */
+    bool remote() const { return bit(11); }
+    void setRemote(bool v) { setBit(11, v); }
+
+    /**
+     * Where the data lives, bits 54-60 holding location + 2, so
+     * all-zero bits read sim::kNoGpu.
+     */
+    sim::GpuId
+    location() const
+    {
+        return static_cast<sim::GpuId>((raw_ >> 54) & 0x7F) - 2;
+    }
+
+    void
+    setLocation(sim::GpuId location)
+    {
+        assert(location >= sim::kNoGpu && location <= kMaxLocation);
+        raw_ = (raw_ & ~(std::uint64_t{0x7F} << 54)) |
+               (static_cast<std::uint64_t>(location + 2) << 54);
+    }
+
+    /** Read-only duplication-replica routing bit 61. */
+    bool readOnlyReplica() const { return bit(61); }
+    void setReadOnlyReplica(bool v) { setBit(61, v); }
 
     bool operator==(const Pte &) const = default;
 

@@ -22,7 +22,7 @@ UvmDriver::invalidateRemoteMappings(sim::PageId page, sim::Cycle now)
 {
     PageInfo &info = directory_.info(page);
     sim::Cycle done = now;
-    for (sim::GpuId mapper : info.remoteMappers) {
+    for (sim::GpuId mapper : info.remoteMappers()) {
         gpu::Gpu &g = gpuAt(mapper);
         g.pageTable().invalidate(page);
         g.invalidatePage(page);
@@ -33,7 +33,7 @@ UvmDriver::invalidateRemoteMappings(sim::PageId page, sim::Cycle now)
         done = std::max(done, t);
         remoteInvalidationsCtr_.inc();
     }
-    info.remoteMappers.clear();
+    info.clearRemoteMappers();
     return done;
 }
 
@@ -43,7 +43,7 @@ UvmDriver::dropReplicas(sim::PageId page, sim::Cycle now,
 {
     PageInfo &info = directory_.info(page);
     sim::Cycle done = now;
-    for (sim::GpuId holder : info.replicas) {
+    for (sim::GpuId holder : info.replicas()) {
         gpu::Gpu &g = gpuAt(holder);
         sim::Cycle t = fabric_.message(now, sim::kHostId, holder,
                                        kMessageBytes);
@@ -57,12 +57,12 @@ UvmDriver::dropReplicas(sim::PageId page, sim::Cycle now,
     directory_.clearReplicas(page, now);
 
     // With no replicas left the owner's copy is exclusive again.
-    if (info.owner >= 0) {
-        gpu::Gpu &owner = gpuAt(info.owner);
+    if (info.owner() >= 0) {
+        gpu::Gpu &owner = gpuAt(info.owner());
         if (mem::PteRecord *rec = owner.pageTable().find(page)) {
             if (rec->pte.valid()) {
                 rec->pte.setWritable(true);
-                rec->readOnlyReplica = false;
+                rec->setReadOnlyReplica(false);
             }
         }
     }
@@ -92,13 +92,13 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
         // A dropped replica loses nothing: the owner still has the data.
         directory_.removeReplica(victim.page, gpu, now);
         replicaEvictionsCtr_.inc();
-        if (info.replicas.empty() && info.owner >= 0 &&
-            info.owner != gpu) {
-            gpu::Gpu &owner = gpuAt(info.owner);
+        if (info.replicas().empty() && info.owner() >= 0 &&
+            info.owner() != gpu) {
+            gpu::Gpu &owner = gpuAt(info.owner());
             if (mem::PteRecord *rec = owner.pageTable().find(victim.page)) {
                 if (rec->pte.valid()) {
                     rec->pte.setWritable(true);
-                    rec->readOnlyReplica = false;
+                    rec->setReadOnlyReplica(false);
                 }
             }
         }
@@ -108,20 +108,20 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
     // An owned page was evicted; translations to this copy are stale.
     ownerEvictionsCtr_.inc();
     now = invalidateRemoteMappings(victim.page, now);
-    while (!info.replicas.empty()) {
+    while (!info.replicas().empty()) {
         // Promote a replica to be the new authoritative copy, dropping
         // any stale directory entries whose frames are already gone.
-        const sim::GpuId heir = info.replicas.front();
+        const sim::GpuId heir = info.replicas().front();
         directory_.removeReplica(victim.page, heir, now);
         if (heir == gpu || !gpuAt(heir).dram().resident(victim.page)) {
             staleReplicaEntriesCtr_.inc();
             continue;
         }
-        info.owner = heir;
+        info.setOwner(heir);
         gpuAt(heir).dram().setKind(victim.page, mem::FrameKind::kOwned);
         // The heir's mapping stays write-protected while other replicas
         // remain; refresh its record to owned-local.
-        const bool write_protected = !info.replicas.empty();
+        const bool write_protected = !info.replicas().empty();
         gpuAt(heir).pageTable().install(victim.page,
                                         mem::MappingKind::kLocal, heir,
                                         !write_protected, write_protected);
@@ -133,12 +133,12 @@ UvmDriver::handleEviction(sim::GpuId gpu, const mem::Eviction &victim,
     (void)kind;
     spillsCtr_.inc();
     sim::Cycle t = now;
-    if (info.dirty) {
+    if (info.dirty()) {
         t = fabric_.transfer(now, gpu, sim::kHostId, geometry_->baseSize);
-        info.dirty = false;
+        info.setDirty(false);
         spillWritebacksCtr_.inc();
     }
-    info.owner = sim::kHostId;
+    info.setOwner(sim::kHostId);
     if (trace_)
         trace_->record("spill", "uvm", now, t - now, gpu, victim.page);
     return t;
@@ -167,7 +167,7 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
                        stats::LatencyKind kind)
 {
     PageInfo &info = directory_.info(page);
-    const sim::GpuId from = info.owner;
+    const sim::GpuId from = info.owner();
     const sim::Cycle start = now;
 
     if (from == to && gpuAt(to).dram().resident(page)) {
@@ -185,7 +185,7 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
         if (dram.capacity() != 0 && dram.size() >= dram.capacity() &&
             !dram.resident(page)) {
             injector_->noteMigrationFallback();
-            info.touched = true;
+            info.setTouched(true);
             const sim::Cycle done = mapRemote(page, to, now);
             breakdown_.add(kind, done - start);
             timelineRecord(stats::TimelineKind::kRemoteAccess, start);
@@ -198,7 +198,7 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     // mapping: splinter so the per-page shootdown below is coherent.
     t = splinterIfPromoted(page, t, mem::SplinterReason::kWriteSharing);
     // Any duplication replicas become stale once the page moves.
-    if (!info.replicas.empty())
+    if (!info.replicas().empty())
         t = dropReplicas(page, t, kind);
     // Remote translations point at the old copy; shoot them down.
     t = std::max(t, invalidateRemoteMappings(page, t));
@@ -217,8 +217,8 @@ UvmDriver::migratePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     t = fabric_.transfer(t, from, to, geometry_->baseSize);
     t = allocateFrame(to, page, mem::FrameKind::kOwned, t, kind);
 
-    info.owner = to;
-    info.touched = true;
+    info.setOwner(to);
+    info.setTouched(true);
     gpuAt(to).pageTable().install(page, mem::MappingKind::kLocal, to,
                                   /*writable=*/true);
     t += kRemapCycles;
@@ -237,7 +237,7 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
                          bool writable_replicas)
 {
     PageInfo &info = directory_.info(page);
-    const sim::GpuId from = info.owner;
+    const sim::GpuId from = info.owner();
     const sim::Cycle start = now;
     assert(from != to && !info.hasReplica(to));
 
@@ -261,14 +261,14 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     // The first replica write-protects the owner's copy so any write
     // raises a page-protection fault (Section II-B3). GPS-style
     // subscriptions skip this: stores broadcast instead of collapsing.
-    if (!writable_replicas && info.replicas.empty() && from >= 0) {
+    if (!writable_replicas && info.replicas().empty() && from >= 0) {
         gpu::Gpu &owner = gpuAt(from);
         sim::Cycle p = fabric_.message(t, sim::kHostId, from, kMessageBytes);
         p += kInvalidatePteCycles;
         if (mem::PteRecord *rec = owner.pageTable().find(page)) {
             if (rec->pte.valid()) {
                 rec->pte.setWritable(false);
-                rec->readOnlyReplica = true;
+                rec->setReadOnlyReplica(true);
             }
         }
         owner.invalidatePage(page);  // drop stale writable TLB entries
@@ -276,7 +276,7 @@ UvmDriver::duplicatePage(sim::PageId page, sim::GpuId to, sim::Cycle now,
     }
 
     directory_.addReplica(page, to, t);
-    info.touched = true;
+    info.setTouched(true);
     t += kRemapCycles;
 
     breakdown_.add(stats::LatencyKind::kPageDuplication, t - start);
@@ -293,7 +293,7 @@ sim::Cycle
 UvmDriver::prefetchPage(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
 {
     PageInfo &info = directory_.info(page);
-    if (info.owner != sim::kHostId)
+    if (info.owner() != sim::kHostId)
         return now;  // only host-resident pages are prefetch targets
     // Translations to the host copy go stale once the page moves.
     invalidateRemoteMappings(page, now);
@@ -304,10 +304,10 @@ UvmDriver::prefetchPage(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
     // If the requester held a replica, that frame just became the
     // authoritative copy; it must leave the replica list.
     directory_.removeReplica(page, gpu, t);
-    info.owner = gpu;
-    info.touched = true;
+    info.setOwner(gpu);
+    info.setTouched(true);
     // Surviving replicas keep the page write-protected.
-    const bool write_protected = !info.replicas.empty();
+    const bool write_protected = !info.replicas().empty();
     gpuAt(gpu).pageTable().install(page, mem::MappingKind::kLocal, gpu,
                                    /*writable=*/!write_protected,
                                    /*read_only_replica=*/write_protected);
@@ -322,7 +322,7 @@ sim::Cycle
 UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
 {
     PageInfo &info = directory_.info(page);
-    const sim::GpuId old_owner = info.owner;
+    const sim::GpuId old_owner = info.owner();
     const sim::Cycle start = now;
 
     // Defensive: a collapse inside a promoted region (reachable only
@@ -333,12 +333,7 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
     // Invalidate every holder except the writer: replica holders and
     // the old owner flush pipelines, caches, and TLBs (Section II-B3).
     sim::Cycle t = now;
-    std::vector<sim::GpuId> holders = info.replicas;
-    if (old_owner >= 0 && old_owner != writer)
-        holders.push_back(old_owner);
-    for (sim::GpuId holder : holders) {
-        if (holder == writer)
-            continue;
+    const auto invalidate = [&](sim::GpuId holder) {
         gpu::Gpu &g = gpuAt(holder);
         sim::Cycle h = fabric_.message(now, sim::kHostId, holder,
                                        kMessageBytes);
@@ -347,7 +342,13 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
         g.dram().erase(page);
         h = fabric_.message(h, holder, sim::kHostId, kMessageBytes);
         t = std::max(t, h);
+    };
+    for (sim::GpuId holder : info.replicas()) {
+        if (holder != writer)
+            invalidate(holder);
     }
+    if (old_owner >= 0 && old_owner != writer)
+        invalidate(old_owner);
 
     // Remote translations also referenced the collapsed copy.
     t = std::max(t, invalidateRemoteMappings(page, t));
@@ -367,8 +368,8 @@ UvmDriver::collapsePage(sim::PageId page, sim::GpuId writer, sim::Cycle now)
         gpuAt(writer).dram().touch(page);
     }
 
-    info.owner = writer;
-    info.touched = true;
+    info.setOwner(writer);
+    info.setTouched(true);
     gpuAt(writer).pageTable().install(page, mem::MappingKind::kLocal,
                                       writer, /*writable=*/true);
     t += kRemapCycles;
@@ -405,7 +406,7 @@ sim::Cycle
 UvmDriver::resetDuplication(sim::PageId page, sim::Cycle now)
 {
     PageInfo &info = directory_.info(page);
-    if (info.replicas.empty())
+    if (info.replicas().empty())
         return now;
     schemeResetCollapsesCtr_.inc();
     return dropReplicas(page, now, stats::LatencyKind::kWriteCollapse);

@@ -99,7 +99,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     timelineRecord(stats::TimelineKind::kFault, now);
 
     PageInfo &info = directory_.info(page);
-    const bool cold = !info.touched;
+    const bool cold = !info.touched();
 
     policy::FaultInfo fi;
     fi.gpu = gpu;
@@ -107,8 +107,8 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     fi.write = write;
     fi.protectionFault = protection_fault;
     fi.coldTouch = cold;
-    fi.owner = info.owner;
-    fi.replicaCount = static_cast<unsigned>(info.replicas.size());
+    fi.owner = info.owner();
+    fi.replicaCount = static_cast<unsigned>(info.replicas().size());
 
     const auto [action, overhead] = policy_->onFault(fi, now);
 
@@ -116,11 +116,12 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
     // remote mapping fetches the translation from the owning GPU over
     // NVLink instead of round-tripping through the host driver.
     if (config_.transFw && !cold && !protection_fault &&
-        action == policy::FaultAction::kMapRemote && info.owner >= 0 &&
-        info.owner != gpu) {
-        sim::Cycle at = fabric_.message(now, gpu, info.owner, kMessageBytes);
+        action == policy::FaultAction::kMapRemote && info.owner() >= 0 &&
+        info.owner() != gpu) {
+        sim::Cycle at =
+            fabric_.message(now, gpu, info.owner(), kMessageBytes);
         at += kTransFwCycles + overhead;
-        at = fabric_.message(at, info.owner, gpu, kMessageBytes);
+        at = fabric_.message(at, info.owner(), gpu, kMessageBytes);
         const sim::Cycle done = mapRemote(page, gpu, at);
         breakdown_.add(stats::LatencyKind::kHost, done - now);
         transfwForwardsCtr_.inc();
@@ -147,7 +148,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
         }
     }
     const bool other_holders =
-        fi.replicaCount > 0 || (info.owner >= 0 && info.owner != gpu);
+        fi.replicaCount > 0 || (info.owner() >= 0 && info.owner() != gpu);
     const bool collapses =
         protection_fault ||
         (!cold && write && action == policy::FaultAction::kDuplicate &&
@@ -172,7 +173,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
                                stats::LatencyKind::kPageMigration);
             break;
           case policy::FaultAction::kMapRemote:
-            if (info.owner == gpu)
+            if (info.owner() == gpu)
                 done = refillMapping(page, gpu, at);
             else
                 done = mapRemote(page, gpu, at);
@@ -180,13 +181,13 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
           case policy::FaultAction::kDuplicate:
             if (write)
                 done = collapsePage(page, gpu, at);
-            else if (info.owner == gpu || info.hasReplica(gpu))
+            else if (info.owner() == gpu || info.hasReplica(gpu))
                 done = refillMapping(page, gpu, at);
             else
                 done = duplicatePage(page, gpu, at);
             break;
           case policy::FaultAction::kSubscribe:
-            if (info.owner == gpu || info.hasReplica(gpu)) {
+            if (info.owner() == gpu || info.hasReplica(gpu)) {
                 // GPS replicas stay writable; just repair the mapping.
                 gpuAt(gpu).pageTable().install(
                     page, mem::MappingKind::kLocal, gpu,
@@ -209,7 +210,7 @@ UvmDriver::handleFault(sim::GpuId gpu, sim::PageId page, bool write,
 
     // The replayed write will dirty the page as soon as it retires.
     if (write)
-        info.dirty = true;
+        info.setDirty(true);
 
     // Dynamic huge pages: count the region's fault heat and promote it
     // once hot and fully, exclusively resident here. One branch when
@@ -236,9 +237,9 @@ UvmDriver::mapRemote(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
     // Precondition: the mapper holds no local copy — a remote PTE would
     // shadow the frame and strand the directory's mapper entry when the
     // frame is later evicted.
-    assert(info.owner != gpu && !info.hasReplica(gpu));
+    assert(info.owner() != gpu && !info.hasReplica(gpu));
     gpuAt(gpu).pageTable().install(page, mem::MappingKind::kRemote,
-                                   info.owner, /*writable=*/true);
+                                   info.owner(), /*writable=*/true);
     info.addRemoteMapper(gpu);
     remoteMapsCtr_.inc();
     return now + kRemapCycles;
@@ -250,7 +251,7 @@ UvmDriver::refillMapping(sim::PageId page, sim::GpuId gpu, sim::Cycle now)
     PageInfo &info = directory_.info(page);
     const bool replica = info.hasReplica(gpu);
     const bool write_protected =
-        replica || (info.owner == gpu && !info.replicas.empty());
+        replica || (info.owner() == gpu && !info.replicas().empty());
     gpuAt(gpu).pageTable().install(page, mem::MappingKind::kLocal, gpu,
                                    /*writable=*/!write_protected,
                                    /*read_only_replica=*/write_protected);
@@ -271,7 +272,7 @@ UvmDriver::counterMigration(sim::GpuId gpu, sim::PageId page,
     for (unsigned i = 0; i < group_pages; ++i) {
         const sim::PageId p = base + i;
         const PageInfo *info = directory_.find(p);
-        if (info == nullptr || !info->touched || info->owner == gpu)
+        if (info == nullptr || !info->touched() || info->owner() == gpu)
             continue;
         if (policy_ != nullptr && !policy_->countsRemote(p))
             continue;
@@ -308,13 +309,13 @@ UvmDriver::maybePromote(sim::GpuId gpu, sim::PageId page, sim::Cycle now)
     for (std::uint64_t i = 0; i < pages; ++i) {
         const sim::PageId p = first + i;
         const PageInfo *info = directory_.find(p);
-        if (info == nullptr || !info->touched || info->owner != gpu ||
-            !info->replicas.empty() || !info->remoteMappers.empty())
+        if (info == nullptr || !info->touched() || info->owner() != gpu ||
+            !info->replicas().empty() || !info->remoteMappers().empty())
             return now;
         const mem::PteRecord *rec = g.pageTable().find(p);
         if (rec == nullptr || !rec->pte.valid() ||
-            rec->kind != mem::MappingKind::kLocal ||
-            !rec->pte.writable() || rec->readOnlyReplica)
+            rec->kind() != mem::MappingKind::kLocal ||
+            !rec->pte.writable() || rec->readOnlyReplica())
             return now;
     }
 

@@ -24,7 +24,7 @@ TEST(GriffinDpc, ColdMigratesThenMapsRemote)
     sys.driver->handleFault(0, 10, false, false, 0);
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);
     sys.driver->handleFault(1, 10, false, false, 1000);
-    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->kind,
+    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->kind(),
               mem::MappingKind::kRemote);
 }
 
@@ -73,7 +73,7 @@ TEST(Gps, SubscribesWithWritableReplica)
     const mem::PteRecord *rec = sys.gpu(1).pageTable().find(10);
     ASSERT_NE(rec, nullptr);
     EXPECT_TRUE(rec->pte.writable());       // GPS replicas are writable
-    EXPECT_FALSE(rec->readOnlyReplica);
+    EXPECT_FALSE(rec->readOnlyReplica());
     // The owner keeps write permission too: no collapses under GPS.
     EXPECT_TRUE(sys.gpu(0).pageTable().find(10)->pte.writable());
     EXPECT_TRUE(sys.driver->directory().find(10)->hasReplica(1));

@@ -38,8 +38,8 @@ validate(MiniSystem &sys, sim::PageId max_page)
         const std::string tag = "page " + std::to_string(page) + ": ";
 
         // 1) A GPU owner must back the page with an owned frame.
-        if (info->owner >= 0) {
-            auto &dram = sys.gpu(static_cast<unsigned>(info->owner)).dram();
+        if (info->owner() >= 0) {
+            auto &dram = sys.gpu(static_cast<unsigned>(info->owner())).dram();
             if (!dram.resident(page))
                 return tag + "owner frame missing";
             if (dram.kindOf(page) != mem::FrameKind::kOwned)
@@ -47,11 +47,11 @@ validate(MiniSystem &sys, sim::PageId max_page)
         }
 
         // 2) The owner never appears in its own replica list.
-        if (info->owner >= 0 && info->hasReplica(info->owner))
+        if (info->owner() >= 0 && info->hasReplica(info->owner()))
             return tag + "owner listed as replica";
 
         // 3) Every replica holder backs the page with a replica frame.
-        for (sim::GpuId holder : info->replicas) {
+        for (sim::GpuId holder : info->replicas()) {
             auto &dram = sys.gpu(static_cast<unsigned>(holder)).dram();
             if (!dram.resident(page))
                 return tag + "replica frame missing at GPU " +
@@ -67,34 +67,34 @@ validate(MiniSystem &sys, sim::PageId max_page)
                 sys.gpu(g).pageTable().find(page);
             if (rec == nullptr || !rec->pte.valid())
                 continue;
-            if (rec->kind == mem::MappingKind::kLocal) {
+            if (rec->kind() == mem::MappingKind::kLocal) {
                 if (!sys.gpu(g).dram().resident(page))
                     return tag + "valid local PTE without frame at GPU " +
                            std::to_string(g);
             } else {
-                if (rec->location != info->owner)
+                if (rec->location() != info->owner())
                     return tag + "remote PTE points at " +
-                           std::to_string(rec->location) + " but owner is " +
-                           std::to_string(info->owner);
+                           std::to_string(rec->location()) + " but owner is " +
+                           std::to_string(info->owner());
             }
         }
 
         // 5) Replicas imply a write-protected page: any valid local
         //    mapping of a replicated page must be read-only.
-        if (!info->replicas.empty() && info->owner >= 0) {
+        if (!info->replicas().empty() && info->owner() >= 0) {
             const mem::PteRecord *rec =
-                sys.gpu(static_cast<unsigned>(info->owner))
+                sys.gpu(static_cast<unsigned>(info->owner()))
                     .pageTable()
                     .find(page);
             // GPS (writable replicas) opts out via readOnlyReplica on
             // neither side; only enforce when a replica PTE is RO.
-            const sim::GpuId holder = info->replicas.front();
+            const sim::GpuId holder = info->replicas().front();
             const mem::PteRecord *replica_rec =
                 sys.gpu(static_cast<unsigned>(holder))
                     .pageTable()
                     .find(page);
             if (replica_rec != nullptr && replica_rec->pte.valid() &&
-                replica_rec->readOnlyReplica && rec != nullptr &&
+                replica_rec->readOnlyReplica() && rec != nullptr &&
                 rec->pte.valid() && rec->pte.writable()) {
                 return tag + "writable owner with read-only replicas";
             }
@@ -141,12 +141,12 @@ stress(bool with_prefetcher, std::uint64_t seed, const Args &...args)
         const mem::PteRecord *rec =
             sys.gpu(static_cast<unsigned>(gpu)).pageTable().find(page);
         const bool usable = rec != nullptr && rec->pte.valid() &&
-                            (!write || !rec->readOnlyReplica);
+                            (!write || !rec->readOnlyReplica());
         if (!usable) {
             const bool protection = rec != nullptr && rec->pte.valid() &&
-                                    write && rec->readOnlyReplica;
+                                    write && rec->readOnlyReplica();
             sys.driver->handleFault(gpu, page, write, protection, now);
-        } else if (rec->kind == mem::MappingKind::kRemote &&
+        } else if (rec->kind() == mem::MappingKind::kRemote &&
                    p->countsRemote(page) &&
                    sys.gpu(static_cast<unsigned>(gpu))
                        .counters()
@@ -155,7 +155,7 @@ stress(bool with_prefetcher, std::uint64_t seed, const Args &...args)
         }
         p->onAccess(gpu, page, write,
                     rec != nullptr &&
-                        rec->kind == mem::MappingKind::kRemote,
+                        rec->kind() == mem::MappingKind::kRemote,
                     now);
 
         if (op % 100 == 0) {

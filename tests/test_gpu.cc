@@ -73,7 +73,7 @@ TEST(Gpu, TranslateHitsAfterInstallAndFill)
     TranslateOutcome out = gpu.translate(0, 42, false, 0);
     EXPECT_FALSE(out.fault);
     ASSERT_NE(out.rec, nullptr);
-    EXPECT_EQ(out.rec->location, 0);
+    EXPECT_EQ(out.rec->location(), 0);
     const sim::Cycle walked = out.readyAt;
 
     // Second access: L1 TLB hit, much faster.

@@ -72,7 +72,7 @@ TEST(GritPolicy, WrittenSharedPageConvertsToAccessCounter)
     // The triggering fault already resolved as a remote mapping: GPU 1
     // now reads GPU 0's copy over the fabric.
     EXPECT_EQ(sys->driver->directory().ownerOf(10), 0);
-    EXPECT_EQ(sys->gpu(1).pageTable().find(10)->kind,
+    EXPECT_EQ(sys->gpu(1).pageTable().find(10)->kind(),
               mem::MappingKind::kRemote);
 }
 
@@ -172,13 +172,13 @@ TEST(GritPolicy, SchemeResetFromDuplicationDropsReplicas)
     sys->driver->handleFault(1, 10, false, false, 100000);
     EXPECT_EQ(grit->schemeOf(10), mem::Scheme::kDuplication);
     sys->driver->handleFault(2, 10, false, false, 200000);
-    EXPECT_FALSE(sys->driver->directory().find(10)->replicas.empty());
+    EXPECT_FALSE(sys->driver->directory().find(10)->replicas().empty());
 
     // Two write faults flip the page to access counter; replicas die.
     sys->driver->handleFault(1, 10, true, true, 300000);
     sys->driver->handleFault(2, 10, true, false, 400000);
     EXPECT_EQ(grit->schemeOf(10), mem::Scheme::kAccessCounter);
-    EXPECT_TRUE(sys->driver->directory().find(10)->replicas.empty());
+    EXPECT_TRUE(sys->driver->directory().find(10)->replicas().empty());
 }
 
 TEST(GritPolicy, FaultOverheadReflectsPaMachinery)

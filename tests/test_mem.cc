@@ -30,8 +30,8 @@ TEST(PageTable, InstallAndLookup)
     EXPECT_TRUE(pt.translates(5));
     const PteRecord *rec = pt.find(5);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->kind, MappingKind::kLocal);
-    EXPECT_EQ(rec->location, 0);
+    EXPECT_EQ(rec->kind(), MappingKind::kLocal);
+    EXPECT_EQ(rec->location(), 0);
     EXPECT_TRUE(rec->pte.writable());
 }
 
@@ -39,8 +39,8 @@ TEST(PageTable, RemoteMapping)
 {
     PageTable pt;
     pt.install(9, MappingKind::kRemote, 3, /*writable=*/true);
-    EXPECT_EQ(pt.find(9)->kind, MappingKind::kRemote);
-    EXPECT_EQ(pt.find(9)->location, 3);
+    EXPECT_EQ(pt.find(9)->kind(), MappingKind::kRemote);
+    EXPECT_EQ(pt.find(9)->location(), 3);
 }
 
 TEST(PageTable, InvalidateKeepsSchemeAnnotation)
@@ -88,9 +88,9 @@ TEST(PageTable, ReadOnlyReplicaFlag)
     PageTable pt;
     pt.install(4, MappingKind::kLocal, 2, /*writable=*/false,
                /*read_only_replica=*/true);
-    EXPECT_TRUE(pt.find(4)->readOnlyReplica);
+    EXPECT_TRUE(pt.find(4)->readOnlyReplica());
     pt.invalidate(4);
-    EXPECT_FALSE(pt.find(4)->readOnlyReplica);
+    EXPECT_FALSE(pt.find(4)->readOnlyReplica());
 }
 
 // ------------------------------------------------------------------------ Tlb

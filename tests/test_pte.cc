@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/page_table.h"
 #include "mem/pte.h"
 
 namespace grit::mem {
@@ -83,6 +84,75 @@ TEST(Pte, FieldsAreIndependent)
     EXPECT_TRUE(pte.valid());
     EXPECT_EQ(pte.pfn(), 0xABCDEu);
     EXPECT_EQ(pte.groupBits(), GroupBits::kPages64);
+
+    // The routing bits touch none of Fig. 14's fields, nor they them.
+    pte.setScheme(Scheme::kDuplication);
+    pte.setRemote(true);
+    pte.setLocation(63);
+    pte.setReadOnlyReplica(true);
+    EXPECT_TRUE(pte.valid());
+    EXPECT_TRUE(pte.writable());
+    EXPECT_EQ(pte.scheme(), Scheme::kDuplication);
+    EXPECT_EQ(pte.pfn(), 0xABCDEu);
+    EXPECT_EQ(pte.groupBits(), GroupBits::kPages64);
+    pte.setPfn((std::uint64_t{1} << 40) - 1);
+    pte.setGroupBits(GroupBits::kPages512);
+    pte.setScheme(Scheme::kNone);
+    EXPECT_TRUE(pte.remote());
+    EXPECT_EQ(pte.location(), 63);
+    EXPECT_TRUE(pte.readOnlyReplica());
+    pte.setLocation(sim::kNoGpu);
+    pte.setRemote(false);
+    pte.setReadOnlyReplica(false);
+    EXPECT_EQ(pte.pfn(), (std::uint64_t{1} << 40) - 1);
+    EXPECT_EQ(pte.groupBits(), GroupBits::kPages512);
+    EXPECT_TRUE(pte.valid());
+}
+
+TEST(Pte, RoutingBitsOccupyBits11And54To61)
+{
+    Pte pte;
+    pte.setRemote(true);
+    EXPECT_EQ(pte.raw(), std::uint64_t{1} << 11);
+    pte.setRemote(false);
+    pte.setReadOnlyReplica(true);
+    EXPECT_EQ(pte.raw(), std::uint64_t{1} << 61);
+    pte.setReadOnlyReplica(false);
+    pte.setLocation(0);  // stored as location + 2
+    EXPECT_EQ(pte.raw(), std::uint64_t{2} << 54);
+    pte.setLocation(Pte::kMaxLocation);
+    EXPECT_EQ(pte.raw(), std::uint64_t{0x7F} << 54);
+    pte.setLocation(sim::kNoGpu);
+    EXPECT_EQ(pte.raw(), 0u);
+}
+
+TEST(Pte, RoutingBitsRoundTrip)
+{
+    for (const sim::GpuId location : {sim::kNoGpu, sim::kHostId, 0, 63}) {
+        for (const bool remote : {false, true}) {
+            for (const bool read_only : {false, true}) {
+                Pte pte;
+                pte.setLocation(location);
+                pte.setRemote(remote);
+                pte.setReadOnlyReplica(read_only);
+                const Pte copy(pte.raw());
+                EXPECT_EQ(copy.location(), location);
+                EXPECT_EQ(copy.remote(), remote);
+                EXPECT_EQ(copy.readOnlyReplica(), read_only);
+                EXPECT_FALSE(copy.valid());
+                EXPECT_EQ(copy.scheme(), Scheme::kNone);
+            }
+        }
+    }
+}
+
+TEST(PteRecord, DefaultIsRawZeroAndUnrouted)
+{
+    const PteRecord rec;
+    EXPECT_EQ(rec.pte.raw(), 0u);
+    EXPECT_EQ(rec.location(), sim::kNoGpu);
+    EXPECT_EQ(rec.kind(), MappingKind::kLocal);
+    EXPECT_FALSE(rec.readOnlyReplica());
 }
 
 TEST(Pte, RawRoundTrip)

@@ -333,7 +333,7 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
             const uvm::PageInfo *info =
                 sys.driver->directory().find(page);
             const sim::GpuId owner =
-                info != nullptr ? info->owner : sim::kHostId;
+                info != nullptr ? info->owner() : sim::kHostId;
             switch (rng.below(7)) {
               case 0:
                 sys.driver->migratePage(
@@ -357,7 +357,7 @@ TEST(InvariantAuditor, PropertyRandomOpSequencesStayConsistent)
                 break;
               case 4:
                 // Protection-fault path: write collapse of replicas.
-                if (info != nullptr && info->touched)
+                if (info != nullptr && info->touched())
                     sys.driver->handleFault(gpu, page, true, true, now);
                 break;
               case 5:
@@ -473,7 +473,7 @@ TEST(InvariantAuditor, DetectsAReplicaHolderListedTwice)
     EXPECT_TRUE(auditor.audit().empty());
 
     // Corrupt: list GPU 1's (real, frame-backed) replica a second time.
-    sys.driver->directory().info(10).replicas.push_back(1);
+    sys.driver->directory().info(10).appendReplica(1);
     EXPECT_TRUE(reports(auditor.audit(), "gpu1 listed twice as replica"));
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "simcore/page_map.h"
 #include "test_util.h"
 #include "uvm/fault.h"
 #include "uvm/replica_directory.h"
@@ -57,14 +62,147 @@ TEST(ReplicaDirectory, TracksReplicasAndMappersUniquely)
     info.addReplica(2);
     info.addRemoteMapper(3);
     info.addRemoteMapper(3);
-    EXPECT_EQ(info.replicas.size(), 1u);
-    EXPECT_EQ(info.remoteMappers.size(), 1u);
+    EXPECT_EQ(info.replicas().size(), 1u);
+    EXPECT_EQ(info.remoteMappers().size(), 1u);
     EXPECT_TRUE(info.hasReplica(2));
     EXPECT_TRUE(info.hasRemoteMapper(3));
     info.removeReplica(2);
     info.removeRemoteMapper(3);
     EXPECT_FALSE(info.hasReplica(2));
     EXPECT_FALSE(info.hasRemoteMapper(3));
+}
+
+std::vector<sim::GpuId>
+ids(PageInfo::GpuList xs)
+{
+    return {xs.begin(), xs.end()};
+}
+
+using Ids = std::vector<sim::GpuId>;
+
+TEST(PageInfo, ListsKeepInsertionOrderAcrossAddsAndRemoves)
+{
+    PageInfo info;
+    info.addReplica(3);
+    info.addRemoteMapper(5);
+    info.addReplica(1);
+    info.addRemoteMapper(0);
+    info.addReplica(2);
+    info.addRemoteMapper(7);
+    EXPECT_EQ(ids(info.replicas()), (Ids{3, 1, 2}));
+    EXPECT_EQ(ids(info.remoteMappers()), (Ids{5, 0, 7}));
+
+    info.removeReplica(1);
+    info.removeRemoteMapper(5);
+    info.addReplica(6);
+    info.addRemoteMapper(4);
+    info.removeReplica(9);  // absent: no change
+    EXPECT_EQ(ids(info.replicas()), (Ids{3, 2, 6}));
+    EXPECT_EQ(ids(info.remoteMappers()), (Ids{0, 7, 4}));
+    EXPECT_EQ(info.replicas().front(), 3);
+}
+
+TEST(PageInfo, ClearingOneListKeepsTheOther)
+{
+    PageInfo info;
+    info.addReplica(1);
+    info.addReplica(2);
+    info.addRemoteMapper(3);
+    info.addRemoteMapper(0);
+    info.clearReplicas();
+    EXPECT_TRUE(info.replicas().empty());
+    EXPECT_EQ(ids(info.remoteMappers()), (Ids{3, 0}));
+
+    info.addReplica(2);
+    info.clearRemoteMappers();
+    EXPECT_EQ(ids(info.replicas()), (Ids{2}));
+    EXPECT_TRUE(info.remoteMappers().empty());
+}
+
+/** A 64-GPU page: every even GPU a replica, every odd one a mapper. */
+void
+shareWithAllGpus(PageInfo &info, Ids &replicas, Ids &mappers)
+{
+    for (sim::GpuId g = 0; g < 64; g += 2) {
+        const sim::GpuId replica = 62 - g;  // descending, to test order
+        const sim::GpuId mapper = g + 1;
+        info.addReplica(replica);
+        info.addRemoteMapper(mapper);
+        replicas.push_back(replica);
+        mappers.push_back(mapper);
+    }
+}
+
+TEST(PageInfo, SixtyFourSharersSpillAndKeepTheirOrder)
+{
+    PageInfo info;
+    info.setOwner(63);
+    info.setTouched(true);
+    info.setDirty(true);
+    Ids replicas, mappers;
+    shareWithAllGpus(info, replicas, mappers);
+    EXPECT_EQ(ids(info.replicas()), replicas);
+    EXPECT_EQ(ids(info.remoteMappers()), mappers);
+    EXPECT_EQ(info.owner(), 63);
+    EXPECT_TRUE(info.touched());
+    EXPECT_TRUE(info.dirty());
+
+    // Removes and re-adds on the spilled block keep both orders.
+    info.removeReplica(62);
+    info.removeRemoteMapper(33);
+    info.addReplica(62);
+    replicas.erase(replicas.begin());
+    replicas.push_back(62);
+    mappers.erase(std::find(mappers.begin(), mappers.end(), 33));
+    EXPECT_EQ(ids(info.replicas()), replicas);
+    EXPECT_EQ(ids(info.remoteMappers()), mappers);
+    EXPECT_TRUE(info.hasReplica(0));
+    EXPECT_FALSE(info.hasRemoteMapper(33));
+
+    info.clearReplicas();
+    EXPECT_TRUE(info.replicas().empty());
+    EXPECT_EQ(ids(info.remoteMappers()), mappers);
+}
+
+TEST(PageInfo, MovedRecordKeepsItsSharers)
+{
+    for (const bool spill : {false, true}) {
+        PageInfo info;
+        info.setOwner(1);
+        Ids replicas, mappers;
+        if (spill) {
+            shareWithAllGpus(info, replicas, mappers);
+        } else {
+            info.addReplica(2);
+            info.addRemoteMapper(0);
+            replicas = {2};
+            mappers = {0};
+        }
+
+        PageInfo moved(std::move(info));
+        EXPECT_EQ(moved.owner(), 1);
+        EXPECT_EQ(ids(moved.replicas()), replicas);
+        EXPECT_EQ(ids(moved.remoteMappers()), mappers);
+
+        PageInfo assigned;
+        assigned.addReplica(5);
+        assigned = std::move(moved);
+        EXPECT_EQ(assigned.owner(), 1);
+        EXPECT_EQ(ids(assigned.replicas()), replicas);
+        EXPECT_EQ(ids(assigned.remoteMappers()), mappers);
+    }
+}
+
+TEST(PageInfo, EraseFreesASpilledRecord)
+{
+    // The leak check of a sanitizer build sees a block erase forgot.
+    sim::PageMap<PageInfo> pages;
+    Ids replicas, mappers;
+    shareWithAllGpus(pages[5], replicas, mappers);
+    EXPECT_TRUE(pages.erase(5));
+    EXPECT_EQ(pages.find(5), nullptr);
+    EXPECT_TRUE(pages[5].replicas().empty());
+    EXPECT_TRUE(pages[5].remoteMappers().empty());
 }
 
 TEST(ReplicaDirectory, TotalReplicas)
@@ -143,8 +281,8 @@ TEST(UvmDriver, AccessCounterPolicyMapsRemote)
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 0);  // stays put
     const mem::PteRecord *rec = sys.gpu(1).pageTable().find(10);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->kind, mem::MappingKind::kRemote);
-    EXPECT_EQ(rec->location, 0);
+    EXPECT_EQ(rec->kind(), mem::MappingKind::kRemote);
+    EXPECT_EQ(rec->location(), 0);
     EXPECT_TRUE(
         sys.driver->directory().find(10)->hasRemoteMapper(1));
     EXPECT_EQ(sys.stats.get("uvm.remote_maps"), 1u);
@@ -161,7 +299,7 @@ TEST(UvmDriver, MigrationInvalidatesRemoteMappers)
     EXPECT_EQ(sys.driver->directory().ownerOf(10), 2);
     EXPECT_FALSE(sys.gpu(1).pageTable().translates(10));
     EXPECT_TRUE(
-        sys.driver->directory().find(10)->remoteMappers.empty());
+        sys.driver->directory().find(10)->remoteMappers().empty());
 }
 
 TEST(UvmDriver, CounterMigrationPullsGroupPages)
@@ -188,11 +326,11 @@ TEST(UvmDriver, ReadFaultDuplicates)
 
     const PageInfo *info = sys.driver->directory().find(10);
     ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->owner, 0);
+    EXPECT_EQ(info->owner(), 0);
     EXPECT_TRUE(info->hasReplica(1));
     // Replica mapping is read-only; the owner is write-protected too.
-    EXPECT_TRUE(sys.gpu(1).pageTable().find(10)->readOnlyReplica);
-    EXPECT_TRUE(sys.gpu(0).pageTable().find(10)->readOnlyReplica);
+    EXPECT_TRUE(sys.gpu(1).pageTable().find(10)->readOnlyReplica());
+    EXPECT_TRUE(sys.gpu(0).pageTable().find(10)->readOnlyReplica());
     EXPECT_EQ(sys.gpu(1).dram().kindOf(10), mem::FrameKind::kReplica);
     EXPECT_EQ(sys.stats.get("uvm.duplications"), 1u);
 }
@@ -204,13 +342,13 @@ TEST(UvmDriver, WriteCollapseMakesWriterExclusive)
     sys.driver->handleFault(0, 10, false, false, 0);
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->handleFault(2, 10, false, false, 200000);
-    EXPECT_EQ(sys.driver->directory().find(10)->replicas.size(), 2u);
+    EXPECT_EQ(sys.driver->directory().find(10)->replicas().size(), 2u);
 
     // GPU 1 writes its read-only replica: protection fault -> collapse.
     sys.driver->handleFault(1, 10, true, true, 300000);
     const PageInfo *info = sys.driver->directory().find(10);
-    EXPECT_EQ(info->owner, 1);
-    EXPECT_TRUE(info->replicas.empty());
+    EXPECT_EQ(info->owner(), 1);
+    EXPECT_TRUE(info->replicas().empty());
     EXPECT_FALSE(sys.gpu(0).pageTable().translates(10));
     EXPECT_FALSE(sys.gpu(2).pageTable().translates(10));
     EXPECT_TRUE(sys.gpu(1).pageTable().find(10)->pte.writable());
@@ -252,8 +390,8 @@ TEST(UvmDriver, ResetDuplicationDropsReplicas)
     sys.driver->handleFault(1, 10, false, false, 100000);
     sys.driver->resetDuplication(10, 200000);
     const PageInfo *info = sys.driver->directory().find(10);
-    EXPECT_TRUE(info->replicas.empty());
-    EXPECT_EQ(info->owner, 0);
+    EXPECT_TRUE(info->replicas().empty());
+    EXPECT_EQ(info->owner(), 0);
     EXPECT_TRUE(sys.gpu(0).pageTable().find(10)->pte.writable());
     EXPECT_FALSE(sys.gpu(1).pageTable().translates(10));
 }
@@ -295,7 +433,7 @@ TEST(UvmDriver, EvictedOwnerPromotesReplica)
     sys.driver->handleFault(0, 2, false, false, 200000);
     sys.driver->handleFault(0, 3, false, false, 300000);
     const PageInfo *info = sys.driver->directory().find(1);
-    EXPECT_EQ(info->owner, 1);  // replica promoted to owner
+    EXPECT_EQ(info->owner(), 1);  // replica promoted to owner
     EXPECT_FALSE(info->hasReplica(1));
     EXPECT_EQ(sys.gpu(1).dram().kindOf(1), mem::FrameKind::kOwned);
 }
@@ -310,7 +448,7 @@ TEST(UvmDriver, IdealInstallsLocalAtAllRequesters)
     sys.driver->handleFault(1, 10, false, false, 100000);  // ideal-local
     EXPECT_TRUE(sys.gpu(0).pageTable().translates(10));
     EXPECT_TRUE(sys.gpu(1).pageTable().translates(10));
-    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->location, 1);
+    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->location(), 1);
 }
 
 // --------------------------------------------------------------------- TransFW
@@ -324,7 +462,7 @@ TEST(UvmDriver, TransFwShortCircuitsRemoteMapping)
     sys.driver->handleFault(0, 10, false, false, 0);  // cold via host
     sys.driver->handleFault(1, 10, false, false, 100000);
     EXPECT_EQ(sys.stats.get("uvm.transfw_forwards"), 1u);
-    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->kind,
+    EXPECT_EQ(sys.gpu(1).pageTable().find(10)->kind(),
               mem::MappingKind::kRemote);
 }
 
