@@ -143,6 +143,24 @@ SERVE_PID=""
 [ "$DRAIN_EXIT" = 0 ] || fail "SIGTERM drain exited $DRAIN_EXIT, want 0"
 [ -s "$WORKDIR/serve2.json" ] ||
     fail "drained daemon wrote no service-counters document"
+# The drain document is the envelope, an empty "runs" array and the
+# "service" object, whose keys come in the order `grit_submit --stats`
+# prints them (both walk kServiceCounterFields).
+python3 - "$WORKDIR/serve2.json" "$WORKDIR/stats2.out" <<'EOF' ||
+import json, sys
+doc = json.load(open(sys.argv[1]))
+stats = [line.split()[0].removeprefix("service.")
+         for line in open(sys.argv[2])]
+top = ["schema", "version", "generator", "title", "params", "runs",
+       "service"]
+if list(doc) != top:
+    sys.exit(f"top-level keys {list(doc)}, want {top}")
+if doc["runs"] != []:
+    sys.exit(f"runs is {doc['runs']}, want []")
+if list(doc["service"]) != stats:
+    sys.exit(f"service keys {list(doc['service'])}, want {stats}")
+EOF
+    fail "drain document layout changed"
 
 # ---- 4. schema validation --------------------------------------------
 

@@ -12,6 +12,7 @@
 #include "harness/experiment_engine.h"
 #include "harness/results_io.h"
 #include "simcore/trace_recorder.h"
+#include "stats/interval_sampler.h"
 #include "stats/json_writer.h"
 #include "stats/result_sink.h"
 #include "stats/timeline.h"
@@ -177,6 +178,96 @@ TEST(ResultSink, TimelineKeyNamesMatchKinds)
     EXPECT_STREQ(names[static_cast<unsigned>(
                      stats::TimelineKind::kRemoteAccess)],
                  "remote_access");
+}
+
+// ------------------------------------------------------------ ResultsIo
+
+/**
+ * A sweep no golden holds: one complete run with a timeline, one
+ * salvaged partial run cut by its deadline, that run's failure record,
+ * and --sweep-stats over an unused trace cache.
+ */
+harness::SweepResult
+handBuiltSweep()
+{
+    harness::RunResult done;
+    done.cycles = 1000;
+    done.accesses = 400;
+    done.accessesBatched = 100;
+    done.localFaults = 7;
+    done.protectionFaults = 2;
+    done.evictions = 3;
+    done.peakReplicas = 5;
+    done.schemeAccesses = {1, 2, 3, 4};
+    done.breakdown.add(stats::LatencyKind::kLocal, 10);
+    done.breakdown.add(stats::LatencyKind::kWriteCollapse, 5);
+    done.counters = {{"gpu0.faults", 7}, {"uvm.migrations", 3}};
+    stats::IntervalSampler timeline(500, stats::kTimelineKinds);
+    timeline.record(0, static_cast<unsigned>(stats::TimelineKind::kFault),
+                    3);
+    timeline.record(
+        700, static_cast<unsigned>(stats::TimelineKind::kRemoteAccess), 2);
+    done.timeline = timeline;
+
+    harness::RunResult cut;
+    cut.cycles = 50;
+    cut.accesses = 20;
+    cut.partial = true;
+    cut.error = sim::SimError(sim::ErrorCode::kDeadline,
+                              "wall-clock deadline passed", "ST/grit");
+
+    harness::SweepResult sweep;
+    sweep.matrix["BFS"]["on-touch"] = done;
+    sweep.matrix["ST"]["grit"] = cut;
+    sweep.failures.push_back(harness::FailureRecord{
+        "ST", "grit", "0123456789abcdef", *cut.error, 2, true});
+    sweep.executed = 2;
+    sweep.reused = 1;
+    return sweep;
+}
+
+/** Every section of a resilient sweep's document, byte for byte. */
+TEST(ResultsIo, SweepDocumentBytesArePinned)
+{
+    workload::WorkloadParams params;
+    params.footprintDivisor = 128;
+    params.intensity = 0.2;
+    const workload::TraceCache cache;
+    std::ostringstream os;
+    harness::writeSweepResult(os, "test_gen", "pinned", params,
+                              handBuiltSweep(), &cache);
+    EXPECT_EQ(
+        os.str(),
+        R"({"schema":"grit-results","version":2,"generator":"test_gen",)"
+        R"("title":"pinned","params":{"footprint_divisor":128,)"
+        R"("intensity":0.2,"seed":1},"runs":[)"
+        R"({"row":"BFS","label":"on-touch","cycles":1000,"accesses":400,)"
+        R"("accesses_batched":100,"local_faults":7,"protection_faults":2,)"
+        R"("total_faults":9,"evictions":3,"peak_replicas":5,)"
+        R"("oversubscription_rate":7.5,"scheme_accesses":{"none":1,)"
+        R"("on_touch":2,"access_counter":3,"duplication":4},)"
+        R"("latency_breakdown":{"local":10,"host":0,"page_migration":0,)"
+        R"("remote_access":0,"page_duplication":0,"write_collapse":5,)"
+        R"("total":15},"timeline":{"interval_cycles":500,"keys":["fault",)"
+        R"("migration","duplication","collapse","remote_access",)"
+        R"("eviction"],"intervals":[[3,0,0,0,0,0],[0,0,0,0,2,0]]},)"
+        R"("counters":{"gpu0.faults":7,"uvm.migrations":3}},)"
+        R"({"row":"ST","label":"grit","cycles":50,"accesses":20,)"
+        R"("accesses_batched":0,"local_faults":0,"protection_faults":0,)"
+        R"("total_faults":0,"evictions":0,"peak_replicas":0,)"
+        R"("oversubscription_rate":0,"scheme_accesses":{"none":0,)"
+        R"("on_touch":0,"access_counter":0,"duplication":0},)"
+        R"("latency_breakdown":{"local":0,"host":0,"page_migration":0,)"
+        R"("remote_access":0,"page_duplication":0,"write_collapse":0,)"
+        R"("total":0},"counters":{},"partial":true,"error":{)"
+        R"("code":"deadline","message":"wall-clock deadline passed",)"
+        R"("context":"ST/grit"}}],"failures":[{"row":"ST","label":"grit",)"
+        R"("fingerprint":"0123456789abcdef","error":{"code":"deadline",)"
+        R"("message":"wall-clock deadline passed","context":"ST/grit"},)"
+        R"("attempts":2,"salvaged":true}],"sweep":{"executed":2,)"
+        R"("reused":1,"skipped":0,"cache":{"hits":0,"misses":0,)"
+        R"("evictions":0,"bytes":0,"byte_budget":0}}})"
+        "\n");
 }
 
 // ----------------------------------------------- end-to-end determinism
