@@ -13,7 +13,6 @@
 #include <iostream>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "mem/pte.h"
 #include "stats/latency_breakdown.h"
 #include "workload/characterizer.h"
-#include "workload/dnn.h"
 
 namespace grit::bench {
 
@@ -755,7 +753,7 @@ constexpr unsigned kGpuCounts[] = {2, 8, 16};
 std::string
 suffix(unsigned gpus)
 {
-    return "@" + std::to_string(gpus) + "gpu";
+    return std::string("@") + std::to_string(gpus) + "gpu";
 }
 
 RunPlan
@@ -993,26 +991,14 @@ report(const ResultMatrix &matrix, const SweepFlags &)
  */
 namespace fig31 {
 
-constexpr workload::DnnModel kModels[] = {workload::DnnModel::kVgg16,
-                                          workload::DnnModel::kResNet18};
-
 RunPlan
 plan(const SweepFlags &flags, WorkloadParams &params)
 {
-    // DNN traces are prebuilt (no AppId), so plan them as shared
-    // workload handles: one generation, two configurations each.
-    RunPlan plan;
-    for (workload::DnnModel model : kModels) {
-        WorkloadParams p = params;
-        p.numGpus = 4;
-        const auto w = std::make_shared<const workload::Workload>(
-            workload::makeDnnWorkload(model, p));
-        const std::string row = workload::dnnModelName(model);
-        plan.addWorkload(row, "on-touch",
-                         flags.config(PolicyKind::kOnTouch), w);
-        plan.addWorkload(row, "grit", flags.config(PolicyKind::kGrit), w);
-    }
-    return plan;
+    return RunPlan::matrix(
+        {workload::kDnnModels.begin(), workload::kDnnModels.end()},
+        {{"on-touch", flags.config(PolicyKind::kOnTouch)},
+         {"grit", flags.config(PolicyKind::kGrit)}},
+        params);
 }
 
 void
@@ -1021,9 +1007,9 @@ report(const ResultMatrix &matrix, const SweepFlags &)
     std::cout << "Figure 31: DNN model parallelism (speedup over "
                  "on-touch; paper: VGG16 +15 %, ResNet18 +18 %)\n\n";
     TextTable table({"model", "on-touch", "grit", "improvement"});
-    for (workload::DnnModel model : kModels) {
+    for (workload::AppId model : workload::kDnnModels) {
         // Quarantined models show up as "-" rows.
-        const std::string row = workload::dnnModelName(model);
+        const std::string row = workload::appMeta(model).abbr;
         const auto rowIt = matrix.find(row);
         if (rowIt == matrix.end() ||
             rowIt->second.find("on-touch") == rowIt->second.end() ||

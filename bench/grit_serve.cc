@@ -36,9 +36,9 @@
 #include "driver.h"
 #include "harness/record_frame.h"
 #include "harness/record_log.h"
+#include "harness/results_io.h"
 #include "service/server.h"
 #include "simcore/fault_injector.h"
-#include "stats/result_sink.h"
 
 static void
 writeServiceJson(const std::string &path,
@@ -47,15 +47,13 @@ writeServiceJson(const std::string &path,
     const auto params = grit::bench::benchParams();
     auto file = grit::bench::openOutput(path);
     std::ostream &os = file ? *file : std::cout;
-    grit::stats::ResultSink sink(os);
-    sink.begin("grit_serve", "Simulation service counters");
-    sink.writeParams(params.footprintDivisor, params.intensity,
-                     params.seed);
-    sink.beginRuns();
-    sink.endRuns();
-    sink.json().key("service");
-    grit::service::writeServiceCounters(sink.json(), c);
-    sink.end();
+    grit::stats::JsonWriter json(os);
+    grit::harness::beginResultsDocument(
+        json, "grit_serve", "Simulation service counters", params);
+    json.key("runs").beginArray().endArray();
+    json.key("service");
+    grit::service::writeServiceCounters(json, c);
+    json.endObject();
     os << '\n';
     if (file)
         std::cerr << "results: " << path << "\n";

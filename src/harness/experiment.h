@@ -15,7 +15,6 @@
 #include "harness/config.h"
 #include "harness/simulator.h"
 #include "workload/apps.h"
-#include "workload/dnn.h"
 
 namespace grit::harness {
 

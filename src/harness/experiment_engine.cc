@@ -30,21 +30,7 @@ RunPlan::addCell(std::string row, std::string label, SystemConfig config,
                  workload::AppId app, workload::WorkloadParams params)
 {
     cells_.push_back(RunCell{std::move(row), std::move(label),
-                             std::move(config), nullptr, app,
-                             std::move(params)});
-    return *this;
-}
-
-RunPlan &
-RunPlan::addWorkload(std::string row, std::string label,
-                     SystemConfig config, workload::WorkloadHandle workload)
-{
-    RunCell cell;
-    cell.row = std::move(row);
-    cell.label = std::move(label);
-    cell.config = std::move(config);
-    cell.workload = std::move(workload);
-    cells_.push_back(std::move(cell));
+                             std::move(config), app, std::move(params)});
     return *this;
 }
 
@@ -163,13 +149,9 @@ ExperimentEngine::runCell(const RunCell &cell,
         std::optional<sim::SimError> error;
         RunResult result;
         try {
-            Simulator simulator(
-                config,
-                cell.workload
-                    ? workload::streamWorkload(cell.workload,
-                                               chunkAccesses_)
-                    : cache_.openWorkload(cell.app, cell.params,
-                                          chunkAccesses_, poll));
+            Simulator simulator(config,
+                                cache_.openWorkload(cell.app, cell.params,
+                                                    chunkAccesses_, poll));
             result = simulator.run(options.salvagePartial, started);
             if (result.partial)
                 error = result.error

@@ -7,10 +7,9 @@
  * into the same ResultMatrix the serial harness produced. Each Simulator
  * is a self-contained deterministic island (own EventQueue, own stats),
  * so cells parallelize perfectly: results are bit-identical to a serial
- * run regardless of thread count. Every cell replays TraceStreams:
- * app-generated cells share one generation of each trace chunk through
- * a workload::TraceCache, prebuilt cells stream their workload handle
- * (workload::streamWorkload).
+ * run regardless of thread count. Every cell replays a generated trace
+ * from the engine's workload::TraceCache, so cells of one workload
+ * share one generation of each trace chunk.
  *
  * Worker count: Options::jobs if nonzero, else the GRIT_JOBS
  * environment variable, else std::thread::hardware_concurrency().
@@ -21,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,14 +32,12 @@ namespace grit::harness {
 
 class RecordLog;
 
-/** One experiment cell: a workload run under one configuration. */
+/** One experiment cell: a generated workload run under one configuration. */
 struct RunCell
 {
     std::string row;    //!< ResultMatrix row (app abbreviation, model, ...)
     std::string label;  //!< ResultMatrix column (configuration label)
     SystemConfig config;
-    /** Prebuilt trace; when null, generated from (app, params). */
-    workload::WorkloadHandle workload;
     workload::AppId app = workload::AppId::kBfs;
     workload::WorkloadParams params;
 };
@@ -57,15 +53,10 @@ class RunPlan
     RunPlan &add(workload::AppId app, const LabeledConfig &config,
                  const workload::WorkloadParams &params = {});
 
-    /** Add a fully specified generated-trace cell. */
+    /** Add a fully specified cell. */
     RunPlan &addCell(std::string row, std::string label,
                      SystemConfig config, workload::AppId app,
                      workload::WorkloadParams params);
-
-    /** Add a prebuilt workload (DNN models, custom traces). */
-    RunPlan &addWorkload(std::string row, std::string label,
-                         SystemConfig config,
-                         workload::WorkloadHandle workload);
 
     /** The full app x config cross product, app-major. */
     static RunPlan matrix(const std::vector<workload::AppId> &apps,

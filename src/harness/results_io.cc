@@ -2,77 +2,132 @@
 
 #include <ostream>
 
+#include "harness/run_journal.h"
 #include "harness/table.h"
+#include "stats/latency_breakdown.h"
+#include "stats/timeline.h"
 
 namespace grit::harness {
 
+namespace {
+
+/** A JSON array of strings. */
 void
-writeRunResult(stats::ResultSink &sink, const RunResult &result)
+writeStrings(stats::JsonWriter &json, const std::vector<std::string> &items)
 {
-    sink.scalar("cycles", result.cycles);
-    sink.scalar("accesses", result.accesses);
-    sink.scalar("accesses_batched", result.accessesBatched);
-    sink.scalar("local_faults", result.localFaults);
-    sink.scalar("protection_faults", result.protectionFaults);
-    sink.scalar("total_faults", result.totalFaults());
-    sink.scalar("evictions", result.evictions);
-    sink.scalar("peak_replicas", result.peakReplicas);
-    sink.scalar("oversubscription_rate", result.oversubscriptionRate());
+    json.beginArray();
+    for (const std::string &item : items)
+        json.value(item);
+    json.endArray();
+}
+
+/** One run object: (row, label), then every schema field of @p result. */
+void
+writeRun(stats::JsonWriter &json, std::string_view row,
+         std::string_view label, const RunResult &result)
+{
+    json.beginObject();
+    json.key("row").value(row);
+    json.key("label").value(label);
+    json.key("cycles").value(result.cycles);
+    json.key("accesses").value(result.accesses);
+    json.key("accesses_batched").value(result.accessesBatched);
+    json.key("local_faults").value(result.localFaults);
+    json.key("protection_faults").value(result.protectionFaults);
+    json.key("total_faults").value(result.totalFaults());
+    json.key("evictions").value(result.evictions);
+    json.key("peak_replicas").value(result.peakReplicas);
+    json.key("oversubscription_rate").value(result.oversubscriptionRate());
 
     // Fig. 19 accounting, keyed by the mem::Scheme PTE encoding.
     static constexpr const char *kSchemeKeys[4] = {
         "none", "on_touch", "access_counter", "duplication"};
-    sink.json().key("scheme_accesses").beginObject();
+    json.key("scheme_accesses").beginObject();
     for (unsigned s = 0; s < 4; ++s)
-        sink.json().key(kSchemeKeys[s]).value(result.schemeAccesses[s]);
-    sink.json().endObject();
+        json.key(kSchemeKeys[s]).value(result.schemeAccesses[s]);
+    json.endObject();
 
-    sink.writeBreakdown(result.breakdown);
-    if (result.timeline.has_value())
-        sink.writeTimeline(*result.timeline, stats::timelineKeyNames());
-    sink.writeCounters(result.counters);
+    // Stable snake_case keys; the printable names stay the paper's
+    // legend strings and are not schema identifiers.
+    static constexpr const char *kLatencyKeys[stats::kLatencyKinds] = {
+        "local",          "host",
+        "page_migration", "remote_access",
+        "page_duplication", "write_collapse",
+    };
+    json.key("latency_breakdown").beginObject();
+    for (unsigned k = 0; k < stats::kLatencyKinds; ++k)
+        json.key(kLatencyKeys[k]).value(
+            result.breakdown.get(static_cast<stats::LatencyKind>(k)));
+    json.key("total").value(result.breakdown.total());
+    json.endObject();
+
+    if (const auto &timeline = result.timeline) {
+        json.key("timeline").beginObject();
+        json.key("interval_cycles").value(timeline->intervalCycles());
+        json.key("keys").beginArray();
+        for (unsigned k = 0; k < stats::kTimelineKinds; ++k)
+            json.value(stats::timelineKindName(
+                static_cast<stats::TimelineKind>(k)));
+        json.endArray();
+        json.key("intervals").beginArray();
+        for (std::size_t i = 0; i < timeline->intervals(); ++i) {
+            json.beginArray();
+            for (unsigned k = 0; k < timeline->keys(); ++k)
+                json.value(timeline->get(i, k));
+            json.endArray();
+        }
+        json.endArray();
+        json.endObject();
+    }
+
+    json.key("counters").beginObject();
+    for (const auto &[name, value] : result.counters)
+        json.key(name).value(value);
+    json.endObject();
 
     // v2: truncated runs flag themselves; complete runs emit nothing
     // extra, so their serialization is unchanged from v1.
     if (result.partial) {
-        const sim::SimError fallback(
-            sim::ErrorCode::kInternal,
-            "partial result carries no diagnostic");
-        const sim::SimError &error =
-            result.error ? *result.error : fallback;
-        sink.writePartial(sim::errorCodeName(error.code), error.message,
-                          error.context);
+        json.key("partial").value(true);
+        json.key("error");
+        writeErrorJson(json, result.error
+                                 ? *result.error
+                                 : sim::SimError(sim::ErrorCode::kInternal,
+                                                 "partial result carries "
+                                                 "no diagnostic"));
     }
-}
-
-namespace {
-
-/** Open @p sink's envelope and write the workload parameters. */
-void
-beginDocument(stats::ResultSink &sink, std::string_view generator,
-              std::string_view title, const workload::WorkloadParams &params)
-{
-    sink.begin(generator, title);
-    sink.writeParams(params.footprintDivisor, params.intensity,
-                     params.seed);
+    json.endObject();
 }
 
 /** The "runs" array: every (row, label) cell in map order. */
 void
-writeRuns(stats::ResultSink &sink, const ResultMatrix &matrix)
+writeRuns(stats::JsonWriter &json, const ResultMatrix &matrix)
 {
-    sink.beginRuns();
-    for (const auto &[row, runs] : matrix) {
-        for (const auto &[label, result] : runs) {
-            sink.beginRun(row, label);
-            writeRunResult(sink, result);
-            sink.endRun();
-        }
-    }
-    sink.endRuns();
+    json.key("runs").beginArray();
+    for (const auto &[row, runs] : matrix)
+        for (const auto &[label, result] : runs)
+            writeRun(json, row, label, result);
+    json.endArray();
 }
 
 }  // namespace
+
+void
+beginResultsDocument(stats::JsonWriter &json, std::string_view generator,
+                     std::string_view title,
+                     const workload::WorkloadParams &params)
+{
+    json.beginObject();
+    json.key("schema").value(kResultsSchema);
+    json.key("version").value(kResultsVersion);
+    json.key("generator").value(generator);
+    json.key("title").value(title);
+    json.key("params").beginObject();
+    json.key("footprint_divisor").value(params.footprintDivisor);
+    json.key("intensity").value(params.intensity);
+    json.key("seed").value(params.seed);
+    json.endObject();
+}
 
 void
 writeResultMatrix(std::ostream &os, std::string_view generator,
@@ -80,10 +135,10 @@ writeResultMatrix(std::ostream &os, std::string_view generator,
                   const workload::WorkloadParams &params,
                   const ResultMatrix &matrix)
 {
-    stats::ResultSink sink(os);
-    beginDocument(sink, generator, title, params);
-    writeRuns(sink, matrix);
-    sink.end();
+    stats::JsonWriter json(os);
+    beginResultsDocument(json, generator, title, params);
+    writeRuns(json, matrix);
+    json.endObject();
     os << '\n';
 }
 
@@ -93,22 +148,27 @@ writeSweepResult(std::ostream &os, std::string_view generator,
                  const workload::WorkloadParams &params,
                  const SweepResult &sweep, const workload::TraceCache *cache)
 {
-    stats::ResultSink sink(os);
-    beginDocument(sink, generator, title, params);
-    writeRuns(sink, sweep.matrix);
+    stats::JsonWriter json(os);
+    beginResultsDocument(json, generator, title, params);
+    writeRuns(json, sweep.matrix);
     if (!sweep.failures.empty()) {
-        sink.beginFailures();
-        for (const FailureRecord &f : sweep.failures)
-            sink.writeFailure(f.row, f.label, f.fingerprint,
-                              sim::errorCodeName(f.error.code),
-                              f.error.message, f.error.context,
-                              f.attempts, f.salvaged);
-        sink.endFailures();
+        json.key("failures").beginArray();
+        for (const FailureRecord &f : sweep.failures) {
+            json.beginObject();
+            json.key("row").value(f.row);
+            json.key("label").value(f.label);
+            json.key("fingerprint").value(f.fingerprint);
+            json.key("error");
+            writeErrorJson(json, f.error);
+            json.key("attempts").value(f.attempts);
+            json.key("salvaged").value(f.salvaged);
+            json.endObject();
+        }
+        json.endArray();
     }
     if (cache != nullptr) {
         // Opt-in because reuse and cache numbers legitimately differ
         // between a fresh and a resumed sweep.
-        stats::JsonWriter &json = sink.json();
         json.key("sweep").beginObject();
         json.key("executed").value(std::uint64_t{sweep.executed});
         json.key("reused").value(std::uint64_t{sweep.reused});
@@ -122,7 +182,7 @@ writeSweepResult(std::ostream &os, std::string_view generator,
         json.endObject();
         json.endObject();
     }
-    sink.end();
+    json.endObject();
     os << '\n';
 }
 
@@ -138,13 +198,22 @@ writeResultTables(std::ostream &os, std::string_view generator,
                   const workload::WorkloadParams &params,
                   const std::vector<NamedTable> &tables)
 {
-    stats::ResultSink sink(os);
-    beginDocument(sink, generator, title, params);
-    sink.beginTables();
-    for (const NamedTable &table : tables)
-        sink.writeTable(table.name, table.columns, table.rows);
-    sink.endTables();
-    sink.end();
+    stats::JsonWriter json(os);
+    beginResultsDocument(json, generator, title, params);
+    json.key("tables").beginArray();
+    for (const NamedTable &table : tables) {
+        json.beginObject();
+        json.key("name").value(table.name);
+        json.key("columns");
+        writeStrings(json, table.columns);
+        json.key("rows").beginArray();
+        for (const std::vector<std::string> &row : table.rows)
+            writeStrings(json, row);
+        json.endArray();
+        json.endObject();
+    }
+    json.endArray();
+    json.endObject();
     os << '\n';
 }
 

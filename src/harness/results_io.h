@@ -1,13 +1,14 @@
 /**
  * @file
- * Harness-level "grit-results" serialization: writers that turn
- * RunResults and ResultMatrix sweeps into the versioned JSON documents
- * described in docs/METRICS.md.
+ * The "grit-results" document: the one place that knows its layout.
+ * Writers that turn RunResults, ResultMatrix sweeps and report tables
+ * into the versioned JSON documents described in docs/METRICS.md,
+ * straight onto a stats::JsonWriter.
  *
- * These sit above stats::ResultSink (which knows the envelope and the
- * stats-layer types) and below the bench driver (which parses `--json`
- * and picks the output stream). Every field a run emits is deterministic,
- * so a document is byte-identical for any worker count.
+ * These sit below the bench driver (which parses `--json` and picks the
+ * output stream); scripts/check_results_schema.py validates what they
+ * emit. Every field a run emits is deterministic, so a document is
+ * byte-identical for any worker count, platform or locale.
  */
 
 #ifndef GRIT_HARNESS_RESULTS_IO_H_
@@ -20,18 +21,33 @@
 
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
-#include "stats/result_sink.h"
+#include "stats/json_writer.h"
 #include "workload/apps.h"
 
 namespace grit::harness {
 
 class TextTable;
 
+/** Schema identifier stamped into every document. */
+inline constexpr const char *kResultsSchema = "grit-results";
 /**
- * Write @p result's fields into the run object @p sink currently has
- * open (between beginRun() and endRun()).
+ * Bump on any backwards-incompatible layout change. Version 2 is a
+ * purely additive revision of version 1: optional per-run
+ * "partial"/"error" fields (watchdog-truncated runs whose counters
+ * were salvaged) plus optional top-level "failures" (quarantined
+ * runs manifest) and "sweep" (execution statistics) sections.
  */
-void writeRunResult(stats::ResultSink &sink, const RunResult &result);
+inline constexpr unsigned kResultsVersion = 2;
+
+/**
+ * Open a document on @p json: the envelope (schema, version, generator,
+ * title) and the workload "params" object. The caller writes the
+ * payload, then closes the envelope with json.endObject().
+ */
+void beginResultsDocument(stats::JsonWriter &json,
+                          std::string_view generator,
+                          std::string_view title,
+                          const workload::WorkloadParams &params);
 
 /**
  * Write one complete document: envelope, params, and a "runs" array

@@ -135,13 +135,8 @@ runFingerprint(const RunCell &cell)
     Digest d;
     d.text(cell.row);
     d.text(cell.label);
-    if (cell.workload) {
-        d.text("workload");
-        d.text(cell.workload->name);
-    } else {
-        d.text("app");
-        d.text(workload::appMeta(cell.app).abbr);
-    }
+    d.text("app");
+    d.text(workload::appMeta(cell.app).abbr);
     d.word(std::uint64_t{cell.params.numGpus});
     d.word(std::uint64_t{cell.params.footprintDivisor});
     d.word(cell.params.seed);

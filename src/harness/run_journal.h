@@ -49,8 +49,8 @@ std::uint64_t configDigest(const SystemConfig &config);
 
 /**
  * Deterministic hex fingerprint of one RunPlan cell: row, label,
- * workload identity (app abbreviation or prebuilt-workload name),
- * generation params, and configDigest().
+ * workload identity (the app's abbreviation), generation params, and
+ * configDigest().
  */
 std::string runFingerprint(const RunCell &cell);
 

@@ -128,7 +128,7 @@ class Simulator
      * @param workload what to replay, moved in: the metadata shell, one
      *        TraceStream per GPU (numGpus must match), and the exact
      *        per-GPU access counts. Generated workloads come from
-     *        TraceCache::openWorkload, prebuilt ones from
+     *        TraceCache::openWorkload, hand-built ones from
      *        workload::streamWorkload; the simulator holds one chunk
      *        per GPU at a time.
      * @throws sim::SimException (kConfigInvalid) when

@@ -20,6 +20,8 @@ const AppMeta kMeta[] = {
     {"MM", "Matrix Multiplication", "AMDAPPSDK", "Scatter-Gather", 33},
     {"SC", "Simple Convolution", "AMDAPPSDK", "Adjacent", 131},
     {"ST", "Stencil 2D", "SHOC", "Adjacent", 33},
+    {"VGG16", "VGG16 model-parallel training", "DNN", "Pipeline", 64},
+    {"ResNet18", "ResNet18 model-parallel training", "DNN", "Pipeline", 48},
 };
 
 /** Iteration count scaled by intensity, at least one. */
@@ -345,6 +347,80 @@ genSt(const WorkloadParams &params, std::uint64_t pages,
     }
 }
 
+/**
+ * VGG16 / ResNet18 model-parallel training (Section VI-F), layers
+ * partitioned across GPUs. Each GPU owns a contiguous span of layers:
+ * its weights and gradients are private read-write data, while the
+ * activation (and activation-gradient) buffers at GPU boundaries are
+ * producer-consumer shared between neighboring GPUs in the forward and
+ * backward directions.
+ */
+void
+genDnn(AppId model, const WorkloadParams &params,
+       std::uint64_t footprint_pages, TraceSink &sink)
+{
+    // Scaled-down geometry: VGG16 is weight-heavy (large dense
+    // layers), ResNet18 activation-heavy relative to its weights.
+    const bool vgg = model == AppId::kVgg16;
+    const unsigned layers = vgg ? 16 : 18;
+    const double weight_ratio = vgg ? 2.0 : 1.5;  // weight:activation
+    const unsigned shared_denominator = vgg ? 5 : 8;  // read-shared 1/N
+
+    TraceBuilder tb(params.numGpus, params.seed ^ 0xD77ULL, sink);
+    RegionAllocator ra;
+
+    // Partition the footprint between weights (+gradients), the
+    // inter-layer activation buffers, and a read-shared region
+    // (normalization statistics, embedding tables, and the input batch
+    // consulted by every pipeline stage).
+    const std::uint64_t shared_pages = std::max<std::uint64_t>(
+        8, footprint_pages / shared_denominator);
+    const std::uint64_t rest = footprint_pages - shared_pages;
+    const std::uint64_t act_pages = static_cast<std::uint64_t>(
+        static_cast<double>(rest) / (1.0 + weight_ratio));
+    const std::uint64_t weight_pages = rest - act_pages;
+
+    const Region shared = ra.alloc(shared_pages);
+    std::vector<Region> weights;   // one per layer, private to its GPU
+    std::vector<Region> acts;      // boundaries between layers
+    weights.reserve(layers);
+    acts.reserve(layers + 1);
+    for (unsigned l = 0; l < layers; ++l)
+        weights.push_back(ra.alloc(std::max<std::uint64_t>(
+            1, weight_pages / layers)));
+    for (unsigned l = 0; l <= layers; ++l)
+        acts.push_back(ra.alloc(std::max<std::uint64_t>(
+            1, act_pages / (layers + 1))));
+
+    auto gpu_of_layer = [&](unsigned layer) {
+        return static_cast<unsigned>(std::uint64_t{layer} * params.numGpus /
+                                     layers);
+    };
+
+    const unsigned batches = iters(8, params.intensity);
+    for (unsigned b = 0; b < batches; ++b) {
+        // Forward pass: read the incoming activation and the layer
+        // weights, produce the outgoing activation. Every stage also
+        // consults the read-shared region (input batch, normalization
+        // statistics) — under GRIT those pages converge to duplication.
+        for (unsigned l = 0; l < layers; ++l) {
+            const unsigned g = gpu_of_layer(l);
+            tb.sweep(g, acts[l], /*per_page=*/4, /*write_prob=*/0.0);
+            tb.sweep(g, weights[l], /*per_page=*/3, /*write_prob=*/0.0);
+            tb.sweep(g, shared, /*per_page=*/2, /*write_prob=*/0.0);
+            tb.sweep(g, acts[l + 1], /*per_page=*/2, /*write_prob=*/1.0);
+        }
+        // Backward pass: read the stored activations, update the
+        // weights (read-write), and push gradients back one layer.
+        for (unsigned l = layers; l-- > 0;) {
+            const unsigned g = gpu_of_layer(l);
+            tb.sweep(g, acts[l + 1], /*per_page=*/2, /*write_prob=*/0.0);
+            tb.sweep(g, weights[l], /*per_page=*/3, /*write_prob=*/0.5);
+            tb.sweep(g, acts[l], /*per_page=*/2, /*write_prob=*/1.0);
+        }
+    }
+}
+
 }  // namespace
 
 const AppMeta &
@@ -391,6 +467,8 @@ generateTrace(AppId app, const WorkloadParams &params, TraceSink &sink)
       case AppId::kMm:   genMm(params, pages, sink);   return;
       case AppId::kSc:   genSc(params, pages, sink);   return;
       case AppId::kSt:   genSt(params, pages, sink);   return;
+      case AppId::kVgg16:
+      case AppId::kResNet18: genDnn(app, params, pages, sink); return;
     }
     assert(false && "unknown application");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * The paper's eight applications (Table II) as synthetic trace
- * generators.
+ * The paper's eight applications (Table II) and the two DNN models of
+ * Figure 31 as synthetic trace generators.
  *
  * Real OpenCL binaries are unavailable offline, so each generator is
  * built from the paper's published characterization of the application:
@@ -26,8 +26,10 @@
 
 namespace grit::workload {
 
-/** Table II applications. */
-enum class AppId { kBfs, kBs, kC2d, kFir, kGemm, kMm, kSc, kSt };
+/** Table II applications, then the DNN models of Figure 31. */
+enum class AppId {
+    kBfs, kBs, kC2d, kFir, kGemm, kMm, kSc, kSt, kVgg16, kResNet18
+};
 
 /** All eight applications in Table II order. */
 inline constexpr std::array<AppId, 8> kAllApps = {
@@ -35,7 +37,14 @@ inline constexpr std::array<AppId, 8> kAllApps = {
     AppId::kGemm, AppId::kMm,  AppId::kSc,  AppId::kSt,
 };
 
-/** Static Table II metadata. */
+/**
+ * The Figure 31 DNN models (Section VI-F): VGG16 and ResNet18
+ * model-parallel training. Not Table II apps, so not in kAllApps.
+ */
+inline constexpr std::array<AppId, 2> kDnnModels = {AppId::kVgg16,
+                                                    AppId::kResNet18};
+
+/** Static metadata: a Table II row, or a DNN model's. */
 struct AppMeta
 {
     const char *abbr;

@@ -41,7 +41,7 @@ MaterializedTraceStream::next()
 }
 
 StreamedWorkload
-streamWorkload(WorkloadHandle workload, std::uint64_t chunk_accesses)
+streamWorkload(WorkloadHandle workload)
 {
     StreamedWorkload sw;
     sw.meta.name = workload->name;
@@ -53,7 +53,7 @@ streamWorkload(WorkloadHandle workload, std::uint64_t chunk_accesses)
     for (unsigned g = 0; g < workload->numGpus(); ++g) {
         sw.accesses.push_back(workload->traces[g].size());
         sw.streams.push_back(std::make_unique<MaterializedTraceStream>(
-            workload, g, chunk_accesses));
+            workload, g, kDefaultChunkAccesses));
     }
     return sw;
 }

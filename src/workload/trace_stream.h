@@ -164,7 +164,7 @@ class TraceStream
     virtual std::uint64_t chunkAccesses() const = 0;
 };
 
-/** Shared, immutable prebuilt workload (DNN models, custom traces). */
+/** Shared, immutable materialized workload (hand-built traces). */
 using WorkloadHandle = std::shared_ptr<const Workload>;
 
 /** Accesses per chunk when neither caller nor GRIT_TRACE_CHUNK says. */
@@ -264,14 +264,13 @@ struct StreamedWorkload
 };
 
 /**
- * The way a prebuilt workload reaches the simulator: each GPU's trace
- * behind a MaterializedTraceStream sharing @p workload, with the
- * access counts read off the traces. Replays the exact access sequence
- * a generated stream of the same workload yields.
+ * The way a hand-built workload reaches the simulator
+ * (harness::runWorkload): each GPU's trace behind a
+ * MaterializedTraceStream sharing @p workload, with the access counts
+ * read off the traces. Replays the exact access sequence a generated
+ * stream of the same workload yields.
  */
-StreamedWorkload
-streamWorkload(WorkloadHandle workload,
-               std::uint64_t chunk_accesses = kDefaultChunkAccesses);
+StreamedWorkload streamWorkload(WorkloadHandle workload);
 
 }  // namespace grit::workload
 

@@ -93,7 +93,7 @@ TEST(FlatMap, PointersStayValidAcrossRehashAndErase)
     ASSERT_NE(pinned, nullptr);
 
     for (std::uint64_t k = 2; k < 5000; ++k)
-        map[k] = "x";  // multiple rehashes
+        map[k] = std::string("x");  // multiple rehashes
     for (std::uint64_t k = 2; k < 2500; ++k)
         map.erase(k);
 

@@ -7,7 +7,6 @@
 #include "harness/experiment.h"
 #include "harness/experiment_engine.h"
 #include "workload/apps.h"
-#include "workload/dnn.h"
 
 namespace grit::harness {
 namespace {
@@ -195,10 +194,8 @@ TEST(Integration, DnnWorkloadsRunUnderGrit)
 {
     workload::WorkloadParams params = fastParams();
     params.numGpus = 4;
-    for (workload::DnnModel model :
-         {workload::DnnModel::kVgg16, workload::DnnModel::kResNet18}) {
-        const workload::Workload w =
-            workload::makeDnnWorkload(model, params);
+    for (workload::AppId model : workload::kDnnModels) {
+        const workload::Workload w = workload::makeWorkload(model, params);
         const auto result =
             runWorkload(makeConfig(PolicyKind::kGrit, 4), w);
         EXPECT_GT(result.cycles, 0u);

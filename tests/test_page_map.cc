@@ -129,7 +129,7 @@ TEST(PageMap, PointersStayValidAcrossLeafCreationAndErase)
     EXPECT_EQ(five, five_const);
     // Hundreds of new leaves, then erases around the held entry.
     for (std::uint64_t leaf = 1; leaf < 400; ++leaf)
-        map[leaf * PageMap<std::string>::kLeafPages + 3] = "x";
+        map[leaf * PageMap<std::string>::kLeafPages + 3] = std::string("x");
     for (std::uint64_t k = 0; k < 20; ++k)
         if (k != 5)
             map[k] = "y";

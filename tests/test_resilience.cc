@@ -108,6 +108,20 @@ const RecordLogHeader kJournal{kJournalSchema, kJournalVersion,
 
 using test::TempPath;
 
+/**
+ * Sweep @p plan on a fresh engine under @p options, resuming from and
+ * appending to the journal at @p path.
+ */
+SweepResult
+journaledSweep(const RunPlan &plan, const TempPath &path,
+               ResilientOptions options = {})
+{
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
+    options.journal = &journal;
+    return ExperimentEngine().runResilient(plan, options);
+}
+
 // ----------------------------------------------------------- fingerprints
 
 TEST(RunFingerprint, DigestIgnoresResilienceKnobsOnly)
@@ -255,13 +269,7 @@ TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
         reference.runResilient(plan, ResilientOptions{}).matrix;
 
     TempPath path("grit_resume_full.jsonl");
-    RecordLog journal;
-    journal.open(path.str(), kJournal);
-    ResilientOptions options;
-    options.journal = &journal;
-
-    ExperimentEngine first;
-    const SweepResult sweep = first.runResilient(plan, options);
+    const SweepResult sweep = journaledSweep(plan, path);
     EXPECT_TRUE(sweep.complete());
     EXPECT_EQ(sweep.executed, plan.size());
     EXPECT_EQ(sweep.reused, 0u);
@@ -269,12 +277,7 @@ TEST(ResilientSweep, FullJournalReplayIsBitIdentical)
 
     // A second engine resuming from the journal re-simulates nothing
     // and still merges to the bit-identical matrix.
-    RecordLog resumed;
-    resumed.open(path.str(), kJournal);
-    ResilientOptions resumeOptions;
-    resumeOptions.journal = &resumed;
-    ExperimentEngine second;
-    const SweepResult replay = second.runResilient(plan, resumeOptions);
+    const SweepResult replay = journaledSweep(plan, path);
     EXPECT_TRUE(replay.complete());
     EXPECT_EQ(replay.executed, 0u);
     EXPECT_EQ(replay.reused, plan.size());
@@ -290,33 +293,48 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCells)
 
     // Journal only half the sweep — the on-disk state a kill -9 leaves.
     TempPath path("grit_resume_partial.jsonl");
-    {
-        RunPlan half;
-        for (std::size_t i = 0; i < plan.size(); i += 2) {
-            const RunCell &cell = plan.cells()[i];
-            half.addCell(cell.row, cell.label, cell.config, cell.app,
-                         cell.params);
-        }
-        RecordLog journal;
-        journal.open(path.str(), kJournal);
-        ResilientOptions options;
-        options.journal = &journal;
-        ExperimentEngine engine;
-        ASSERT_TRUE(engine.runResilient(half, options).complete());
+    RunPlan half;
+    for (std::size_t i = 0; i < plan.size(); i += 2) {
+        const RunCell &cell = plan.cells()[i];
+        half.addCell(cell.row, cell.label, cell.config, cell.app,
+                     cell.params);
     }
+    ASSERT_TRUE(journaledSweep(half, path).complete());
 
-    RecordLog journal;
-    journal.open(path.str(), kJournal);
-    ResilientOptions options;
-    options.journal = &journal;
-    ExperimentEngine engine;
-    const SweepResult sweep = engine.runResilient(plan, options);
+    const SweepResult sweep = journaledSweep(plan, path);
     EXPECT_TRUE(sweep.complete());
     EXPECT_EQ(sweep.reused, plan.size() / 2);
     EXPECT_EQ(sweep.executed, plan.size() - plan.size() / 2);
     expectSameMatrix(expected, sweep.matrix);
     // The journal now covers the whole plan.
+    RecordLog journal;
+    journal.open(path.str(), kJournal);
     EXPECT_EQ(journal.size(), plan.size());
+}
+
+/** Regression: a DNN cell's fingerprint covers its generation params,
+ *  so a journal written at one footprint divisor never answers a resume
+ *  at another. */
+TEST(ResilientSweep, ResumeAtAnotherScaleReExecutesDnnCells)
+{
+    const std::vector<LabeledConfig> configs = {
+        {"on-touch", makeConfig(PolicyKind::kOnTouch, 4)}};
+    workload::WorkloadParams coarse = fastParams();  // divisor 64
+    coarse.footprintDivisor = 128;
+    TempPath path("grit_resume_scale.jsonl");
+    ASSERT_TRUE(journaledSweep(RunPlan::matrix({workload::AppId::kVgg16},
+                                               configs, coarse),
+                               path)
+                    .complete());
+
+    const RunPlan plan =
+        RunPlan::matrix({workload::AppId::kVgg16}, configs, fastParams());
+    const SweepResult sweep = journaledSweep(plan, path);
+    EXPECT_TRUE(sweep.complete());
+    EXPECT_EQ(sweep.reused, 0u);
+    EXPECT_EQ(sweep.executed, plan.size());
+    expectSameMatrix(ExperimentEngine().runResilient(plan, {}).matrix,
+                     sweep.matrix);
 }
 
 // ------------------------------------------------- watchdogs + quarantine
@@ -439,21 +457,11 @@ TEST(ResilientSweep, QuarantinedCellIsReusedAsFailureOnResume)
     TempPath path("grit_resume_failed.jsonl");
     ResilientOptions options;
     options.eventBudget = 50000;
-    {
-        RecordLog journal;
-        journal.open(path.str(), kJournal);
-        options.journal = &journal;
-        ExperimentEngine engine;
-        ASSERT_EQ(engine.runResilient(plan, options).failures.size(), 1u);
-    }
+    ASSERT_EQ(journaledSweep(plan, path, options).failures.size(), 1u);
 
     // Resume: the quarantined cell is replayed from the journal — same
     // diagnostic, same salvaged counters, no re-simulation.
-    RecordLog journal;
-    journal.open(path.str(), kJournal);
-    options.journal = &journal;
-    ExperimentEngine engine;
-    const SweepResult sweep = engine.runResilient(plan, options);
+    const SweepResult sweep = journaledSweep(plan, path, options);
     EXPECT_EQ(sweep.executed, 0u);
     EXPECT_EQ(sweep.reused, 1u);
     ASSERT_EQ(sweep.failures.size(), 1u);

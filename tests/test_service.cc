@@ -690,7 +690,7 @@ TEST(ServiceServer, ResultsInvariantUnderWorkerCount)
         for (std::size_t i = 0; i < cells.size(); ++i)
             threads.emplace_back([&, i] {
                 responses[i] = server.handle(runRequest(
-                    "c" + std::to_string(i), cells[i].first,
+                    std::string("c") + std::to_string(i), cells[i].first,
                     cells[i].second));
             });
         for (std::thread &t : threads)

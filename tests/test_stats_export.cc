@@ -1,6 +1,6 @@
 /** @file Tests for the observability layer: JsonWriter escaping and
  *  number formatting, TraceRecorder ring-buffer semantics and Chrome
- *  trace export, ResultSink schema layout, and the end-to-end guarantee
+ *  trace export, the grit-results layout, and the end-to-end guarantee
  *  that a "grit-results" document is byte-identical for any worker
  *  count. */
 
@@ -13,8 +13,8 @@
 #include "harness/results_io.h"
 #include "simcore/trace_recorder.h"
 #include "stats/interval_sampler.h"
+#include "stats/json_value.h"
 #include "stats/json_writer.h"
-#include "stats/result_sink.h"
 #include "stats/timeline.h"
 
 namespace grit {
@@ -87,20 +87,6 @@ TEST(JsonWriter, NonFiniteValuesEmitNullInsideDocuments)
               R"({"nan":null,"inf":null,"ninf":null,"ok":1.5})");
 }
 
-TEST(ResultSink, NonFiniteScalarsEmitNull)
-{
-    std::ostringstream os;
-    stats::ResultSink sink(os);
-    sink.begin("gen", "t");
-    sink.beginRuns();
-    sink.beginRun("APP", "policy");
-    sink.scalar("rate", std::numeric_limits<double>::quiet_NaN());
-    sink.endRun();
-    sink.endRuns();
-    sink.end();
-    EXPECT_NE(os.str().find(R"("rate":null)"), std::string::npos);
-}
-
 // --------------------------------------------------------- TraceRecorder
 
 TEST(TraceRecorder, RetainsEverythingBelowCapacity)
@@ -148,39 +134,47 @@ TEST(TraceRecorder, WritesLoadableChromeTrace)
     EXPECT_NE(doc.find("\"name\":\"uvm-driver\""), std::string::npos);
 }
 
-// ------------------------------------------------------------ ResultSink
+// ------------------------------------------------------------ ResultsIo
 
-TEST(ResultSink, WritesVersionedEnvelope)
+TEST(ResultsIo, WritesVersionedEnvelope)
 {
+    workload::WorkloadParams params;
+    params.footprintDivisor = 256;
+    params.intensity = 0.5;
+    params.seed = 42;
     std::ostringstream os;
-    stats::ResultSink sink(os);
-    sink.begin("test_gen", "a title");
-    sink.writeParams(256, 0.5, 42);
-    sink.beginRuns();
-    sink.beginRun("BFS", "grit");
-    sink.scalar("cycles", std::uint64_t{100});
-    sink.endRun();
-    sink.endRuns();
-    sink.end();
+    stats::JsonWriter json(os);
+    harness::beginResultsDocument(json, "test_gen", "a title", params);
+    json.key("runs").beginArray().endArray();
+    json.endObject();
     EXPECT_EQ(os.str(),
               R"({"schema":"grit-results","version":2,)"
               R"("generator":"test_gen","title":"a title",)"
               R"("params":{"footprint_divisor":256,"intensity":0.5,)"
-              R"("seed":42},"runs":[{"row":"BFS","label":"grit",)"
-              R"("cycles":100}]})");
+              R"("seed":42},"runs":[]})");
+
+    // A document with no runs is exactly that envelope.
+    std::ostringstream matrix;
+    harness::writeResultMatrix(matrix, "test_gen", "a title", params, {});
+    EXPECT_EQ(matrix.str(), os.str() + "\n");
 }
 
-TEST(ResultSink, TimelineKeyNamesMatchKinds)
+TEST(ResultsIo, TimelineKeyNamesMatchKinds)
 {
-    const auto names = stats::timelineKeyNames();
+    harness::ResultMatrix matrix;
+    matrix["BFS"]["grit"].timeline.emplace(100, stats::kTimelineKinds);
+    std::ostringstream os;
+    harness::writeResultMatrix(os, "test_gen", "t", {}, matrix);
+    const stats::JsonValue doc = stats::JsonValue::parse(os.str());
+    const auto &names =
+        doc.at("runs").at(0).at("timeline").at("keys").asArray();
     ASSERT_EQ(names.size(), stats::kTimelineKinds);
-    EXPECT_STREQ(names[0], "fault");
-    EXPECT_STREQ(names[static_cast<unsigned>(
-                     stats::TimelineKind::kRemoteAccess)],
-                 "remote_access");
+    EXPECT_EQ(names[0].asString(), "fault");
+    EXPECT_EQ(names[static_cast<unsigned>(
+                        stats::TimelineKind::kRemoteAccess)]
+                  .asString(),
+              "remote_access");
 }
-
-// ------------------------------------------------------------ ResultsIo
 
 /**
  * A sweep no golden holds: one complete run with a timeline, one
@@ -239,34 +233,32 @@ TEST(ResultsIo, SweepDocumentBytesArePinned)
     EXPECT_EQ(
         os.str(),
         R"({"schema":"grit-results","version":2,"generator":"test_gen",)"
-        R"("title":"pinned","params":{"footprint_divisor":128,)"
-        R"("intensity":0.2,"seed":1},"runs":[)"
-        R"({"row":"BFS","label":"on-touch","cycles":1000,"accesses":400,)"
-        R"("accesses_batched":100,"local_faults":7,"protection_faults":2,)"
-        R"("total_faults":9,"evictions":3,"peak_replicas":5,)"
-        R"("oversubscription_rate":7.5,"scheme_accesses":{"none":1,)"
-        R"("on_touch":2,"access_counter":3,"duplication":4},)"
-        R"("latency_breakdown":{"local":10,"host":0,"page_migration":0,)"
-        R"("remote_access":0,"page_duplication":0,"write_collapse":5,)"
-        R"("total":15},"timeline":{"interval_cycles":500,"keys":["fault",)"
-        R"("migration","duplication","collapse","remote_access",)"
-        R"("eviction"],"intervals":[[3,0,0,0,0,0],[0,0,0,0,2,0]]},)"
-        R"("counters":{"gpu0.faults":7,"uvm.migrations":3}},)"
-        R"({"row":"ST","label":"grit","cycles":50,"accesses":20,)"
-        R"("accesses_batched":0,"local_faults":0,"protection_faults":0,)"
-        R"("total_faults":0,"evictions":0,"peak_replicas":0,)"
-        R"("oversubscription_rate":0,"scheme_accesses":{"none":0,)"
-        R"("on_touch":0,"access_counter":0,"duplication":0},)"
-        R"("latency_breakdown":{"local":0,"host":0,"page_migration":0,)"
-        R"("remote_access":0,"page_duplication":0,"write_collapse":0,)"
-        R"("total":0},"counters":{},"partial":true,"error":{)"
-        R"("code":"deadline","message":"wall-clock deadline passed",)"
+        R"("title":"pinned","params":{"footprint_divisor":128,"intensity":0.2,)"
+        R"("seed":1},"runs":[{"row":"BFS","label":"on-touch","cycles":1000,)"
+        R"("accesses":400,"accesses_batched":100,"local_faults":7,)"
+        R"("protection_faults":2,"total_faults":9,"evictions":3,)"
+        R"("peak_replicas":5,"oversubscription_rate":7.5,)"
+        R"("scheme_accesses":{"none":1,"on_touch":2,"access_counter":3,)"
+        R"("duplication":4},"latency_breakdown":{"local":10,"host":0,)"
+        R"("page_migration":0,"remote_access":0,"page_duplication":0,)"
+        R"("write_collapse":5,"total":15},"timeline":{"interval_cycles":500,)"
+        R"("keys":["fault","migration","duplication","collapse",)"
+        R"("remote_access","eviction"],"intervals":[[3,0,0,0,0,0],[0,0,0,0,2,)"
+        R"(0]]},"counters":{"gpu0.faults":7,"uvm.migrations":3}},{"row":"ST",)"
+        R"("label":"grit","cycles":50,"accesses":20,"accesses_batched":0,)"
+        R"("local_faults":0,"protection_faults":0,"total_faults":0,)"
+        R"("evictions":0,"peak_replicas":0,"oversubscription_rate":0,)"
+        R"("scheme_accesses":{"none":0,"on_touch":0,"access_counter":0,)"
+        R"("duplication":0},"latency_breakdown":{"local":0,"host":0,)"
+        R"("page_migration":0,"remote_access":0,"page_duplication":0,)"
+        R"("write_collapse":0,"total":0},"counters":{},"partial":true,)"
+        R"("error":{"code":"deadline","message":"wall-clock deadline passed",)"
         R"("context":"ST/grit"}}],"failures":[{"row":"ST","label":"grit",)"
         R"("fingerprint":"0123456789abcdef","error":{"code":"deadline",)"
         R"("message":"wall-clock deadline passed","context":"ST/grit"},)"
-        R"("attempts":2,"salvaged":true}],"sweep":{"executed":2,)"
-        R"("reused":1,"skipped":0,"cache":{"hits":0,"misses":0,)"
-        R"("evictions":0,"bytes":0,"byte_budget":0}}})"
+        R"("attempts":2,"salvaged":true}],"sweep":{"executed":2,"reused":1,)"
+        R"("skipped":0,"cache":{"hits":0,"misses":0,"evictions":0,"bytes":0,)"
+        R"("byte_budget":0}}})"
         "\n");
 }
 

@@ -19,7 +19,6 @@
 #include "harness/config.h"
 #include "harness/simulator.h"
 #include "workload/apps.h"
-#include "workload/dnn.h"
 #include "workload/generators.h"
 #include "workload/trace_cache.h"
 #include "workload/trace_stream.h"
@@ -162,11 +161,11 @@ TEST(GeneratedTraceStream, DestroyedPromptlyWhileSkipCounting)
 TEST(GeneratedTraceStream, CoversDnnAndScaleGenerators)
 {
     const WorkloadParams params = smallParams();
-    const Workload dnn = makeDnnWorkload(DnnModel::kVgg16, params);
+    const Workload dnn = makeWorkload(AppId::kVgg16, params);
     for (unsigned g = 0; g < params.numGpus; ++g) {
         GeneratedTraceStream stream(
             [params](TraceSink &sink) {
-                generateDnnTrace(DnnModel::kVgg16, params, sink);
+                generateTrace(AppId::kVgg16, params, sink);
             },
             g, 1000);
         expectSameTrace(drain(stream), dnn.traces[g]);

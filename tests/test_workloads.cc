@@ -6,7 +6,6 @@
 
 #include "workload/apps.h"
 #include "workload/characterizer.h"
-#include "workload/dnn.h"
 #include "workload/generators.h"
 
 namespace grit::workload {
@@ -283,8 +282,8 @@ TEST(AppCharacter, StHasReadOnlyIntervalsThenWrites)
 
 TEST(Dnn, ModelsGenerateAndDiffer)
 {
-    const Workload vgg = makeDnnWorkload(DnnModel::kVgg16);
-    const Workload resnet = makeDnnWorkload(DnnModel::kResNet18);
+    const Workload vgg = makeWorkload(AppId::kVgg16);
+    const Workload resnet = makeWorkload(AppId::kResNet18);
     EXPECT_EQ(vgg.name, "VGG16");
     EXPECT_EQ(resnet.name, "ResNet18");
     EXPECT_GT(vgg.totalAccesses(), 1000u);
@@ -294,9 +293,23 @@ TEST(Dnn, ModelsGenerateAndDiffer)
 
 TEST(Dnn, PipelineSharesActivationBoundaries)
 {
-    const auto c = classifyPages(makeDnnWorkload(DnnModel::kResNet18));
+    const auto c = classifyPages(makeWorkload(AppId::kResNet18));
     EXPECT_GT(c.sharedPages, 0u);
     EXPECT_GT(c.privatePages, 0u);  // weights stay private
+}
+
+/** The 8-pages-per-GPU floor keeps the read-shared region inside the
+ *  footprint, so the layer partition cannot underflow at any divisor. */
+TEST(Dnn, FootprintFloorHoldsAtTheLargestDivisor)
+{
+    WorkloadParams params;  // 4 GPUs
+    params.footprintDivisor = 4294967295u;
+    params.intensity = 0.2;
+    EXPECT_EQ(workloadShell(AppId::kResNet18, params).footprintGenPages,
+              32u);
+    const Workload w = makeWorkload(AppId::kResNet18, params);
+    for (const GpuTrace &trace : w.traces)
+        EXPECT_FALSE(trace.empty());
 }
 
 }  // namespace
